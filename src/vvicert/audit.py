@@ -61,32 +61,61 @@ VIOLATION = "VIOLATION"
 
 @dataclass(frozen=True)
 class TheoremRule:
-    """One sufficiency/necessity statement as a falsifiable rule."""
+    """One sufficiency/necessity statement as a falsifiable rule.
+
+    The hypotheses are the invexity class `invex_class` of f, or of -f when
+    `negated`, and the VVI `variant`, or vector criticality when `variant`
+    is None. The conclusion is local quasi efficiency, weak when `weak`. A
+    forward rule samples its class over pairs (x, xi), or (xi, x) on -f. A
+    contrapositive rule takes the VVI refuted as its premise, samples its
+    class over pairs (x, xi) on the witness segment, and expects the
+    conclusion refuted too.
+    """
 
     rule_id: str
     description: str
+    invex_class: InvexClass
+    negated: bool = False
+    variant: Optional[VVIVariant] = None
+    weak: bool = False
     required_flags: tuple = ()
     contrapositive: bool = False
+
+    @property
+    def class_key(self) -> str:
+        """Hypothesis name of the invexity check, e.g. 'pseudo1(-f)'."""
+        return f"{self.invex_class.value}({'-f' if self.negated else 'f'})"
 
 
 RULES = {
     "T3.1": TheoremRule(
         "T3.1",
         "invex(f) + SVVI solution => local quasi efficient",
+        InvexClass.INVEX,
+        variant=VVIVariant.SVVI,
     ),
     "T3.2": TheoremRule(
         "T3.2",
         "invex(-f) + skew kernel + MVVI solution => local quasi efficient",
+        InvexClass.INVEX,
+        negated=True,
+        variant=VVIVariant.MVVI,
         required_flags=("skew",),
     ),
     "T3.3": TheoremRule(
         "T3.3",
         "pseudo type II (f) + SVVI solution => local quasi efficient",
+        InvexClass.PSEUDO_II,
+        variant=VVIVariant.SVVI,
     ),
     "T4.1": TheoremRule(
         "T4.1",
         "affine kernel + quasi type II (-f): WSVVI refuted => quasi weak "
         "efficiency refuted (contrapositive form)",
+        InvexClass.QUASI_II,
+        negated=True,
+        variant=VVIVariant.WSVVI,
+        weak=True,
         required_flags=("first_arg_affine", "vanishes_on_diagonal"),
         contrapositive=True,
     ),
@@ -94,15 +123,24 @@ RULES = {
         "T4.2",
         "pseudo type I (-f) + skew kernel + WMVVI solution => local quasi "
         "weak efficient",
+        InvexClass.PSEUDO_I,
+        negated=True,
+        variant=VVIVariant.WMVVI,
+        weak=True,
         required_flags=("skew",),
     ),
     "T4.6": TheoremRule(
         "T4.6",
         "pseudo type I (f) + vector critical point => local quasi weak efficient",
+        InvexClass.PSEUDO_I,
+        weak=True,
     ),
     "R4.0": TheoremRule(
         "R4.0",
         "pseudo type I (f) + WSVVI solution => local quasi weak efficient",
+        InvexClass.PSEUDO_I,
+        variant=VVIVariant.WSVVI,
+        weak=True,
     ),
 }
 
@@ -143,7 +181,7 @@ def _vvi_point_violation(variant: VVIVariant, f, cone, kernel, xi, x) -> bool:
     eta = kernel.eval(x, xi)
     if np.linalg.norm(eta) <= ZERO_ETA_TOL:
         return False
-    at = xi if variant in (VVIVariant.SVVI, VVIVariant.WSVVI) else x
+    at = x if variant.minty else xi
     poly = f.clarke_jacobian(np.asarray(at, dtype=float))
     test = cone.strictly_contains if variant.weak else cone.contains
     return all(test(-(v @ eta)) for v in poly.vertices)
@@ -208,69 +246,20 @@ def _audit_forward(rule, problem, xi, plan, hyp, notes, label) -> AuditResult:
     f, cone, kernel, e = problem.f, problem.cone, problem.kernel, problem.e
     r = plan.radius
     ball = sampling.ball_points(xi, r, plan.ball_sample_count, plan.seed)
-    anchored = (ball, _tile(xi, ball.shape[0]))  # pairs (x, xi)
-    reversed_anchor = (_tile(xi, ball.shape[0]), ball)  # pairs (xi, x)
+    fn = f.negated() if rule.negated else f
+    pairs = (ball, _tile(xi, ball.shape[0]))  # pairs (x, xi), or (xi, x) on -f
+    if rule.negated:
+        pairs = pairs[::-1]
 
-    weak_conclusion = rule.rule_id in ("T4.2", "T4.6", "R4.0")
-
-    if rule.rule_id == "T3.1":
-        hyp["invex(f)"] = check_invex_class(
-            InvexClass.INVEX, f, cone, kernel, e, xi, r, plan, extra_pairs=anchored
-        )
-        hyp["svvi"] = check_vvi(
-            VVIVariant.SVVI, f, cone, kernel, xi, plan, extra_points=ball
-        )
-        class_checks = [(InvexClass.INVEX, f, "invex(f)", "xy")]
-        vvi_check = (VVIVariant.SVVI, f, "svvi")
-    elif rule.rule_id == "T3.2":
-        neg = f.negated()
-        hyp["invex(-f)"] = check_invex_class(
-            InvexClass.INVEX, neg, cone, kernel, e, xi, r, plan,
-            extra_pairs=reversed_anchor,
-        )
-        hyp["mvvi"] = check_vvi(
-            VVIVariant.MVVI, f, cone, kernel, xi, plan, extra_points=ball
-        )
-        class_checks = [(InvexClass.INVEX, neg, "invex(-f)", "yx")]
-        vvi_check = (VVIVariant.MVVI, f, "mvvi")
-    elif rule.rule_id == "T3.3":
-        hyp["pseudo2(f)"] = check_invex_class(
-            InvexClass.PSEUDO_II, f, cone, kernel, e, xi, r, plan, extra_pairs=anchored
-        )
-        hyp["svvi"] = check_vvi(
-            VVIVariant.SVVI, f, cone, kernel, xi, plan, extra_points=ball
-        )
-        class_checks = [(InvexClass.PSEUDO_II, f, "pseudo2(f)", "xy")]
-        vvi_check = (VVIVariant.SVVI, f, "svvi")
-    elif rule.rule_id == "T4.2":
-        neg = f.negated()
-        hyp["pseudo1(-f)"] = check_invex_class(
-            InvexClass.PSEUDO_I, neg, cone, kernel, e, xi, r, plan,
-            extra_pairs=reversed_anchor,
-        )
-        hyp["wmvvi"] = check_vvi(
-            VVIVariant.WMVVI, f, cone, kernel, xi, plan, extra_points=ball
-        )
-        class_checks = [(InvexClass.PSEUDO_I, neg, "pseudo1(-f)", "yx")]
-        vvi_check = (VVIVariant.WMVVI, f, "wmvvi")
-    elif rule.rule_id == "T4.6":
-        hyp["pseudo1(f)"] = check_invex_class(
-            InvexClass.PSEUDO_I, f, cone, kernel, e, xi, r, plan, extra_pairs=anchored
-        )
+    hyp[rule.class_key] = check_invex_class(
+        rule.invex_class, fn, cone, kernel, e, xi, r, plan, extra_pairs=pairs
+    )
+    if rule.variant is None:
         hyp["critical"] = check_vector_critical(f, cone, xi, plan)
-        class_checks = [(InvexClass.PSEUDO_I, f, "pseudo1(f)", "xy")]
-        vvi_check = None
-    elif rule.rule_id == "R4.0":
-        hyp["pseudo1(f)"] = check_invex_class(
-            InvexClass.PSEUDO_I, f, cone, kernel, e, xi, r, plan, extra_pairs=anchored
-        )
-        hyp["wsvvi"] = check_vvi(
-            VVIVariant.WSVVI, f, cone, kernel, xi, plan, extra_points=ball
-        )
-        class_checks = [(InvexClass.PSEUDO_I, f, "pseudo1(f)", "xy")]
-        vvi_check = (VVIVariant.WSVVI, f, "wsvvi")
     else:
-        raise ValueError(f"unknown forward rule {rule.rule_id}")
+        hyp[rule.variant.value] = check_vvi(
+            rule.variant, f, cone, kernel, xi, plan, extra_points=ball
+        )
 
     not_certified = [
         k for k, v in hyp.items() if isinstance(v, Verdict) and not v.certified
@@ -282,29 +271,30 @@ def _audit_forward(rule, problem, xi, plan, hyp, notes, label) -> AuditResult:
         )
 
     conclusion = check_quasi_efficient(
-        f, cone, kernel, e, xi, r, weak=weak_conclusion, plan=plan
+        f, cone, kernel, e, xi, r, weak=rule.weak, plan=plan
     )
     if not conclusion.refuted:
         return AuditResult(rule.rule_id, label, hyp, conclusion, CONSISTENT, notes)
 
     # certified hypotheses + refuted conclusion: replay hypotheses at witness
     x_star = np.asarray(conclusion.witness["x"], dtype=float)
-    for cls, fn, name, order in class_checks:
-        a, b = (x_star, xi) if order == "xy" else (xi, x_star)
-        if _pair_violates_class(cls, fn, cone, kernel, e, a, b, plan.simplex_grid_depth):
-            notes.append(
-                f"{name} hypothesis violated at the conclusion witness pair; "
-                f"certification was a sampling artifact"
-            )
-            return AuditResult(rule.rule_id, label, hyp, conclusion, NOT_CERTIFIED, notes)
-    if vvi_check is not None:
-        variant, fn, name = vvi_check
-        if _vvi_point_violation(variant, fn, cone, kernel, xi, x_star):
-            notes.append(
-                f"{name} hypothesis violated at the conclusion witness; "
-                f"certification was a sampling artifact"
-            )
-            return AuditResult(rule.rule_id, label, hyp, conclusion, NOT_CERTIFIED, notes)
+    a, b = (xi, x_star) if rule.negated else (x_star, xi)
+    if _pair_violates_class(
+        rule.invex_class, fn, cone, kernel, e, a, b, plan.simplex_grid_depth
+    ):
+        notes.append(
+            f"{rule.class_key} hypothesis violated at the conclusion witness pair; "
+            f"certification was a sampling artifact"
+        )
+        return AuditResult(rule.rule_id, label, hyp, conclusion, NOT_CERTIFIED, notes)
+    if rule.variant is not None and _vvi_point_violation(
+        rule.variant, f, cone, kernel, xi, x_star
+    ):
+        notes.append(
+            f"{rule.variant.value} hypothesis violated at the conclusion witness; "
+            f"certification was a sampling artifact"
+        )
+        return AuditResult(rule.rule_id, label, hyp, conclusion, NOT_CERTIFIED, notes)
     notes.append("conclusion witness replays while every hypothesis holds at it")
     return AuditResult(rule.rule_id, label, hyp, conclusion, VIOLATION, notes)
 
@@ -325,34 +315,35 @@ def _segment_points(xi: np.ndarray, x_hat: np.ndarray, r: float) -> np.ndarray:
 def _audit_t41(rule, problem, xi, plan, hyp, notes, label) -> AuditResult:
     f, cone, kernel, e = problem.f, problem.cone, problem.kernel, problem.e
     r = plan.radius
-    neg = f.negated()
+    fn = f.negated() if rule.negated else f
     ball = sampling.ball_points(xi, r, plan.ball_sample_count, plan.seed)
 
-    wsvvi = check_vvi(VVIVariant.WSVVI, f, cone, kernel, xi, plan, extra_points=ball)
-    hyp["wsvvi-refuted"] = wsvvi
-    if not wsvvi.refuted:
+    vvi = check_vvi(rule.variant, f, cone, kernel, xi, plan, extra_points=ball)
+    hyp[f"{rule.variant.value}-refuted"] = vvi
+    if not vvi.refuted:
         return AuditResult(
             rule.rule_id, label, hyp, None, NOT_CERTIFIED,
             notes + ["contrapositive premise empty: WSVVI was not refuted"],
         )
-    x_hat = np.asarray(wsvvi.witness["x"], dtype=float)
+    x_hat = np.asarray(vvi.witness["x"], dtype=float)
     segment = _segment_points(xi, x_hat, r)
 
-    hyp["quasi2(-f)"] = check_invex_class(
-        InvexClass.QUASI_II, neg, cone, kernel, e, xi, r, plan,
+    # pairs (x, xi) along the witness segment and the ball
+    hyp[rule.class_key] = check_invex_class(
+        rule.invex_class, fn, cone, kernel, e, xi, r, plan,
         extra_pairs=(
             np.vstack([segment, ball]),
             _tile(xi, segment.shape[0] + ball.shape[0]),
         ),
     )
-    if not hyp["quasi2(-f)"].certified:
+    if not hyp[rule.class_key].certified:
         return AuditResult(
             rule.rule_id, label, hyp, None, NOT_CERTIFIED,
             notes + ["quasi type II hypothesis on -f not certified"],
         )
 
     conclusion = check_quasi_efficient(
-        f, cone, kernel, e, xi, r, weak=True, plan=plan, extra_points=segment
+        f, cone, kernel, e, xi, r, weak=rule.weak, plan=plan, extra_points=segment
     )
     if conclusion.refuted:
         return AuditResult(rule.rule_id, label, hyp, conclusion, CONSISTENT, notes)
@@ -367,7 +358,7 @@ def _audit_t41(rule, problem, xi, plan, hyp, notes, label) -> AuditResult:
         if not premise:
             continue
         if _pair_violates_class(
-            InvexClass.QUASI_II, neg, cone, kernel, e, x0, xi, plan.simplex_grid_depth
+            rule.invex_class, fn, cone, kernel, e, x0, xi, plan.simplex_grid_depth
         ):
             notes.append(
                 "quasi type II (-f) hypothesis violated on the witness segment; "
@@ -375,7 +366,7 @@ def _audit_t41(rule, problem, xi, plan, hyp, notes, label) -> AuditResult:
             )
             return AuditResult(rule.rule_id, label, hyp, conclusion, NOT_CERTIFIED, notes)
         viol = _quasi_violation_mask(
-            f, cone, kernel, e, xi, True, x0[None, :], True
+            f, cone, kernel, e, xi, rule.weak, x0[None, :], True
         )[0]
         if viol:
             notes.append(

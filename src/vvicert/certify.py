@@ -402,33 +402,22 @@ def check_vvi(
             else cone.contains_many(-values)
         )
 
-    if variant in (VVIVariant.SVVI, VVIVariant.WSVVI):
+    if variant.minty:
+        prods, active = _vertex_products_at(f, pts, eta)
+    else:
+        # every vertex of the Jacobian at xi applies at every point
         poly = f.clarke_jacobian(xi)
         prods = np.stack([eta @ v.T for v in poly.vertices], axis=0)  # (k, N, m)
-        cond = np.stack([_holds(prods[j]) for j in range(len(poly))], axis=0)
-        if quantifier == "forall":
-            viol = np.all(cond, axis=0)
-        else:
-            viol = np.any(cond, axis=0)
-            if len(poly) > 1:
-                active = np.ones((len(poly), len(pts)), dtype=bool)
-                viol = _hull_exists_refine(
-                    prods, active, lambda v: bool(_holds(v[None, :])[0]),
-                    viol, plan.simplex_grid_depth,
-                )
-        vertex_count = len(poly)
+        active = np.ones(prods.shape[:2], dtype=bool)
+    cond = _holds(prods)
+    if quantifier == "forall":
+        viol = _forall_active(cond, active)
     else:
-        prods, active = _vertex_products_at(f, pts, eta)
-        cond = np.stack([_holds(prods[j]) for j in range(len(f.pieces))], axis=0)
-        if quantifier == "forall":
-            viol = _forall_active(cond, active)
-        else:
-            viol = _exists_active(cond, active)
-            viol = _hull_exists_refine(
-                prods, active, lambda v: bool(_holds(v[None, :])[0]),
-                viol, plan.simplex_grid_depth,
-            )
-        vertex_count = int(active.sum(axis=0).max())
+        viol = _hull_exists_refine(
+            prods, active, lambda v: bool(_holds(v[None, :])[0]),
+            _exists_active(cond, active), plan.simplex_grid_depth,
+        )
+    vertex_count = int(active.sum(axis=0).max())
 
     viol = viol & nz
     stats = _base_stats(
@@ -445,7 +434,7 @@ def check_vvi(
     if viol.any():
         idx = int(np.argmax(viol))
         x = pts[idx]
-        where = "xi" if variant in (VVIVariant.SVVI, VVIVariant.WSVVI) else "x"
+        where = "x" if variant.minty else "xi"
         return Verdict(
             REFUTED,
             f"x = {x.tolist()} satisfies the {variant.value.upper()} inequality "
@@ -482,55 +471,30 @@ def _invex_violation_mask(
     penalty = eta_norm[:, None] * e[None, :]
     prods, active = _vertex_products_at(f, ys, eta)
 
+    # prods holds A eta for every piece's A, shape (pieces, N, m)
     if cls is InvexClass.INVEX:
         # f(x) - f(y) >=_C A eta - e||eta|| for every A
-        cond = np.stack(
-            [cone.contains_many(fdiff - prods[j] + penalty) for j in range(prods.shape[0])],
-            axis=0,
-        )
-        return ~_forall_active(cond, active)
+        return ~_forall_active(cone.contains_many(fdiff - prods + penalty), active)
 
     if cls is InvexClass.PSEUDO_I:
         premise = cone.strictly_contains_many(-penalty - fdiff)
-        cond = np.stack(
-            [cone.strictly_contains_many(-prods[j]) for j in range(prods.shape[0])], axis=0
-        )
-        return premise & ~_forall_active(cond, active)
+        return premise & ~_forall_active(cone.strictly_contains_many(-prods), active)
 
     if cls is InvexClass.PSEUDO_II:
         premise = cone.strictly_contains_many(-fdiff)
-        cond = np.stack(
-            [cone.strictly_contains_many(-prods[j] - penalty) for j in range(prods.shape[0])],
-            axis=0,
-        )
-        return premise & ~_forall_active(cond, active)
+        return premise & ~_forall_active(cone.strictly_contains_many(-prods - penalty), active)
 
-    if cls is InvexClass.QUASI_I:
-        vertex_premise = np.stack(
-            [cone.strictly_contains_many(prods[j] - penalty) for j in range(prods.shape[0])],
-            axis=0,
-        )
-        premise = _exists_active(vertex_premise, active)
+    if cls in (InvexClass.QUASI_I, InvexClass.QUASI_II):
+        # type I moves the penalty into the premise, type II into the conclusion
+        if cls is InvexClass.QUASI_I:
+            premise_vals, conclusion_vals = prods - penalty, fdiff
+        else:
+            premise_vals, conclusion_vals = prods, fdiff - penalty
+        premise = _exists_active(cone.strictly_contains_many(premise_vals), active)
         premise = _hull_exists_refine(
-            prods - penalty[None, :, :],
-            active,
-            lambda v: cone.strictly_contains(v),
-            premise,
-            grid_depth,
+            premise_vals, active, cone.strictly_contains, premise, grid_depth
         )
-        conclusion = cone.strictly_contains_many(fdiff)
-        return premise & ~conclusion
-
-    if cls is InvexClass.QUASI_II:
-        vertex_premise = np.stack(
-            [cone.strictly_contains_many(prods[j]) for j in range(prods.shape[0])], axis=0
-        )
-        premise = _exists_active(vertex_premise, active)
-        premise = _hull_exists_refine(
-            prods, active, lambda v: cone.strictly_contains(v), premise, grid_depth
-        )
-        conclusion = cone.strictly_contains_many(fdiff - penalty)
-        return premise & ~conclusion
+        return premise & ~cone.strictly_contains_many(conclusion_vals)
 
     raise ValueError(f"unknown invexity class {cls!r}")
 
@@ -564,13 +528,9 @@ def check_invex_class(
 
     px, py = _probe_pairs(f, x0, r)
     sx, sy = sampling.ball_pairs(x0, r, plan.pair_sample_count, plan.seed)
-    if extra_pairs is not None:
-        ex, ey = extra_pairs
-        xs = _stack_points([px, ex, sx], f.n)
-        ys = _stack_points([py, ey, sy], f.n)
-    else:
-        xs = _stack_points([px, sx], f.n)
-        ys = _stack_points([py, sy], f.n)
+    ex, ey = extra_pairs if extra_pairs is not None else (None, None)
+    xs = _stack_points([px, ex, sx], f.n)
+    ys = _stack_points([py, ey, sy], f.n)
 
     viol = _invex_violation_mask(cls, f, cone, kernel, e, xs, ys, plan.simplex_grid_depth)
     stats = _base_stats(
@@ -740,6 +700,13 @@ def check_vector_critical(
     verts = poly.as_array()  # (k, m, n)
     lambdas = sampling.simplex_weights(len(poly), plan.simplex_grid_depth)
     threshold = max(cone.margin, 1e-9)
+    stats = _base_stats(
+        plan,
+        cone,
+        lambdaGridSize=int(len(lambdas)),
+        vertexCount=int(len(poly)),
+        xi=_listify(xi),
+    )
 
     evidence = []
     ambiguous = None
@@ -749,13 +716,6 @@ def check_vector_critical(
         if mu is not None and 1e-12 < s <= threshold and ambiguous is None:
             ambiguous = (lam, s)
         if mu is not None and s > threshold:
-            stats = _base_stats(
-                plan,
-                cone,
-                lambdaGridSize=int(len(lambdas)),
-                vertexCount=int(len(poly)),
-                xi=_listify(xi),
-            )
             return Verdict(
                 CERTIFIED,
                 "xi is a vector critical point: a strictly interior mu "
@@ -769,14 +729,12 @@ def check_vector_critical(
                 },
                 stats=stats,
             )
-        try:
-            cert = gordan_alternative(A, cone)
-            if len(evidence) < 16:
+        if len(evidence) < 16:
+            try:
                 evidence.append(
-                    {"lambda": lam.tolist(), "gordan": cert.to_dict()}
+                    {"lambda": lam.tolist(), "gordan": gordan_alternative(A, cone).to_dict()}
                 )
-        except DegenerateError as exc:
-            if len(evidence) < 16:
+            except DegenerateError as exc:
                 evidence.append({"lambda": lam.tolist(), "degenerate": str(exc)})
 
     if ambiguous is not None:
@@ -785,13 +743,6 @@ def check_vector_critical(
             f"interiority optimum {s:.3e} at lambda {lam.tolist()} sits inside the "
             f"strictness margin; criticality is numerically ambiguous"
         )
-    stats = _base_stats(
-        plan,
-        cone,
-        lambdaGridSize=int(len(lambdas)),
-        vertexCount=int(len(poly)),
-        xi=_listify(xi),
-    )
     return Verdict(
         REFUTED,
         "no sampled Jacobian mixture admits a strictly interior annihilating mu; "

@@ -199,7 +199,7 @@ class OrderingCone:
 
     # -- membership ------------------------------------------------------------
 
-    def _check_dim(self, v: np.ndarray, expect_rows: bool = False):
+    def _check_dim(self, v: np.ndarray):
         if v.shape[-1] != self.dim:
             raise DimensionMismatchError(
                 f"vector of dimension {v.shape[-1]} against cone of dimension {self.dim}"

@@ -204,13 +204,7 @@ class PiecewiseVectorFn:
     # -- Jacobians --------------------------------------------------------------
 
     def piece_jacobian(self, j: int, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        piece = self.pieces[j]
-        out = np.empty((self.m, self.n))
-        for i in range(self.m):
-            for k in range(self.n):
-                out[i, k] = el.evaluate(piece.gradients[i][k], x)
-        return out
+        return self.piece_jacobians_many(j, np.asarray(x, dtype=float)[None, :])[0]
 
     def piece_jacobians_many(self, j: int, x: np.ndarray) -> np.ndarray:
         """(points, m, n) analytic Jacobians of piece j, vectorized."""
@@ -273,7 +267,9 @@ class PiecewiseVectorFn:
             problems.append(f"continuity: {exc}")
         center = self.inner_box().mean(axis=1)
         radius = float(np.min(self.inner_box()[:, 1] - self.inner_box()[:, 0]) / 2)
-        for root in _boundary_roots(self, center, radius):
+        for _, _, root, first in _chord_roots(self, center, radius):
+            if not first:
+                continue
             rmask = self.active_mask(root[None, :], 0.0)[:, 0]
             vals = [
                 np.array([el.evaluate(c, root) for c in self.pieces[j].components])
@@ -297,22 +293,23 @@ class PiecewiseVectorFn:
 # Boundary probes
 # ---------------------------------------------------------------------------
 
-def _boundary_roots(f: PiecewiseVectorFn, start: np.ndarray, radius: float) -> list:
-    """Region-boundary points found by scanning axis chords from `start`."""
+def _chord_roots(f: PiecewiseVectorFn, start: np.ndarray, radius: float):
+    """Region-boundary roots along the axis chords of length `radius` from
+    `start`, in scan order: each boundary expression g is scanned at 33 chord
+    points and every sign change is bisected 80 times. Yields (g, d, root,
+    first), where d is the chord direction and first is False when a root
+    equal to 12 decimals was yielded before."""
     start = np.asarray(start, dtype=float)
     box = f.inner_box()
-    gs = []
-    for piece in f.pieces:
-        gs.extend(el.boundary_expressions(piece.region))
-    roots = []
+    gs = [g for piece in f.pieces for g in el.boundary_expressions(piece.region)]
     seen = set()
 
-    def record(point):
-        key = tuple(np.round(point, 12))
-        if key in seen:
-            return
+    def emit(g, d, t):
+        root = start + t * d
+        key = tuple(np.round(root, 12))
+        first = key not in seen
         seen.add(key)
-        roots.append(point)
+        return g, d, root, first
 
     for axis in range(f.n):
         for sign in (1.0, -1.0):
@@ -331,7 +328,7 @@ def _boundary_roots(f: PiecewiseVectorFn, start: np.ndarray, radius: float) -> l
                 for a in range(len(ts) - 1):
                     va, vb = vals[a], vals[a + 1]
                     if va == 0.0:
-                        record(pts[a])
+                        yield emit(g, d, ts[a])
                         continue
                     if va * vb < 0.0:
                         lo_t, hi_t = ts[a], ts[a + 1]
@@ -346,10 +343,9 @@ def _boundary_roots(f: PiecewiseVectorFn, start: np.ndarray, radius: float) -> l
                                 hi_t = mid
                             else:
                                 lo_t, flo = mid, fm
-                        record(start + 0.5 * (lo_t + hi_t) * d)
+                        yield emit(g, d, 0.5 * (lo_t + hi_t))
                 if vals[-1] == 0.0:
-                    record(pts[-1])
-    return roots
+                    yield emit(g, d, ts[-1])
 
 
 def boundary_probes(
@@ -373,13 +369,9 @@ def boundary_probes(
     cache_key = (center.tobytes(), float(radius), float(tol_active))
     if cache_key in cache:
         return cache[cache_key]
-    gs = []
-    for piece in f.pieces:
-        gs.extend(el.boundary_expressions(piece.region))
     out = []
     box = f.inner_box()
     seen = set()
-    root_keys = set()
 
     def record(point):
         point = np.clip(point, box[:, 0], box[:, 1])
@@ -390,59 +382,18 @@ def boundary_probes(
             return
         seen.add(key)
         out.append(point)
-    for axis in range(f.n):
-        for sign in (1.0, -1.0):
-            d = np.zeros(f.n)
-            d[axis] = sign
-            if sign > 0:
-                tmax = min(radius, box[axis, 1] - center[axis])
-            else:
-                tmax = min(radius, center[axis] - box[axis, 0])
-            if tmax <= 0:
-                continue
-            ts = np.linspace(0.0, tmax, 33)
-            pts = center[None, :] + ts[:, None] * d[None, :]
-            for g in gs:
-                vals = el.evaluate_many(g, pts)
-                hit_ts = []
-                for a in range(len(ts) - 1):
-                    va, vb = vals[a], vals[a + 1]
-                    if va == 0.0:
-                        hit_ts.append(ts[a])
-                        continue
-                    if va * vb < 0.0:
-                        lo_t, hi_t = ts[a], ts[a + 1]
-                        flo = va
-                        for _ in range(80):
-                            mid = 0.5 * (lo_t + hi_t)
-                            fm = el.evaluate(g, center + mid * d)
-                            if fm == 0.0:
-                                lo_t = hi_t = mid
-                                break
-                            if flo * fm < 0.0:
-                                hi_t = mid
-                            else:
-                                lo_t, flo = mid, fm
-                        hit_ts.append(0.5 * (lo_t + hi_t))
-                if vals[-1] == 0.0:
-                    hit_ts.append(ts[-1])
-                for t_root in hit_ts:
-                    root = center + t_root * d
-                    root_key = tuple(np.round(root, 12))
-                    already = root_key in root_keys
-                    root_keys.add(root_key)
-                    record(root)
-                    if already:
-                        continue
-                    # step back toward the center, calibrated so that the
-                    # boundary expression stays within the activation window
-                    h = 1e-6
-                    slope = abs(
-                        el.evaluate(g, root + h * d) - el.evaluate(g, root - h * d)
-                    ) / (2 * h)
-                    delta = (tol_active / 2.0) / max(slope, 1e-6)
-                    delta = min(delta, radius / 4.0)
-                    record(root - delta * d)
+
+    for g, d, root, first in _chord_roots(f, center, radius):
+        record(root)
+        if not first:
+            continue
+        # step back toward the center, calibrated so that the boundary
+        # expression stays within the activation window
+        h = 1e-6
+        slope = abs(el.evaluate(g, root + h * d) - el.evaluate(g, root - h * d)) / (2 * h)
+        delta = (tol_active / 2.0) / max(slope, 1e-6)
+        delta = min(delta, radius / 4.0)
+        record(root - delta * d)
     if not out:
         result = np.empty((0, f.n))
     else:

@@ -3,13 +3,39 @@ import json
 import pytest
 
 from vvicert import audit
-from vvicert.certify import SamplingPlan
+from vvicert.certify import SamplingPlan, Verdict
 from vvicert.errors import GenerationFailedError
+from vvicert.problem import Problem
 
 
 @pytest.fixture()
 def plan():
     return SamplingPlan(ball_sample_count=1000, pair_sample_count=1000)
+
+
+def _one_piece(name, components):
+    """A single-piece n = 1, m = 2 problem on [-2, 2] with base point 0."""
+    return Problem.from_dict(
+        {
+            "version": "vvicert/1",
+            "name": name,
+            "n": 1,
+            "m": 2,
+            "domain": [[-2.0, 2.0]],
+            "pieces": [{"region": "0 <= 1", "components": components}],
+            "cone": {"orthant": 2},
+            "kernel": {"kind": "difference"},
+            "e": [0.1, 0.1],
+            "points": {"xi": [0.0]},
+        },
+        name=name,
+    )
+
+
+@pytest.fixture(scope="module")
+def balanced():
+    # f = (x, -x): every forward hypothesis bundle certifies
+    return _one_piece("balanced", ["x1", "-x1"])
 
 
 class TestAuditRule:
@@ -59,8 +85,6 @@ class TestAuditRule:
     def test_checker_error_becomes_inapplicable(self, plan):
         # the plan ball does not fit this tight domain, so the hypothesis
         # checker errors; the row degrades instead of crashing the matrix
-        from vvicert.problem import Problem
-
         tight = Problem.from_dict(
             {
                 "version": "vvicert/1",
@@ -81,33 +105,93 @@ class TestAuditRule:
         assert any("inapplicable" in n for n in res.notes)
         assert res.hypothesis_verdicts["error"].status == "Inapplicable"
 
-    def test_all_forward_rules_consistent_on_balanced_linear(self, plan):
+    def test_all_forward_rules_consistent_on_balanced_linear(self, balanced, plan):
         # f = (x, -x): every hypothesis bundle certifies (linear functions are
         # exactly invex; the opposite slopes block any VVI witness and make 0
         # critical), so all six forward rules close with certified conclusions
-        from vvicert.problem import Problem
-
-        balanced = Problem.from_dict(
-            {
-                "version": "vvicert/1",
-                "name": "balanced",
-                "n": 1,
-                "m": 2,
-                "domain": [[-2.0, 2.0]],
-                "pieces": [{"region": "0 <= 1", "components": ["x1", "-x1"]}],
-                "cone": {"orthant": 2},
-                "kernel": {"kind": "difference"},
-                "e": [0.1, 0.1],
-                "points": {"xi": [0.0]},
-            },
-            name="balanced",
-        )
         forward = ["T3.1", "T3.2", "T3.3", "T4.2", "T4.6", "R4.0"]
         for rid in forward:
             res = audit.audit_rule(rid, balanced, "xi", plan)
             assert res.outcome == "ConsistentWithTheorem", (rid, res.notes)
         res = audit.audit_rule("T4.1", balanced, "xi", plan)
         assert res.outcome == "HypothesisNotCertified"  # WSVVI premise empty
+
+    @pytest.mark.parametrize(
+        "rid, keys, weak",
+        [
+            ("T3.1", ["invex(f)", "svvi"], False),
+            ("T3.2", ["flag:skew", "invex(-f)", "mvvi"], False),
+            ("T3.3", ["pseudo2(f)", "svvi"], False),
+            (
+                "T4.1",
+                ["flag:first_arg_affine", "flag:vanishes_on_diagonal", "wsvvi-refuted"],
+                None,
+            ),
+            ("T4.2", ["flag:skew", "pseudo1(-f)", "wmvvi"], True),
+            ("T4.6", ["pseudo1(f)", "critical"], True),
+            ("R4.0", ["pseudo1(f)", "wsvvi"], True),
+        ],
+    )
+    def test_hypothesis_keys_in_order(self, balanced, plan, rid, keys, weak):
+        res = audit.audit_rule(rid, balanced, "xi", plan)
+        assert list(res.hypothesis_verdicts) == keys
+        if weak is None:
+            assert res.conclusion_verdict is None
+        else:
+            assert res.conclusion_verdict.stats["weak"] is weak
+
+
+class TestWitnessCrosscheck:
+    """A refuted conclusion under certified hypotheses replays each
+    hypothesis at the conclusion witness before it is called a violation."""
+
+    @staticmethod
+    def _fake_refuted_conclusion(monkeypatch, x, calls):
+        def fake(f, cone, kernel, e, xi, r, weak=False, plan=None, extra_points=None):
+            calls.append(weak)
+            return Verdict("Refuted", "faked", witness={"x": list(x)})
+
+        monkeypatch.setattr(audit, "check_quasi_efficient", fake)
+
+    @pytest.mark.parametrize(
+        "rid, weak",
+        [("T3.1", False), ("T3.2", False), ("T3.3", False),
+         ("T4.2", True), ("T4.6", True), ("R4.0", True)],
+    )
+    def test_witness_that_breaks_no_hypothesis_is_a_violation(
+        self, monkeypatch, balanced, plan, rid, weak
+    ):
+        calls = []
+        self._fake_refuted_conclusion(monkeypatch, [0.2], calls)
+        res = audit.audit_rule(rid, balanced, "xi", plan)
+        assert calls == [weak]
+        assert res.outcome == "VIOLATION"
+        assert res.notes == ["conclusion witness replays while every hypothesis holds at it"]
+
+    @pytest.mark.parametrize(
+        "components, rid, x, note",
+        [
+            (["x1", "x1"], "T3.1", [-0.2], "svvi hypothesis violated at the conclusion witness;"),
+            (["x1", "x1"], "T3.2", [-0.2], "mvvi hypothesis violated at the conclusion witness;"),
+            (["x1", "x1"], "T4.2", [-0.2], "wmvvi hypothesis violated at the conclusion witness;"),
+            (["x1", "x1"], "R4.0", [-0.2], "wsvvi hypothesis violated at the conclusion witness;"),
+            (["-x1^2", "-x1^2"], "T3.1", [0.2],
+             "invex(f) hypothesis violated at the conclusion witness pair;"),
+            (["x1^2", "x1^2"], "T3.2", [0.2],
+             "invex(-f) hypothesis violated at the conclusion witness pair;"),
+        ],
+    )
+    def test_hypothesis_broken_at_witness_downgrades_row(
+        self, monkeypatch, plan, components, rid, x, note
+    ):
+        certified = Verdict("CertifiedUpToSampling", "faked")
+        monkeypatch.setattr(audit, "check_invex_class", lambda *a, **k: certified)
+        monkeypatch.setattr(audit, "check_vvi", lambda *a, **k: certified)
+        self._fake_refuted_conclusion(monkeypatch, x, [])
+        res = audit.audit_rule(rid, _one_piece("crosscheck", components), "xi", plan)
+        assert res.outcome == "HypothesisNotCertified"
+        assert len(res.notes) == 1 and res.notes[0].startswith(note)
+        assert res.notes[0].endswith("certification was a sampling artifact")
 
 
 class TestGenerateInstance:

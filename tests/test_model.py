@@ -55,6 +55,24 @@ class TestEval:
             f.value([0.0])
         assert f.validate()  # load-time validation reports the same defect
 
+    def test_validate_finds_jump_at_boundary_root(self):
+        # the pieces overlap only on x1 = 0.3, which no sampled point hits, so
+        # only the root found on the axis chord reveals the jump
+        f = PiecewiseVectorFn.from_dict(
+            {
+                "n": 1,
+                "m": 2,
+                "domain": [[-1.0, 1.0]],
+                "pieces": [
+                    {"region": "x1 <= 0.3", "components": ["x1", "x1^3"]},
+                    {"region": "x1 >= 0.3", "components": ["2*x1", "x1^3 + 1"]},
+                ],
+            }
+        )
+        assert f.validate() == [
+            "continuity: pieces disagree by 1.000e+00 at boundary point [0.3]"
+        ]
+
 
 class TestClarkeJacobian:
     def test_example5_kink(self, example5):
