@@ -57,6 +57,29 @@ class TestGordanExamples:
                 assert np.all(np.asarray(cert.dual_coords) >= -1e-12)
                 assert np.max(np.abs(A.T @ cert.y)) <= 1e-7
 
+    def test_alternative_is_scale_invariant(self):
+        # designed branch 1 (A d <_C 0 for a chosen d) and branch 2 (A^T y = 0
+        # for a chosen y > 0); scaling A by c > 0 changes neither branch
+        rng = np.random.default_rng(5)
+        for k in range(24):
+            m, n = 2 + k % 2, 1 + k % 3
+            a = rng.uniform(-1.0, 1.0, size=(m, n))
+            if k % 2:
+                y = rng.uniform(0.2, 1.0, size=m)
+                a = a - np.outer(y, y @ a) / float(y @ y)
+                designed = 2
+            else:
+                d = rng.normal(size=n)
+                a = a + np.outer(-rng.uniform(0.2, 1.0, size=m) - a @ d, d) / float(d @ d)
+                designed = 1
+            cone = OrderingCone.orthant(m)
+            for scale in (1.0, 1e-9, 1e9):
+                cert = gordan_alternative(scale * a, cone)
+                assert cert.alternative == designed, (k, scale)
+                if designed == 1:
+                    assert cone.strictly_contains(-(a @ cert.x))
+                else:
+                    assert np.max(np.abs(a.T @ cert.y)) <= 1e-7
 
 class TestGordanDichotomy:
     def test_thousand_random_matrices(self):
