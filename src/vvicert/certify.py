@@ -605,9 +605,8 @@ def gordan_alternative(
     ambiguous instances raise DegenerateError instead of guessing.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    # both branches are invariant under A -> cA for c > 0, so decide on a
-    # unit-scale copy: the LPs' absolute thresholds then mean the same thing
-    # for every scale of A
+    # both branches are invariant under A -> cA (c > 0); on a unit-scale copy
+    # the absolute LP thresholds below mean the same for every scale of A
     peak = float(np.max(np.abs(A)))
     if peak > 0.0:
         A = A / peak
