@@ -187,11 +187,12 @@ def _vvi_point_violation(variant: VVIVariant, f, cone, kernel, xi, x) -> bool:
     return all(test(-(v @ eta)) for v in poly.vertices)
 
 
-def _pair_violates_class(cls, f, cone, kernel, e, x, y, depth: int) -> bool:
+def _pair_violates_class(cls, f, cone, kernel, e, x, y, plan: SamplingPlan) -> bool:
     return bool(
         _invex_violation_mask(
             cls, f, cone, kernel, e,
-            np.asarray(x, float)[None, :], np.asarray(y, float)[None, :], depth,
+            np.asarray(x, float)[None, :], np.asarray(y, float)[None, :],
+            plan.simplex_grid_depth, plan.exclude_zero_eta,
         )[0]
     )
 
@@ -279,9 +280,7 @@ def _audit_forward(rule, problem, xi, plan, hyp, notes, label) -> AuditResult:
     # certified hypotheses + refuted conclusion: replay hypotheses at witness
     x_star = np.asarray(conclusion.witness["x"], dtype=float)
     a, b = (xi, x_star) if rule.negated else (x_star, xi)
-    if _pair_violates_class(
-        rule.invex_class, fn, cone, kernel, e, a, b, plan.simplex_grid_depth
-    ):
+    if _pair_violates_class(rule.invex_class, fn, cone, kernel, e, a, b, plan):
         notes.append(
             f"{rule.class_key} hypothesis violated at the conclusion witness pair; "
             f"certification was a sampling artifact"
@@ -349,17 +348,15 @@ def _audit_t41(rule, problem, xi, plan, hyp, notes, label) -> AuditResult:
         return AuditResult(rule.rule_id, label, hyp, conclusion, CONSISTENT, notes)
 
     # conclusion unexpectedly certified: decide bug vs hypothesis artifact
+    poly = f.clarke_jacobian(xi)
     for x0 in segment:
         eta0 = kernel.eval(x0, xi)
         if np.linalg.norm(eta0) <= ZERO_ETA_TOL:
             continue
-        poly = f.clarke_jacobian(xi)
         premise = any(cone.strictly_contains(-(v @ eta0)) for v in poly.vertices)
         if not premise:
             continue
-        if _pair_violates_class(
-            rule.invex_class, fn, cone, kernel, e, x0, xi, plan.simplex_grid_depth
-        ):
+        if _pair_violates_class(rule.invex_class, fn, cone, kernel, e, x0, xi, plan):
             notes.append(
                 "quasi type II (-f) hypothesis violated on the witness segment; "
                 "certification was a sampling artifact"

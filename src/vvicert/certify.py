@@ -47,6 +47,9 @@ __all__ = [
 # otherwise make every xi trivially fail the Stampacchia inequality).
 ZERO_ETA_TOL = 1e-12
 
+# cap on the floats of one batch of Jacobian hull mixtures (8 MiB of float64)
+_HULL_MIX_FLOATS = 1 << 20
+
 REFUTED = "Refuted"
 CERTIFIED = "CertifiedUpToSampling"
 INAPPLICABLE = "Inapplicable"
@@ -322,23 +325,31 @@ def _exists_active(cond: np.ndarray, active: np.ndarray) -> np.ndarray:
 def _hull_exists_refine(
     prods: np.ndarray,
     active: np.ndarray,
-    test,
+    test_many,
     base: np.ndarray,
     depth: int,
 ) -> np.ndarray:
     """Upgrade a vertex-only 'exists' mask with simplex-grid hull mixtures at
-    the (rare) points where several pieces are active."""
+    the points where several pieces are active.
+
+    test_many maps an (..., m) array of products to an (...) boolean mask.
+    Undecided points are grouped by activity pattern, so each group shares one
+    weight grid and one batched test over its (points, mixtures, m) array.
+    """
     out = base.copy()
-    multi = np.nonzero(active.sum(axis=0) > 1)[0]
-    for i in multi:
-        if out[i]:
-            continue
-        act = np.nonzero(active[:, i])[0]
-        verts = prods[act, i]  # (k, m)
-        for lam in sampling.simplex_weights(len(act), depth):
-            if test(lam @ verts):
-                out[i] = True
-                break
+    todo = np.nonzero((active.sum(axis=0) > 1) & ~out)[0]
+    patterns, group = np.unique(active[:, todo].T, axis=0, return_inverse=True)
+    group = group.ravel()  # numpy 2.0.0 returns the inverse with an extra axis
+    for g, pattern in enumerate(patterns):
+        act = np.nonzero(pattern)[0]
+        idx = todo[group == g]
+        lams = sampling.simplex_weights(len(act), depth)  # (L, k)
+        # point blocks keep the (points, L, m) mixture array bounded
+        block = max(1, _HULL_MIX_FLOATS // (len(lams) * prods.shape[2]))
+        for start in range(0, idx.size, block):
+            rows = idx[start:start + block]
+            mix = lams @ prods[np.ix_(act, rows)].transpose(1, 0, 2)  # (points, L, m)
+            out[rows] = test_many(mix).any(axis=1)
     return out
 
 
@@ -414,8 +425,7 @@ def check_vvi(
         viol = _forall_active(cond, active)
     else:
         viol = _hull_exists_refine(
-            prods, active, lambda v: bool(_holds(v[None, :])[0]),
-            _exists_active(cond, active), plan.simplex_grid_depth,
+            prods, active, _holds, _exists_active(cond, active), plan.simplex_grid_depth
         )
     vertex_count = int(active.sum(axis=0).max())
 
@@ -462,6 +472,7 @@ def _invex_violation_mask(
     xs: np.ndarray,
     ys: np.ndarray,
     grid_depth: int,
+    exclude_zero_eta: bool,
 ) -> np.ndarray:
     eta = kernel.eval_many(xs, ys)
     eta_norm = np.linalg.norm(eta, axis=1)
@@ -474,17 +485,14 @@ def _invex_violation_mask(
     # prods holds A eta for every piece's A, shape (pieces, N, m)
     if cls is InvexClass.INVEX:
         # f(x) - f(y) >=_C A eta - e||eta|| for every A
-        return ~_forall_active(cone.contains_many(fdiff - prods + penalty), active)
-
-    if cls is InvexClass.PSEUDO_I:
+        viol = ~_forall_active(cone.contains_many(fdiff - prods + penalty), active)
+    elif cls is InvexClass.PSEUDO_I:
         premise = cone.strictly_contains_many(-penalty - fdiff)
-        return premise & ~_forall_active(cone.strictly_contains_many(-prods), active)
-
-    if cls is InvexClass.PSEUDO_II:
+        viol = premise & ~_forall_active(cone.strictly_contains_many(-prods), active)
+    elif cls is InvexClass.PSEUDO_II:
         premise = cone.strictly_contains_many(-fdiff)
-        return premise & ~_forall_active(cone.strictly_contains_many(-prods - penalty), active)
-
-    if cls in (InvexClass.QUASI_I, InvexClass.QUASI_II):
+        viol = premise & ~_forall_active(cone.strictly_contains_many(-prods - penalty), active)
+    elif cls in (InvexClass.QUASI_I, InvexClass.QUASI_II):
         # type I moves the penalty into the premise, type II into the conclusion
         if cls is InvexClass.QUASI_I:
             premise_vals, conclusion_vals = prods - penalty, fdiff
@@ -492,11 +500,15 @@ def _invex_violation_mask(
             premise_vals, conclusion_vals = prods, fdiff - penalty
         premise = _exists_active(cone.strictly_contains_many(premise_vals), active)
         premise = _hull_exists_refine(
-            premise_vals, active, cone.strictly_contains, premise, grid_depth
+            premise_vals, active, cone.strictly_contains_many, premise, grid_depth
         )
-        return premise & ~cone.strictly_contains_many(conclusion_vals)
-
-    raise ValueError(f"unknown invexity class {cls!r}")
+        viol = premise & ~cone.strictly_contains_many(conclusion_vals)
+    else:
+        raise ValueError(f"unknown invexity class {cls!r}")
+    if exclude_zero_eta:
+        # a pair whose points differ only by rounding decides nothing
+        viol = viol & (eta_norm > ZERO_ETA_TOL)
+    return viol
 
 
 def check_invex_class(
@@ -532,7 +544,9 @@ def check_invex_class(
     xs = _stack_points([px, ex, sx], f.n)
     ys = _stack_points([py, ey, sy], f.n)
 
-    viol = _invex_violation_mask(cls, f, cone, kernel, e, xs, ys, plan.simplex_grid_depth)
+    viol = _invex_violation_mask(
+        cls, f, cone, kernel, e, xs, ys, plan.simplex_grid_depth, plan.exclude_zero_eta
+    )
     stats = _base_stats(
         plan,
         cone,

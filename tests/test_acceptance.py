@@ -5,6 +5,7 @@ lines inline; under plain `pytest -v` the test names themselves report one
 pass/fail line per criterion.
 """
 
+import hashlib
 import json
 import time
 
@@ -239,9 +240,11 @@ def test_criterion_10_theorem_audit(example5, example23):
     summary = audit.run_matrix(sorted(audit.RULES), instances, plan)
     elapsed = time.perf_counter() - start
     counts = summary.counts()
+    # printed, not asserted: compare it across changes that keep payloads
+    digest = hashlib.sha256(_canon(summary.to_payload()).encode()).hexdigest()
     ok = summary.violation_count == 0 and elapsed < 60.0
     _line(10, ok, "7 rules x (2 fixtures + 100 generated): zero VIOLATION rows",
-          f"{counts}, {elapsed:.1f} s")
+          f"{counts}, {elapsed:.1f} s, payload sha256 {digest}")
 
 
 def test_criterion_11_determinism(example5, example23, linear_problem):

@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from vvicert import audit
-from vvicert.certify import SamplingPlan, Verdict
+from vvicert.certify import InvexClass, SamplingPlan, Verdict, _invex_violation_mask
 from vvicert.errors import GenerationFailedError
 from vvicert.problem import Problem
 
@@ -192,6 +193,39 @@ class TestWitnessCrosscheck:
         assert res.outcome == "HypothesisNotCertified"
         assert len(res.notes) == 1 and res.notes[0].startswith(note)
         assert res.notes[0].endswith("certification was a sampling artifact")
+
+
+class TestZeroEtaPairs:
+    """Invexity classes skip pairs with eta = 0, as the VVIs and quasi
+    efficiency do: on this instance the first ball sample is x0 - 1 ulp, and
+    f(x) <_C f(x0) held there only through rounding."""
+
+    SPEC = audit.RandomInstanceSpec(
+        seed=13021, n=1, m=3, piece_count=3, degree=2, kernel_kind="negNormDifference"
+    )
+
+    @pytest.fixture(scope="class")
+    def rounding(self):
+        return audit.generate_instance(self.SPEC)
+
+    @pytest.mark.parametrize("cls", list(InvexClass))
+    @pytest.mark.parametrize("negated", [False, True])
+    def test_pair_one_ulp_apart_refutes_no_class(self, rounding, cls, negated):
+        y = rounding.point("x0")
+        x = np.nextafter(y, -np.inf)
+        f = rounding.f.negated() if negated else rounding.f
+        viol = _invex_violation_mask(
+            cls, f, rounding.cone, rounding.kernel, np.asarray(rounding.e),
+            x[None, :], y[None, :], 8, True,
+        )
+        assert not viol[0]
+
+    def test_t33_witness_is_a_genuine_pair(self, rounding, plan):
+        res = audit.audit_rule("T3.3", rounding, "x0", plan)
+        verdict = res.hypothesis_verdicts["pseudo2(f)"]
+        assert verdict.refuted
+        assert np.linalg.norm(verdict.witness["eta"]) > 1e-12
+        assert res.outcome == "HypothesisNotCertified"
 
 
 class TestGenerateInstance:

@@ -1,12 +1,15 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
+from vvicert import certify, sampling
 from vvicert.certify import (
     InvexClass,
     SamplingPlan,
     VVIVariant,
+    _hull_exists_refine,
     _invex_violation_mask,
     _quasi_violation_mask,
     check_invex_class,
@@ -169,7 +172,7 @@ class TestInvexClasses:
         y = np.asarray(v.witness["y"])
         again = _invex_violation_mask(
             InvexClass.INVEX, example23.f, example23.cone, diff,
-            np.array([0.5, 0.5]), x[None, :], y[None, :], 8,
+            np.array([0.5, 0.5]), x[None, :], y[None, :], 8, True,
         )
         assert bool(again[0])
 
@@ -255,6 +258,53 @@ class TestVertexReduction:
             weights = rng.dirichlet(np.ones(k), size=50)
             mixed = weights @ prods
             assert np.all(cone.strictly_contains_many(-mixed))
+
+
+def _hull_exists_reference(prods, active, test, base, depth):
+    """One mixture at a time: the definition the batched refinement must match."""
+    out = base.copy()
+    for i in np.nonzero(active.sum(axis=0) > 1)[0]:
+        if out[i]:
+            continue
+        act = np.nonzero(active[:, i])[0]
+        verts = prods[act, i]
+        out[i] = any(test(lam @ verts) for lam in sampling.simplex_weights(len(act), depth))
+    return out
+
+
+class TestHullExistsRefine:
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("cap", [None, 40])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batched_matches_scalar_loop(self, monkeypatch, strict, cap, seed):
+        if cap is not None:  # small point blocks, several per pattern
+            monkeypatch.setattr(certify, "_HULL_MIX_FLOATS", cap)
+        rng = np.random.default_rng(seed)
+        m = 2 + seed % 2
+        cone = OrderingCone.orthant(m)
+        n_pts = 300
+        prods = rng.uniform(-1.0, 0.4, size=(3, n_pts, m))
+        # one, two (in each of the three patterns) or all three pieces active
+        patterns = np.array(
+            [[1, 0, 0], [1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]], dtype=bool
+        )
+        active = patterns[rng.integers(0, len(patterns), size=n_pts)].T
+        base = rng.random(n_pts) < 0.3
+        depth = int(rng.integers(2, 9))
+        many = cone.strictly_contains_many if strict else cone.contains_many
+        one = cone.strictly_contains if strict else cone.contains
+        got = _hull_exists_refine(prods, active, many, base, depth)
+        want = _hull_exists_reference(prods, active, one, base, depth)
+        assert np.array_equal(got, want)
+        # the grid decides some points each way beyond the base mask
+        upgraded = got & ~base
+        assert upgraded.any() and (~got).any()
+
+    def test_exists_svvi_wall_time(self, example5):
+        start = time.perf_counter()
+        check_vvi("svvi", example5.f, example5.cone, example5.kernel, [0.0],
+                  SamplingPlan(), quantifier="exists")
+        assert time.perf_counter() - start < 0.5
 
 
 class TestDeterminism:
