@@ -22,9 +22,11 @@ from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
-from . import sampling
+from . import _alt, sampling
+from ._alt import GordanCertificate
+# LP calls are traced under this name (perfbench/spans.py)
+from ._alt import linprog  # noqa: F401
 from .cone import OrderingCone
 from .errors import DegenerateError, InvalidEError
 from .model import TOL_ACTIVE, Kernel, PiecewiseVectorFn, boundary_probes
@@ -583,121 +585,34 @@ def check_invex_class(
 # Gordan's alternative
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GordanCertificate:
-    """Exactly one of the two alternatives, with a re-verified certificate.
-
-    alternative 1: x with A x <_C 0.
-    alternative 2: nonzero y >=_C 0 with A^T y = 0 (sum-normalized for the
-    orthant; for general cones y = N^T z with z >= 0 in dual coordinates).
-    """
-
-    alternative: int
-    x: Optional[np.ndarray] = None
-    y: Optional[np.ndarray] = None
-    dual_coords: Optional[np.ndarray] = None
-    strictness: float = 0.0
-
-    def to_dict(self) -> dict:
-        out = {"alternative": self.alternative, "strictness": float(self.strictness)}
-        if self.x is not None:
-            out["x"] = self.x.tolist()
-        if self.y is not None:
-            out["y"] = self.y.tolist()
-        if self.dual_coords is not None:
-            out["dualCoords"] = self.dual_coords.tolist()
-        return out
-
-
 def gordan_alternative(
     A, cone: Optional[OrderingCone] = None, tol: float = 1e-9
 ) -> GordanCertificate:
     """Decide which branch of Gordan's theorem holds for the matrix A.
 
     Either some x solves A x <_C 0, or some nonzero y >=_C 0 solves A^T y = 0,
-    never both. Decided by a pair of small linear programs; numerically
-    ambiguous instances raise DegenerateError instead of guessing.
+    never both. Decided from the rank of A where it is clear, otherwise by a
+    pair of small linear programs; numerically ambiguous instances raise
+    DegenerateError instead of guessing.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     # both branches are invariant under A -> cA (c > 0); on a unit-scale copy
-    # the absolute LP thresholds below mean the same for every scale of A
+    # the absolute thresholds of the re-verification mean the same for every
+    # scale of A
     peak = float(np.max(np.abs(A)))
     if peak > 0.0:
         A = A / peak
-    m, n = A.shape
+    m = A.shape[0]
     if cone is None:
         cone = OrderingCone.orthant(m)
     if cone.dim != m:
         raise DegenerateError(f"matrix has {m} rows, cone dimension is {cone.dim}")
-    M = cone.normals @ A  # A x in -int C  iff  M x < 0 componentwise
-    h = M.shape[0]
-
-    # LP1: max t subject to M x + t <= 0, |x| <= 1, 0 <= t <= 1
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    a_ub = np.hstack([M, np.ones((h, 1))])
-    b_ub = np.zeros(h)
-    bounds = [(-1.0, 1.0)] * n + [(0.0, 1.0)]
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success:
-        raise DegenerateError(f"alternative-1 LP failed: {res.message}")
-    t_star = float(res.x[-1])
-    if t_star > 1e-7:
-        x = res.x[:n]
-        if not cone.strictly_contains(-A @ x):
-            raise DegenerateError(
-                f"alternative-1 certificate failed re-verification (t* = {t_star:.3e})"
-            )
-        return GordanCertificate(1, x=x, strictness=t_star)
-
-    # LP2: find z >= 0, sum z = 1, with (M^T) z = 0; then y = N^T z
-    a_eq = np.vstack([M.T, np.ones((1, h))])
-    b_eq = np.concatenate([np.zeros(n), [1.0]])
-    res2 = linprog(
-        np.zeros(h), A_eq=a_eq, b_eq=b_eq, bounds=[(0.0, None)] * h, method="highs"
-    )
-    if not res2.success:
-        raise DegenerateError(
-            f"both alternatives numerically ambiguous (t* = {t_star:.3e}; "
-            f"alternative-2 LP: {res2.message})"
-        )
-    z = res2.x
-    y = cone.normals.T @ z
-    scale = 1.0 + float(np.max(np.abs(A)))
-    if np.max(np.abs(A.T @ y)) > 1e-7 * scale or np.linalg.norm(y) <= tol:
-        raise DegenerateError("alternative-2 certificate failed re-verification")
-    if cone.is_orthant:
-        y = y / np.sum(y)
-    return GordanCertificate(2, y=y, dual_coords=z, strictness=float(np.linalg.norm(y)))
+    return _alt.gordan(A, cone, tol)
 
 
 # ---------------------------------------------------------------------------
 # Vector criticality
 # ---------------------------------------------------------------------------
-
-def _strict_mu_lp(A: np.ndarray, cone: OrderingCone):
-    """max s over mu with A^T mu = 0, N mu >= s, a.mu = 1 (a interior to C*).
-
-    Positive optimum certifies a strictly interior mu annihilating A^T.
-    """
-    m = A.shape[0]
-    normals = cone.normals
-    h = normals.shape[0]
-    a = normals.sum(axis=0)  # strictly positive on C minus the origin
-    c = np.zeros(m + 1)
-    c[-1] = -1.0
-    a_ub = np.hstack([-normals, np.ones((h, 1))])
-    b_ub = np.zeros(h)
-    a_eq = np.vstack(
-        [np.hstack([A.T, np.zeros((A.shape[1], 1))]), np.hstack([a, [0.0]])]
-    )
-    b_eq = np.concatenate([np.zeros(A.shape[1]), [1.0]])
-    bounds = [(None, None)] * m + [(-1.0, 1.0)]
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
-    if not res.success:
-        return None, None
-    return res.x[:m], float(res.x[-1])
-
 
 def check_vector_critical(
     f: PiecewiseVectorFn,
@@ -729,32 +644,34 @@ def check_vector_critical(
 
     evidence = []
     ambiguous = None
-    for lam in lambdas:
-        A = np.tensordot(lam, verts, axes=1)  # (m, n)
-        mu, s = _strict_mu_lp(A, cone)
-        if mu is not None and 1e-12 < s <= threshold and ambiguous is None:
-            ambiguous = (lam, s)
-        if mu is not None and s > threshold:
-            return Verdict(
-                CERTIFIED,
-                "xi is a vector critical point: a strictly interior mu "
-                "annihilates the mixed Jacobian",
-                certificate={
-                    "lambda": lam.tolist(),
-                    "mu": _listify(mu),
-                    "interiority": float(s),
-                    "matrix": A.tolist(),
-                    "activePieces": list(poly.active_pieces),
-                },
-                stats=stats,
-            )
-        if len(evidence) < 16:
-            try:
-                evidence.append(
-                    {"lambda": lam.tolist(), "gordan": gordan_alternative(A, cone).to_dict()}
+    # rankDecided and lpSolved join the stats
+    with _alt.counting(stats):
+        for lam in lambdas:
+            A = np.tensordot(lam, verts, axes=1)  # (m, n)
+            mu, s = _alt.strict_mu(A, cone.normals)
+            if mu is not None and 1e-12 < s <= threshold and ambiguous is None:
+                ambiguous = (lam, s)
+            if mu is not None and s > threshold:
+                return Verdict(
+                    CERTIFIED,
+                    "xi is a vector critical point: a strictly interior mu "
+                    "annihilates the mixed Jacobian",
+                    certificate={
+                        "lambda": lam.tolist(),
+                        "mu": _listify(mu),
+                        "interiority": float(s),
+                        "matrix": A.tolist(),
+                        "activePieces": list(poly.active_pieces),
+                    },
+                    stats=stats,
                 )
-            except DegenerateError as exc:
-                evidence.append({"lambda": lam.tolist(), "degenerate": str(exc)})
+            if len(evidence) < 16:
+                try:
+                    evidence.append(
+                        {"lambda": lam.tolist(), "gordan": gordan_alternative(A, cone).to_dict()}
+                    )
+                except DegenerateError as exc:
+                    evidence.append({"lambda": lam.tolist(), "degenerate": str(exc)})
 
     if ambiguous is not None:
         lam, s = ambiguous

@@ -19,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import null_space
-from scipy.optimize import linprog, nnls
 
+from ._alt import interior_witness
 from .errors import DimensionMismatchError
 
 __all__ = ["OrderingCone"]
@@ -125,7 +125,7 @@ class OrderingCone:
         self.generators = generators
         self.margin = float(margin)
         self.tol = float(tol)
-        self.interior_witness = self._find_interior_witness()
+        self.interior_witness = interior_witness(normals, self.margin)
         self._is_orthant = self._detect_orthant()
 
     def _detect_orthant(self) -> bool:
@@ -151,7 +151,7 @@ class OrderingCone:
         cone.generators = np.eye(m)
         cone.margin = float(margin)
         cone.tol = float(tol)
-        cone.interior_witness = np.ones(m) / np.sqrt(m)
+        cone.interior_witness = interior_witness(cone.normals, cone.margin)
         cone._is_orthant = True
         return cone
 
@@ -178,24 +178,6 @@ class OrderingCone:
             "generators": self.generators.T.tolist(),
             "margin": self.margin,
         }
-
-    def _find_interior_witness(self) -> np.ndarray:
-        # max s subject to N v >= s, -1 <= v <= 1, 0 <= s <= 1
-        m = self.dim
-        h = self.normals.shape[0]
-        c = np.zeros(m + 1)
-        c[-1] = -1.0
-        a_ub = np.hstack([-self.normals, np.ones((h, 1))])
-        b_ub = np.zeros(h)
-        bounds = [(-1.0, 1.0)] * m + [(0.0, 1.0)]
-        res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-        if not res.success or -res.fun <= 2.0 * self.margin:
-            raise ValueError("cone has empty interior (no strictly interior witness)")
-        w = res.x[:m]
-        w = w / np.linalg.norm(w)
-        if not np.all(self.normals @ w > self.margin):
-            raise ValueError("cone interior too thin for the strictness margin")
-        return w
 
     # -- membership ------------------------------------------------------------
 
@@ -270,6 +252,8 @@ class OrderingCone:
         Near-zero residual certifies membership in the generator representation;
         used to audit consistency of the two stored representations.
         """
+        from scipy.optimize import nnls
+
         v = np.asarray(v, dtype=float)
         self._check_dim(v)
         _, res = nnls(self.generators, v)

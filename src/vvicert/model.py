@@ -296,9 +296,10 @@ class PiecewiseVectorFn:
 def _chord_roots(f: PiecewiseVectorFn, start: np.ndarray, radius: float):
     """Region-boundary roots along the axis chords of length `radius` from
     `start`, in scan order: each boundary expression g is scanned at 33 chord
-    points and every sign change is bisected 80 times. Yields (g, d, root,
-    first), where d is the chord direction and first is False when a root
-    equal to 12 decimals was yielded before."""
+    points and every sign change is bisected 80 times, or until its ends are
+    adjacent floats. Yields (g, d, root, first), where d is the chord
+    direction and first is False when a root equal to 12 decimals was yielded
+    before."""
     start = np.asarray(start, dtype=float)
     box = f.inner_box()
     gs = [g for piece in f.pieces for g in el.boundary_expressions(piece.region)]
@@ -339,10 +340,15 @@ def _chord_roots(f: PiecewiseVectorFn, start: np.ndarray, radius: float):
                             if fm == 0.0:
                                 lo_t = hi_t = mid
                                 break
+                            stalled = mid == lo_t or mid == hi_t
                             if flo * fm < 0.0:
                                 hi_t = mid
                             else:
                                 lo_t, flo = mid, fm
+                            if stalled:
+                                # the ends are adjacent floats: every later
+                                # step repeats this one
+                                break
                         yield emit(g, d, 0.5 * (lo_t + hi_t))
                 if vals[-1] == 0.0:
                     yield emit(g, d, ts[-1])

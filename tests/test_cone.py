@@ -1,6 +1,11 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import vvicert
+from vvicert import _alt
 from vvicert.cone import OrderingCone
 from vvicert.errors import DimensionMismatchError
 
@@ -50,6 +55,40 @@ class TestConstruction:
         assert c.generators.shape == (3, 3)
         assert c.contains([1.0, 2.0, 3.0])
         assert not c.contains([1.0, -1.0, 0.0])
+
+    def test_interior_witness(self, monkeypatch):
+        calls = []
+        highs = _alt.linprog
+        monkeypatch.setattr(_alt, "linprog", lambda *a, **k: calls.append(1) or highs(*a, **k))
+        for m in (1, 2, 3, 4, 7):
+            want = np.ones(m) / np.sqrt(m)
+            assert np.array_equal(OrderingCone.orthant(m).interior_witness, want)
+            assert np.array_equal(
+                OrderingCone(normals=np.eye(m), generators=np.eye(m)).interior_witness, want
+            )
+        # a simplicial cone: N^-1 1 has equal slack on every facet
+        wedge = OrderingCone(normals=np.array([[1.0, 0.2, 0.0], [0.0, 1.0, 0.2], [0.2, 0.0, 1.0]]))
+        slack = wedge.normals @ wedge.interior_witness
+        assert np.allclose(slack, slack[0]) and slack[0] > 0
+        assert not calls
+        # four rays in R^3 give four facets: the LP finds the witness
+        pyramid = OrderingCone(generators=np.array(
+            [[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0], [1.0, 1.0, 1.0, 1.0]]
+        ))
+        assert pyramid.normals.shape[0] == 4 and len(calls) == 1
+        assert pyramid.strictly_contains(pyramid.interior_witness)
+        assert np.linalg.norm(pyramid.interior_witness) == pytest.approx(1.0)
+
+    def test_scipy_optimize_imported_lazily(self):
+        # importing vvicert must not pay for scipy.optimize; the first LP does
+        for path in Path(vvicert.__file__).parent.glob("*.py"):
+            for node in ast.parse(path.read_text()).body:
+                names = []
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                assert not any(n.startswith("scipy.optimize") for n in names), path.name
 
     def test_not_pointed_rejected(self):
         # a halfspace {v : v1 >= 0} in R^2 contains a full line

@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+from vvicert import _alt
 from vvicert.certify import (
     SamplingPlan,
     check_vector_critical,
@@ -147,3 +148,110 @@ class TestVectorCriticality:
         v = check_vector_critical(example23.f, example23.cone, [0.0], SamplingPlan())
         assert v.refuted
         assert v.witness["lambdaGridSize"] == 9  # two vertices, depth 8
+
+
+# ---------------------------------------------------------------------------
+# Rank test against the LPs
+# ---------------------------------------------------------------------------
+
+WEDGE_NORMALS = np.array([[1.0, 0.2, 0.0], [0.0, 1.0, 0.2], [0.2, 0.0, 1.0]])
+
+
+def _agreement_cases():
+    """(A, cone) pairs: m, n in 1..4 under the orthant, m = 3 under a wedge,
+    with random (full-rank where m <= n), designed branch-1 (A d <_C 0) and
+    designed branch-2 (A^T y = 0 for y interior to C*) matrices."""
+    rng = np.random.default_rng(11)
+    cones = {m: OrderingCone.orthant(m) for m in (1, 2, 3, 4)}
+    wedge = OrderingCone(normals=WEDGE_NORMALS)
+    out = []
+    for m in (1, 2, 3, 4):
+        for n in (1, 2, 3, 4):
+            for cone in [cones[m]] + ([wedge] if m == 3 else []):
+                normals = cone.normals
+                for kind in ("random", "1", "2"):
+                    a = rng.uniform(-1.0, 1.0, size=(m, n))
+                    if kind == "2":
+                        y = normals.T @ rng.uniform(0.2, 1.0, size=m)
+                        a = a - np.outer(y, y @ a) / float(y @ y)
+                    elif kind == "1":
+                        d = rng.normal(size=n)
+                        target = -np.linalg.solve(normals, rng.uniform(0.2, 1.0, size=m))
+                        a = a + np.outer(target - a @ d, d) / float(d @ d)
+                    out.append((a, cone))
+    return out
+
+
+def _gordan_outcome(a, cone):
+    try:
+        return gordan_alternative(a, cone).alternative
+    except DegenerateError:
+        return "degenerate"
+
+
+class TestRankAgainstLp:
+    def test_same_decisions_with_the_rank_test_off(self, monkeypatch):
+        cases = [(scale * a, cone) for a, cone in _agreement_cases()
+                 for scale in (1e-9, 1.0, 1e9)]
+        counts = {}
+        with _alt.counting(counts):
+            with_rank = [(_gordan_outcome(a, cone), _alt.strict_mu(a, cone.normals))
+                         for a, cone in cases]
+        # most of the 2 * len(cases) decisions never reach an LP
+        assert counts["rankDecided"] > len(cases) > counts["lpSolved"] / 2
+        monkeypatch.setattr(_alt, "null_basis", lambda A: None)
+        decided = 0
+        for (a, cone), (alternative, (mu, s)) in zip(cases, with_rank):
+            assert _gordan_outcome(a, cone) == alternative, a
+            lp_mu, lp_s = _alt.strict_mu(a, cone.normals)
+            assert (mu is None) == (lp_mu is None), a
+            if mu is not None:
+                assert abs(s - lp_s) <= 1e-12, (a, s, lp_s)
+                decided += 1
+        assert decided > 0 and 0 < sum(alt == 2 for alt, _ in with_rank) < len(cases)
+
+    def test_rank_in_doubt_goes_to_the_lp(self, monkeypatch):
+        u, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(2, 2)))
+        v, _ = np.linalg.qr(np.random.default_rng(4).normal(size=(2, 2)))
+        a = u @ np.diag([1.0, 1e-7]) @ v.T  # sigma_min / sigma_max = 1e-7
+        assert _alt.null_basis(a) is None
+        calls = []
+        highs = _alt.linprog
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return highs(*args, **kwargs)
+
+        monkeypatch.setattr(_alt, "linprog", counted)
+        cone = OrderingCone.orthant(2)
+        _alt.strict_mu(a, cone.normals)
+        assert len(calls) == 1
+        _gordan_outcome(a, cone)
+        assert len(calls) >= 2
+
+    def test_counters_in_criticality_stats(self, example5, example23):
+        # example5 at 0: the first mixture has a one-dimensional null space
+        # and is critical; example23 at 0: 9 mixtures (1, k), each with a
+        # line of mu and a Gordan x from the same line
+        v = check_vector_critical(example5.f, example5.cone, [0.0], SamplingPlan())
+        assert (v.stats["rankDecided"], v.stats["lpSolved"]) == (1, 0)
+        v = check_vector_critical(example23.f, example23.cone, [0.0], SamplingPlan())
+        assert (v.stats["rankDecided"], v.stats["lpSolved"]) == (18, 0)
+        # f = (x, -x, x): the null space of A^T is a plane, and the LP finds mu
+        from vvicert.problem import Problem
+
+        p = Problem.from_dict(
+            {
+                "version": "vvicert/1",
+                "n": 1,
+                "m": 3,
+                "domain": [[-2.0, 2.0]],
+                "pieces": [{"region": "0 <= 1", "components": ["x1", "-x1", "x1"]}],
+                "cone": {"orthant": 3},
+                "kernel": {"kind": "difference"},
+                "e": [0.1, 0.1, 0.1],
+            }
+        )
+        v = check_vector_critical(p.f, p.cone, [0.3], SamplingPlan())
+        assert v.certified
+        assert (v.stats["rankDecided"], v.stats["lpSolved"]) == (0, 1)

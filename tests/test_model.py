@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vvicert import audit, exprlang as el
 from vvicert.errors import (
     InconsistentPiecesError,
     NoActivePieceError,
@@ -9,6 +10,7 @@ from vvicert.errors import (
 from vvicert.model import (
     Kernel,
     PiecewiseVectorFn,
+    _chord_roots,
     boundary_probes,
     lipschitz_estimate,
 )
@@ -267,3 +269,57 @@ class TestBoundaryProbes:
     def test_no_boundary_no_probes(self, linear_problem):
         probes = boundary_probes(linear_problem.f, np.array([0.0]), 0.25)
         assert probes.shape[0] == 0
+
+    def test_chord_roots_match_full_bisection(self, example5, example23):
+        # reference: every sign change bisected the full 80 steps
+        def roots_80(f, start, radius):
+            box = f.inner_box()
+            gs = [g for p in f.pieces for g in el.boundary_expressions(p.region)]
+            out = []
+            for axis in range(f.n):
+                for sign in (1.0, -1.0):
+                    d = np.zeros(f.n)
+                    d[axis] = sign
+                    edge = box[axis, 1] - start[axis] if sign > 0 else start[axis] - box[axis, 0]
+                    tmax = min(radius, edge)
+                    if tmax <= 0:
+                        continue
+                    ts = np.linspace(0.0, tmax, 33)
+                    for g in gs:
+                        vals = el.evaluate_many(g, start[None, :] + ts[:, None] * d[None, :])
+                        for a in range(32):
+                            if vals[a] == 0.0:
+                                out.append(start + ts[a] * d)
+                            elif vals[a] * vals[a + 1] < 0.0:
+                                lo, hi, flo = ts[a], ts[a + 1], vals[a]
+                                for _ in range(80):
+                                    mid = 0.5 * (lo + hi)
+                                    fm = el.evaluate(g, start + mid * d)
+                                    if fm == 0.0:
+                                        lo = hi = mid
+                                        break
+                                    if flo * fm < 0.0:
+                                        hi = mid
+                                    else:
+                                        lo, flo = mid, fm
+                                out.append(start + 0.5 * (lo + hi) * d)
+                        if vals[-1] == 0.0:
+                            out.append(start + ts[-1] * d)
+            return out
+
+        problems = [(example5.f, [0.0]), (example23.f, [0.0])]
+        for i in range(12):
+            spec = audit.RandomInstanceSpec(seed=i, n=1 + i % 3, m=2, piece_count=2 + i % 2,
+                                            degree=1 + i % 3)
+            inst = audit.generate_instance(spec)
+            problems.append((inst.f, inst.point("x0")))
+        found = 0
+        for f, start in problems:
+            start = np.asarray(start, dtype=float)
+            for radius in (0.25, 1.0):
+                got = [root for _, _, root, _ in _chord_roots(f, start, radius)]
+                want = roots_80(f, start, radius)
+                assert len(got) == len(want)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+                found += len(got)
+        assert found > 20
