@@ -44,6 +44,7 @@ from .errors import (
     NonSmoothOperatorError,
     OutOfDomainError,
     ParseError,
+    SamplingFailedError,
     VviCertError,
 )
 from .exprlang import differentiate, evaluate, parse, parse_predicate, to_string
@@ -85,6 +86,7 @@ __all__ = [
     "Problem",
     "RULES",
     "RandomInstanceSpec",
+    "SamplingFailedError",
     "SamplingPlan",
     "TheoremRule",
     "VVIVariant",

@@ -35,6 +35,7 @@ from .certify import (
     VVIVariant,
     _invex_violation_mask,
     _quasi_violation_mask,
+    _vvi_violation_mask,
     check_invex_class,
     check_quasi_efficient,
     check_vector_critical,
@@ -176,17 +177,6 @@ class AuditResult:
 # Point-level condition replays used by the crosschecks
 # ---------------------------------------------------------------------------
 
-def _vvi_point_violation(variant: VVIVariant, f, cone, kernel, xi, x) -> bool:
-    """Does the single point x witness a violation of the VVI (forall reading)?"""
-    eta = kernel.eval(x, xi)
-    if np.linalg.norm(eta) <= ZERO_ETA_TOL:
-        return False
-    at = x if variant.minty else xi
-    poly = f.clarke_jacobian(np.asarray(at, dtype=float))
-    test = cone.strictly_contains if variant.weak else cone.contains
-    return all(test(-(v @ eta)) for v in poly.vertices)
-
-
 def _pair_violates_class(cls, f, cone, kernel, e, x, y, plan: SamplingPlan) -> bool:
     return bool(
         _invex_violation_mask(
@@ -286,9 +276,11 @@ def _audit_forward(rule, problem, xi, plan, hyp, notes, label) -> AuditResult:
             f"certification was a sampling artifact"
         )
         return AuditResult(rule.rule_id, label, hyp, conclusion, NOT_CERTIFIED, notes)
-    if rule.variant is not None and _vvi_point_violation(
-        rule.variant, f, cone, kernel, xi, x_star
-    ):
+    # the forall reading that check_vvi certified; a zero-eta x decides nothing
+    if rule.variant is not None and _vvi_violation_mask(
+        rule.variant, f, cone, kernel, xi, x_star[None, :], "forall",
+        plan.simplex_grid_depth, True,
+    )[0][0]:
         notes.append(
             f"{rule.variant.value} hypothesis violated at the conclusion witness; "
             f"certification was a sampling artifact"

@@ -188,13 +188,14 @@ def _stack_points(parts: Sequence[np.ndarray], n: int) -> np.ndarray:
     return np.vstack(parts)
 
 
-def _probe_pairs(f: PiecewiseVectorFn, x0: np.ndarray, r: float, cap: int = 12):
-    """Ordered pairs over {center} + boundary probes; the structured prefix of
-    every pair stream. Pairs are enumerated with the center first and probes
-    in lexicographic order, so witnesses are plan-deterministic."""
+def _probe_pairs(f: PiecewiseVectorFn, x0: np.ndarray, r: float):
+    """Ordered pairs over {center} + the first 12 boundary probes; the
+    structured prefix of every pair stream. Pairs are enumerated with the
+    center first and probes in lexicographic order, so witnesses are
+    plan-deterministic."""
     probes = boundary_probes(f, x0, r)
     pts = [np.asarray(x0, dtype=float)]
-    for p in probes[:cap]:
+    for p in probes[:12]:
         if not any(np.max(np.abs(p - q)) <= 1e-15 for q in pts):
             pts.append(p)
     xs, ys = [], []
@@ -355,6 +356,51 @@ def _hull_exists_refine(
     return out
 
 
+def _vvi_violation_mask(
+    variant: VVIVariant,
+    f: PiecewiseVectorFn,
+    cone: OrderingCone,
+    kernel: Kernel,
+    xi: np.ndarray,
+    x: np.ndarray,
+    quantifier: str,
+    grid_depth: int,
+    exclude_zero_eta: bool,
+) -> tuple[np.ndarray, int]:
+    """Mask of the rows of x where A @ eta(x, xi) <=_C 0 (<_C 0 for weak
+    variants) holds for every Jacobian vertex A, or for some element of the
+    Jacobian hull under quantifier='exists'; the Jacobian is taken at x for
+    Minty variants and at xi otherwise. Also returns the largest number of
+    vertices met at one row."""
+    eta = kernel.eval_many(x, xi[None, :])
+
+    def _holds(values: np.ndarray) -> np.ndarray:
+        # values: (..., m) products A @ eta
+        return (
+            cone.strictly_contains_many(-values)
+            if variant.weak
+            else cone.contains_many(-values)
+        )
+
+    if variant.minty:
+        prods, active = _vertex_products_at(f, x, eta)
+    else:
+        # every vertex of the Jacobian at xi applies at every point
+        poly = f.clarke_jacobian(xi)
+        prods = np.stack([eta @ v.T for v in poly.vertices], axis=0)  # (k, N, m)
+        active = np.ones(prods.shape[:2], dtype=bool)
+    cond = _holds(prods)
+    if quantifier == "forall":
+        viol = _forall_active(cond, active)
+    else:
+        viol = _hull_exists_refine(
+            prods, active, _holds, _exists_active(cond, active), grid_depth
+        )
+    if exclude_zero_eta:
+        viol = viol & (np.linalg.norm(eta, axis=1) > ZERO_ETA_TOL)
+    return viol, int(active.sum(axis=0).max())
+
+
 def check_vvi(
     variant,
     f: PiecewiseVectorFn,
@@ -401,37 +447,10 @@ def check_vvi(
     stream = sampling.box_points(box, plan.ball_sample_count, plan.seed)
     pts = _stack_points([probes, extra_points, stream], f.n)
 
-    eta = kernel.eval_many(pts, xi[None, :])
-    eta_norm = np.linalg.norm(eta, axis=1)
-    nz = eta_norm > ZERO_ETA_TOL if plan.exclude_zero_eta else np.ones(len(pts), bool)
-
-    strict = variant.weak
-
-    def _holds(values: np.ndarray) -> np.ndarray:
-        # values: (..., m) products A @ eta; condition A eta <=_C 0 (or <_C 0)
-        return (
-            cone.strictly_contains_many(-values)
-            if strict
-            else cone.contains_many(-values)
-        )
-
-    if variant.minty:
-        prods, active = _vertex_products_at(f, pts, eta)
-    else:
-        # every vertex of the Jacobian at xi applies at every point
-        poly = f.clarke_jacobian(xi)
-        prods = np.stack([eta @ v.T for v in poly.vertices], axis=0)  # (k, N, m)
-        active = np.ones(prods.shape[:2], dtype=bool)
-    cond = _holds(prods)
-    if quantifier == "forall":
-        viol = _forall_active(cond, active)
-    else:
-        viol = _hull_exists_refine(
-            prods, active, _holds, _exists_active(cond, active), plan.simplex_grid_depth
-        )
-    vertex_count = int(active.sum(axis=0).max())
-
-    viol = viol & nz
+    viol, vertex_count = _vvi_violation_mask(
+        variant, f, cone, kernel, xi, pts, quantifier,
+        plan.simplex_grid_depth, plan.exclude_zero_eta,
+    )
     stats = _base_stats(
         plan,
         cone,
@@ -451,7 +470,7 @@ def check_vvi(
             REFUTED,
             f"x = {x.tolist()} satisfies the {variant.value.upper()} inequality "
             f"system (Jacobian taken at {where}); xi does not solve the VVI",
-            witness={"x": x.tolist(), "eta": _listify(eta[idx])},
+            witness={"x": x.tolist(), "eta": _listify(kernel.eval(x, xi))},
             stats=stats,
         )
     return Verdict(

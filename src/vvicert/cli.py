@@ -93,11 +93,15 @@ def _resolve_kernel(problem: Problem, name: str | None) -> Kernel:
     return Kernel(_KERNEL_ALIASES[key], problem.f.n)
 
 
+def _resolve_seed(args) -> int:
+    """--seed, else the VVICERT_SEED environment variable, else DEFAULT_SEED."""
+    if args.seed is not None:
+        return args.seed
+    return int(os.environ.get(SEED_ENV_VAR, DEFAULT_SEED))
+
+
 def _plan_from_args(args) -> SamplingPlan:
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get(SEED_ENV_VAR, DEFAULT_SEED))
-    plan = SamplingPlan(seed=seed)
+    plan = SamplingPlan(seed=_resolve_seed(args))
     if getattr(args, "r", None) is not None:
         plan.radius = args.r
     if getattr(args, "samples", None) is not None:
@@ -250,11 +254,8 @@ def _cmd_repro(args):
 
 
 def _cmd_gen(args):
-    seed = args.seed if args.seed is not None else int(
-        os.environ.get(SEED_ENV_VAR, DEFAULT_SEED)
-    )
     spec = audit.RandomInstanceSpec(
-        seed=seed,
+        seed=_resolve_seed(args),
         n=args.n,
         m=args.m,
         piece_count=args.pieces,
@@ -364,14 +365,11 @@ def dispatch(argv) -> tuple[int, dict]:
         print(f"error: {exc}", file=sys.stderr)
         return 2, {}
     elapsed = time.perf_counter() - started
-    seed = args.seed if getattr(args, "seed", None) is not None else int(
-        os.environ.get(SEED_ENV_VAR, DEFAULT_SEED)
-    )
     report = {
         "command": ["vvicert"] + list(argv),
         "toolVersion": __version__,
         "problemHash": problem.content_hash() if problem is not None else None,
-        "seed": seed,
+        "seed": _resolve_seed(args),
         "payload": payload,
         "elapsedSeconds": elapsed,
     }

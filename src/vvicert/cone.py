@@ -18,7 +18,6 @@ from itertools import combinations
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import null_space
 
 from ._alt import interior_witness
 from .errors import DimensionMismatchError
@@ -65,13 +64,11 @@ def _extreme_rays(B: np.ndarray) -> np.ndarray:
         return np.array(rays)
     rays = []
     for idx in combinations(range(B.shape[0]), m - 1):
-        sub = B[list(idx)]
-        if np.linalg.matrix_rank(sub, tol=1e-10) != m - 1:
+        # rank m - 1 leaves a null line, spanned by the last right singular vector
+        _, sv, vt = np.linalg.svd(B[list(idx)])
+        if sv[-1] <= 1e-10:
             continue
-        ns = null_space(sub)
-        if ns.shape[1] != 1:
-            continue
-        d = ns[:, 0]
+        d = vt[-1]
         prod = B @ d
         if np.all(prod >= -1e-9):
             rays.append(d)
@@ -145,15 +142,7 @@ class OrderingCone:
     @classmethod
     def orthant(cls, m: int, margin: float = 1e-9, tol: float = 1e-9) -> "OrderingCone":
         """The nonnegative orthant of dimension m, the default ordering cone."""
-        cone = cls.__new__(cls)
-        cone.dim = int(m)
-        cone.normals = np.eye(m)
-        cone.generators = np.eye(m)
-        cone.margin = float(margin)
-        cone.tol = float(tol)
-        cone.interior_witness = interior_witness(cone.normals, cone.margin)
-        cone._is_orthant = True
-        return cone
+        return cls(np.eye(m), np.eye(m), margin, tol)
 
     @classmethod
     def from_dict(cls, spec: dict) -> "OrderingCone":

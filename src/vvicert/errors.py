@@ -55,3 +55,7 @@ class DegenerateError(VviCertError):
 
 class GenerationFailedError(VviCertError):
     """Random instance generation failed after bounded retries."""
+
+
+class SamplingFailedError(VviCertError):
+    """Rejection sampling used up its bounded draw without filling the request."""

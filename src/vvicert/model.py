@@ -123,11 +123,21 @@ class PiecewiseVectorFn:
         }
 
     def negated(self) -> "PiecewiseVectorFn":
-        """-f, by negating every piece's components (so d(-f) = -df piecewise)."""
-        spec = self.to_dict()
-        for p in spec["pieces"]:
-            p["components"] = [f"-({t})" for t in p["components"]]
-        return PiecewiseVectorFn.from_dict(spec)
+        """-f, by negating every piece's components (so d(-f) = -df piecewise).
+
+        The trees are those the parser builds for the texts "-(t)".
+        """
+        pieces = [
+            Piece(
+                p.region,
+                tuple(el._neg(c) for c in p.components),
+                p.region_text,
+                tuple(f"-({t})" for t in p.component_texts),
+                tuple(tuple(el._neg(g) for g in row) for row in p.gradients),
+            )
+            for p in self.pieces
+        ]
+        return PiecewiseVectorFn(self.n, self.m, self.domain, pieces)
 
     # -- domain ---------------------------------------------------------------
 
@@ -165,7 +175,7 @@ class PiecewiseVectorFn:
             [el.predicate_holds_many(p.region, x, slack) for p in self.pieces], axis=0
         )
 
-    def values(self, x: np.ndarray, check_consistency: bool = True) -> np.ndarray:
+    def values(self, x: np.ndarray) -> np.ndarray:
         """Vectorized evaluation over rows of x (first active piece wins)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         npts = x.shape[0]
@@ -184,7 +194,7 @@ class PiecewiseVectorFn:
                 vals[j, idx, i] = el.evaluate_many(comp, sub)
         first = mask.argmax(axis=0)
         out = vals[first, np.arange(npts)]
-        if check_consistency and len(self.pieces) > 1:
+        if len(self.pieces) > 1:
             dev = np.nanmax(
                 np.abs(np.where(mask[:, :, None], vals, out[None, :, :]) - out[None, :, :]),
                 axis=(0, 2),
@@ -216,12 +226,12 @@ class PiecewiseVectorFn:
                 out[:, i, k] = el.evaluate_many(piece.gradients[i][k], x)
         return out
 
-    def clarke_jacobian(self, x, tol_active: float = TOL_ACTIVE) -> JacobianPolytope:
+    def clarke_jacobian(self, x) -> JacobianPolytope:
         """Vertex polytope of the generalized Jacobian at x: the analytic
-        Jacobians of every piece active within tol_active, duplicates merged."""
+        Jacobians of every piece active within TOL_ACTIVE, duplicates merged."""
         self.require_inside(x)
         x = np.asarray(x, dtype=float)
-        mask = self.active_mask(x[None, :], tol_active)[:, 0]
+        mask = self.active_mask(x[None, :], TOL_ACTIVE)[:, 0]
         active = [j for j in range(len(self.pieces)) if mask[j]]
         if not active:
             raise NoActivePieceError(f"no region covers point {x.tolist()}")
@@ -235,10 +245,10 @@ class PiecewiseVectorFn:
             kept.append(j)
         return JacobianPolytope(vertices, x.copy(), tuple(kept))
 
-    def cartesian_outer_box(self, x, tol_active: float = TOL_ACTIVE) -> np.ndarray:
+    def cartesian_outer_box(self, x) -> np.ndarray:
         """Componentwise interval hull of the gradient rows over active pieces,
         the outer approximation of the Jacobian polytope: an (m, n, 2) array."""
-        poly = self.clarke_jacobian(x, tol_active)
+        poly = self.clarke_jacobian(x)
         arr = poly.as_array()
         return np.stack([arr.min(axis=0), arr.max(axis=0)], axis=-1)
 
@@ -354,17 +364,12 @@ def _chord_roots(f: PiecewiseVectorFn, start: np.ndarray, radius: float):
                     yield emit(g, d, ts[-1])
 
 
-def boundary_probes(
-    f: PiecewiseVectorFn,
-    center,
-    radius: float,
-    tol_active: float = TOL_ACTIVE,
-) -> np.ndarray:
+def boundary_probes(f: PiecewiseVectorFn, center, radius: float) -> np.ndarray:
     """Deterministic probe points near region boundaries inside B(center, radius).
 
     For each boundary root reached from the center along an axis chord, two
     probes are emitted: the root itself, and a point stepped back toward the
-    center far enough to stay within the tol_active activation window of the
+    center far enough to stay within the TOL_ACTIVE activation window of the
     crossed boundary (so the Jacobian polytope there still carries both sides'
     vertices). Falsification effort concentrates where nonsmoothness lives.
     """
@@ -372,7 +377,7 @@ def boundary_probes(
     # memo writes are idempotent (same key always maps to the same array), so
     # concurrent readers stay safe
     cache = f.__dict__.setdefault("_probe_cache", {})
-    cache_key = (center.tobytes(), float(radius), float(tol_active))
+    cache_key = (center.tobytes(), float(radius))
     if cache_key in cache:
         return cache[cache_key]
     out = []
@@ -397,7 +402,7 @@ def boundary_probes(
         # expression stays within the activation window
         h = 1e-6
         slope = abs(el.evaluate(g, root + h * d) - el.evaluate(g, root - h * d)) / (2 * h)
-        delta = (tol_active / 2.0) / max(slope, 1e-6)
+        delta = (TOL_ACTIVE / 2.0) / max(slope, 1e-6)
         delta = min(delta, radius / 4.0)
         record(root - delta * d)
     if not out:

@@ -12,6 +12,8 @@ from itertools import combinations_with_replacement
 import numpy as np
 from scipy.stats import qmc
 
+from .errors import SamplingFailedError
+
 __all__ = [
     "unit_points",
     "box_points",
@@ -23,19 +25,24 @@ __all__ = [
 _LOW_DISCREPANCY_MAX_DIM = 3
 
 
-def unit_points(dim: int, count: int, seed: int, base_dim: int | None = None) -> np.ndarray:
-    """Points in [0,1)^dim. Halton (unscrambled, skipping the origin) when the
-    underlying problem dimension is <= 3, otherwise seeded uniform.
+def unit_points(
+    dim: int, count: int, seed: int, base_dim: int | None = None, start: int = 0
+) -> np.ndarray:
+    """Rows start, ..., start + count - 1 of a stream of points in [0,1)^dim.
+    Halton (unscrambled, skipping the origin) when the underlying problem
+    dimension is <= 3, otherwise seeded uniform.
 
     base_dim is the problem dimension driving the choice; dim may be larger
-    (pair streams draw 2n coordinates at once).
+    (pair streams draw 2n coordinates at once). Both streams jump straight to
+    row start, so a chunk equals the same rows sliced from a longer draw.
     """
     decider = dim if base_dim is None else base_dim
     if decider <= _LOW_DISCREPANCY_MAX_DIM:
         h = qmc.Halton(d=dim, scramble=False)
-        h.fast_forward(1)  # the unscrambled sequence starts at the origin
+        h.fast_forward(1 + start)  # the unscrambled sequence starts at the origin
         return h.random(count)
     rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(start * dim)  # one 64-bit draw per coordinate
     return rng.random((count, dim))
 
 
@@ -47,76 +54,49 @@ def box_points(box: np.ndarray, count: int, seed: int) -> np.ndarray:
     return box[:, 0] + u * (box[:, 1] - box[:, 0])
 
 
-def _reject_to_ball(points: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    d = np.linalg.norm(points - center, axis=1)
-    return points[d <= radius]
-
-
-def ball_points(
-    center: np.ndarray,
-    radius: float,
-    count: int,
-    seed: int,
-    domain: np.ndarray | None = None,
+def _ball_rows(
+    center: np.ndarray, radius: float, count: int, seed: int, copies: int
 ) -> np.ndarray:
-    """count points in the closed ball B(center, radius), by rejection from the
-    bounding box (clipped to the domain box when one is given)."""
+    """(count, copies, n) array of points in B(center, radius): rejection from
+    the bounding box over a (copies * n)-dimensional stream, a row accepted
+    only when all of its copies land in the ball."""
     center = np.asarray(center, dtype=float)
     n = center.shape[0]
-    box = np.stack([center - radius, center + radius], axis=1)
-    if domain is not None:
-        domain = np.asarray(domain, dtype=float)
-        box[:, 0] = np.maximum(box[:, 0], domain[:, 0])
-        box[:, 1] = np.minimum(box[:, 1], domain[:, 1])
-    out = np.empty((0, n))
-    offset = 0
+    lo, hi = center - radius, center + radius
+    # the span is hi - lo, which rounds differently from 2 * radius
+    box_lo, box_span = np.tile(lo, copies), np.tile(hi - lo, copies)
+    kept = [np.empty((0, copies, n))]
+    got = start = 0
     # fixed-size draws keep the stream deterministic regardless of acceptance
-    chunk = max(2 * count, 64)
-    while out.shape[0] < count:
-        u = unit_points(n, offset + chunk, seed)[offset:]
-        offset += chunk
-        pts = box[:, 0] + u * (box[:, 1] - box[:, 0])
-        out = np.vstack([out, _reject_to_ball(pts, center, radius)])
-        if offset > 1000 * max(count, 1):
-            raise RuntimeError("ball rejection sampling failed to make progress")
-    return out[:count]
+    chunk = max((copies + 1) * count, 64)
+    while got < count:
+        u = unit_points(copies * n, chunk, seed, base_dim=n, start=start)
+        start += chunk
+        pts = (box_lo + u * box_span).reshape(chunk, copies, n)
+        ok = np.all(np.linalg.norm(pts - center, axis=2) <= radius, axis=1)
+        kept.append(pts[ok])
+        got += int(ok.sum())
+        if start > 1000 * max(count, 1):
+            raise SamplingFailedError(
+                f"rejection sampling drew {start} rows for {count} points in "
+                f"B({center.tolist()}, {radius}) and accepted {got}"
+            )
+    return np.concatenate(kept)[:count]
+
+
+def ball_points(center: np.ndarray, radius: float, count: int, seed: int) -> np.ndarray:
+    """count points in the closed ball B(center, radius), by rejection from
+    the bounding box."""
+    return _ball_rows(center, radius, count, seed, 1)[:, 0]
 
 
 def ball_pairs(
-    center: np.ndarray,
-    radius: float,
-    count: int,
-    seed: int,
-    domain: np.ndarray | None = None,
+    center: np.ndarray, radius: float, count: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """count pairs (x, y), both in B(center, radius); a 2n-dimensional stream
     split in half, pairs accepted only when both halves land in the ball."""
-    center = np.asarray(center, dtype=float)
-    n = center.shape[0]
-    box = np.stack([center - radius, center + radius], axis=1)
-    if domain is not None:
-        domain = np.asarray(domain, dtype=float)
-        box[:, 0] = np.maximum(box[:, 0], domain[:, 0])
-        box[:, 1] = np.minimum(box[:, 1], domain[:, 1])
-    lo = np.concatenate([box[:, 0], box[:, 0]])
-    span = np.concatenate([box[:, 1] - box[:, 0], box[:, 1] - box[:, 0]])
-    xs = np.empty((0, n))
-    ys = np.empty((0, n))
-    offset = 0
-    chunk = max(3 * count, 64)
-    while xs.shape[0] < count:
-        u = unit_points(2 * n, offset + chunk, seed, base_dim=n)[offset:]
-        offset += chunk
-        pts = lo + u * span
-        x, y = pts[:, :n], pts[:, n:]
-        ok = (np.linalg.norm(x - center, axis=1) <= radius) & (
-            np.linalg.norm(y - center, axis=1) <= radius
-        )
-        xs = np.vstack([xs, x[ok]])
-        ys = np.vstack([ys, y[ok]])
-        if offset > 1000 * max(count, 1):
-            raise RuntimeError("pair rejection sampling failed to make progress")
-    return xs[:count], ys[:count]
+    pairs = _ball_rows(center, radius, count, seed, 2)
+    return pairs[:, 0], pairs[:, 1]
 
 
 def simplex_weights(k: int, depth: int) -> np.ndarray:

@@ -4,8 +4,17 @@ import numpy as np
 import pytest
 
 from vvicert import audit
-from vvicert.certify import InvexClass, SamplingPlan, Verdict, _invex_violation_mask
+from vvicert.certify import (
+    ZERO_ETA_TOL,
+    InvexClass,
+    SamplingPlan,
+    Verdict,
+    VVIVariant,
+    _invex_violation_mask,
+    _vvi_violation_mask,
+)
 from vvicert.errors import GenerationFailedError
+from vvicert.model import Kernel
 from vvicert.problem import Problem
 
 
@@ -169,6 +178,13 @@ class TestWitnessCrosscheck:
         assert res.outcome == "VIOLATION"
         assert res.notes == ["conclusion witness replays while every hypothesis holds at it"]
 
+    @pytest.mark.parametrize("rid", ["T3.1", "T3.2", "T4.2", "R4.0"])
+    def test_zero_eta_witness_breaks_no_vvi(self, monkeypatch, balanced, plan, rid):
+        # A @ 0 = 0 lies in C, but a witness with eta = 0 decides no VVI
+        self._fake_refuted_conclusion(monkeypatch, [0.0], [])
+        res = audit.audit_rule(rid, balanced, "xi", plan)
+        assert res.outcome == "VIOLATION"
+
     @pytest.mark.parametrize(
         "components, rid, x, note",
         [
@@ -193,6 +209,39 @@ class TestWitnessCrosscheck:
         assert res.outcome == "HypothesisNotCertified"
         assert len(res.notes) == 1 and res.notes[0].startswith(note)
         assert res.notes[0].endswith("certification was a sampling artifact")
+
+
+class TestVviReplay:
+    @staticmethod
+    def _point_violation(variant, f, cone, kernel, xi, x):
+        # reference: the former scalar replay, one vertex at a time
+        eta = kernel.eval(x, xi)
+        if np.linalg.norm(eta) <= ZERO_ETA_TOL:
+            return False
+        poly = f.clarke_jacobian(x if variant.minty else xi)
+        test = cone.strictly_contains if variant.weak else cone.contains
+        return all(test(-(v @ eta)) for v in poly.vertices)
+
+    @pytest.mark.parametrize("variant", list(VVIVariant))
+    def test_batch_mask_agrees_with_scalar_replay(self, example5, example23, variant):
+        rng = np.random.default_rng(5)
+        seen = set()
+        # on the concave one-piece problem the Jacobian at x differs from the one at xi
+        concave = _one_piece("concave", ["-x1^2", "-x1^2"])
+        for problem, name in ((example5, "xi"), (example23, "x0"), (concave, "xi")):
+            xi = problem.point(name)
+            # the base point, both sides of the kink at 0, and seeded points
+            xs = np.concatenate([[0.0, 1e-8, -1e-8], rng.uniform(-0.9, 0.9, 60)])
+            for kernel in (problem.kernel, Kernel("difference", 1)):
+                for x in xs[:, None]:
+                    want = self._point_violation(variant, problem.f, problem.cone, kernel, xi, x)
+                    got = _vvi_violation_mask(
+                        variant, problem.f, problem.cone, kernel, xi, x[None, :],
+                        "forall", 8, True,
+                    )[0][0]
+                    assert got == want
+                    seen.add(want)
+        assert seen == {True, False}
 
 
 class TestZeroEtaPairs:

@@ -142,6 +142,10 @@ class TestDispatch:
         )
         assert report["seed"] == 123
         assert report["payload"]["verdict"]["stats"]["plan"]["seed"] == 123
+        _, env_gen = dispatch(["gen"])
+        _, flag_gen = dispatch(["gen", "--seed", "123"])
+        assert env_gen["seed"] == 123
+        assert payload_bytes(env_gen) == payload_bytes(flag_gen)
 
     def test_weak_flag(self):
         code, report = dispatch(
@@ -219,3 +223,25 @@ class TestDispatch:
              "--at", "0", "--samples", "600"]
         )
         assert code in (0, 1)  # runs end to end with the custom kernel
+
+    def test_stalled_sampler_exit_two(self, tmp_path, capsys):
+        # at n = 8 almost no pair of the bounding box lands in the ball, so
+        # the pair sampler gives up: a toolkit error, not a RuntimeError
+        spec = {
+            "version": "vvicert/1",
+            "n": 8,
+            "m": 2,
+            "domain": [[-2.0, 2.0]] * 8,
+            "pieces": [{"region": "0 <= 1", "components": ["x1", "x2"]}],
+            "cone": {"orthant": 2},
+            "kernel": {"kind": "difference"},
+            "e": [0.5, 0.5],
+        }
+        path = tmp_path / "n8.json"
+        path.write_text(json.dumps(spec))
+        code, report = dispatch(
+            ["check", "invex", "--class", "invex", "--problem", str(path),
+             "--at", ",".join(["0"] * 8), "--samples", "200"]
+        )
+        assert code == 2 and report == {}
+        assert "error: rejection sampling" in capsys.readouterr().err

@@ -1,12 +1,14 @@
 import ast
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 
 import vvicert
 from vvicert import _alt
-from vvicert.cone import OrderingCone
+from vvicert.cone import OrderingCone, _dedupe_rays, _extreme_rays
 from vvicert.errors import DimensionMismatchError
 
 
@@ -89,6 +91,46 @@ class TestConstruction:
                 elif isinstance(node, ast.ImportFrom):
                     names = [node.module or ""]
                 assert not any(n.startswith("scipy.optimize") for n in names), path.name
+
+    def test_extreme_rays_match_null_space(self):
+        def reference(B):
+            # the former enumeration: a rank test, then scipy's null vector
+            rays = []
+            for idx in combinations(range(B.shape[0]), B.shape[1] - 1):
+                sub = B[list(idx)]
+                if np.linalg.matrix_rank(sub, tol=1e-10) != B.shape[1] - 1:
+                    continue
+                d = null_space(sub)[:, 0]
+                prod = B @ d
+                if np.all(prod >= -1e-9):
+                    rays.append(d)
+                elif np.all(prod <= 1e-9):
+                    rays.append(-d)
+            return rays
+
+        rng = np.random.default_rng(11)
+        for m in (2, 3, 4):
+            for h in (m, m + 1, m + 3):
+                for k in range(8):
+                    # nonnegative rows plus the identity keep the cone pointed
+                    B = rng.uniform(0.0, 1.0, (h, m)) + np.eye(h, m)
+                    if k % 2:
+                        B[1] = 2.0 * B[0]  # rank-deficient blocks are skipped
+                    want = _dedupe_rays(reference(B))
+                    got = _extreme_rays(B)
+                    assert got.shape == want.shape
+                    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_orthant_matches_hand_built(self):
+        for m in (1, 2, 3, 4):
+            cone = OrderingCone.orthant(m, margin=1e-8, tol=1e-7)
+            assert cone.dim == m and cone.margin == 1e-8 and cone.tol == 1e-7
+            assert cone.is_orthant and cone.to_dict() == {"orthant": m}
+            assert np.array_equal(cone.normals, np.eye(m))
+            assert np.array_equal(cone.generators, np.eye(m))
+            assert np.array_equal(
+                cone.interior_witness, _alt.interior_witness(np.eye(m), 1e-8)
+            )
 
     def test_not_pointed_rejected(self):
         # a halfspace {v : v1 >= 0} in R^2 contains a full line

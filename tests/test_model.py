@@ -323,3 +323,28 @@ class TestBoundaryProbes:
                 assert all(np.array_equal(a, b) for a, b in zip(got, want))
                 found += len(got)
         assert found > 20
+
+
+class TestNegated:
+    @staticmethod
+    def _text_round_trip(f):
+        # reference: print -(t) for every component and parse the file again
+        spec = f.to_dict()
+        for p in spec["pieces"]:
+            p["components"] = [f"-({t})" for t in p["components"]]
+        return PiecewiseVectorFn.from_dict(spec)
+
+    def test_pieces_equal_the_text_round_trip(self, example5, example23):
+        fs = [example5.f, example23.f]
+        for i in range(100):
+            spec = audit.RandomInstanceSpec(
+                seed=i, n=1 + i % 3, m=2 + i % 2, piece_count=1 + i % 3, degree=1 + i % 3,
+                kernel_kind=["difference", "negNormDifference"][i % 2],
+            )
+            fs.append(audit.generate_instance(spec).f)
+        for f in fs:
+            neg, want = f.negated(), self._text_round_trip(f)
+            # dataclass equality covers regions, trees, texts and gradients
+            assert neg.pieces == want.pieces
+            assert neg.to_dict() == want.to_dict()
+            assert np.array_equal(neg.domain, want.domain)

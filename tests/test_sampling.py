@@ -1,6 +1,50 @@
+import time
+
 import numpy as np
+import pytest
 
 from vvicert import sampling
+from vvicert.errors import SamplingFailedError
+
+
+def _reference_ball_points(center, radius, count, seed):
+    """The former ball sampler: every chunk sliced from a redrawn prefix."""
+    center = np.asarray(center, dtype=float)
+    n = center.shape[0]
+    box = np.stack([center - radius, center + radius], axis=1)
+    out = np.empty((0, n))
+    offset = 0
+    chunk = max(2 * count, 64)
+    while out.shape[0] < count:
+        u = sampling.unit_points(n, offset + chunk, seed)[offset:]
+        offset += chunk
+        pts = box[:, 0] + u * (box[:, 1] - box[:, 0])
+        out = np.vstack([out, pts[np.linalg.norm(pts - center, axis=1) <= radius]])
+    return out[:count]
+
+
+def _reference_ball_pairs(center, radius, count, seed):
+    """The former pair sampler, in the same prefix-redrawing form."""
+    center = np.asarray(center, dtype=float)
+    n = center.shape[0]
+    box = np.stack([center - radius, center + radius], axis=1)
+    lo = np.concatenate([box[:, 0], box[:, 0]])
+    span = np.concatenate([box[:, 1] - box[:, 0], box[:, 1] - box[:, 0]])
+    xs = np.empty((0, n))
+    ys = np.empty((0, n))
+    offset = 0
+    chunk = max(3 * count, 64)
+    while xs.shape[0] < count:
+        u = sampling.unit_points(2 * n, offset + chunk, seed, base_dim=n)[offset:]
+        offset += chunk
+        pts = lo + u * span
+        x, y = pts[:, :n], pts[:, n:]
+        ok = (np.linalg.norm(x - center, axis=1) <= radius) & (
+            np.linalg.norm(y - center, axis=1) <= radius
+        )
+        xs = np.vstack([xs, x[ok]])
+        ys = np.vstack([ys, y[ok]])
+    return xs[:count], ys[:count]
 
 
 class TestStreams:
@@ -23,6 +67,21 @@ class TestStreams:
         long = sampling.unit_points(2, 200, seed=0)
         assert np.array_equal(short, long[:50])
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+    def test_halton_start_equals_slice(self, dim):
+        for start, count in [(0, 5), (1, 64), (37, 100), (640, 333)]:
+            got = sampling.unit_points(dim, count, 0, base_dim=1, start=start)
+            want = sampling.unit_points(dim, start + count, 0, base_dim=1)[start:]
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [4, 8, 16])
+    def test_uniform_start_equals_slice(self, dim):
+        for seed in (0, 42):
+            for start, count in [(0, 5), (1, 64), (37, 100), (640, 333)]:
+                got = sampling.unit_points(dim, count, seed, start=start)
+                want = sampling.unit_points(dim, start + count, seed)[start:]
+                assert got.tobytes() == want.tobytes()
+
 
 class TestBallSampling:
     def test_points_inside_ball(self):
@@ -37,12 +96,6 @@ class TestBallSampling:
         long = sampling.ball_points(center, 0.5, 400, seed=2)
         assert np.array_equal(short, long[:100])
 
-    def test_domain_clipping(self):
-        center = np.array([0.9])
-        domain = np.array([[-1.0, 1.0]])
-        pts = sampling.ball_points(center, 0.5, 200, seed=0, domain=domain)
-        assert np.all(pts <= 1.0)
-
     def test_pairs_both_inside(self):
         center = np.zeros(2)
         xs, ys = sampling.ball_pairs(center, 0.4, 300, seed=1)
@@ -54,6 +107,29 @@ class TestBallSampling:
         a = sampling.ball_pairs(np.zeros(1), 0.25, 100, seed=7)
         b = sampling.ball_pairs(np.zeros(1), 0.25, 100, seed=7)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_streaming_matches_prefix_redraw(self, n):
+        rng = np.random.default_rng(n)
+        counts = (1, 37, 1000) if n <= 4 else (1, 37, 300)
+        for radius in (1e-3, 0.05, 0.25, 0.5):
+            center = rng.uniform(-1.0, 1.0, n)
+            for count in counts:
+                for seed in (0, 42):
+                    got = sampling.ball_points(center, radius, count, seed)
+                    want = _reference_ball_points(center, radius, count, seed)
+                    assert got.tobytes() == want.tobytes()
+                    gx, gy = sampling.ball_pairs(center, radius, count, seed)
+                    wx, wy = _reference_ball_pairs(center, radius, count, seed)
+                    assert gx.tobytes() == wx.tobytes()
+                    assert gy.tobytes() == wy.tobytes()
+
+    def test_stalled_rejection_raises_toolkit_error(self):
+        # in 16 dimensions almost no pair of the bounding box lands in the ball
+        start = time.perf_counter()
+        with pytest.raises(SamplingFailedError):
+            sampling.ball_pairs(np.zeros(8), 0.25, 200, 42)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestSimplexGrid:
