@@ -125,7 +125,9 @@ class PiecewiseVectorFn:
     def negated(self) -> "PiecewiseVectorFn":
         """-f, by negating every piece's components (so d(-f) = -df piecewise).
 
-        The trees are those the parser builds for the texts "-(t)".
+        The trees are those the parser builds for the texts "-(t)". The
+        boundary probes depend only on the regions, the domain and n, which
+        -f shares with f, so -f shares f's probe cache.
         """
         pieces = [
             Piece(
@@ -137,7 +139,9 @@ class PiecewiseVectorFn:
             )
             for p in self.pieces
         ]
-        return PiecewiseVectorFn(self.n, self.m, self.domain, pieces)
+        out = PiecewiseVectorFn(self.n, self.m, self.domain, pieces)
+        out._probe_cache = self.__dict__.setdefault("_probe_cache", {})
+        return out
 
     # -- domain ---------------------------------------------------------------
 
@@ -312,7 +316,10 @@ def _chord_roots(f: PiecewiseVectorFn, start: np.ndarray, radius: float):
     before."""
     start = np.asarray(start, dtype=float)
     box = f.inner_box()
-    gs = [g for piece in f.pieces for g in el.boundary_expressions(piece.region)]
+    # a repeated expression would only yield roots seen before
+    gs = list(dict.fromkeys(
+        g for piece in f.pieces for g in el.boundary_expressions(piece.region)
+    ))
     seen = set()
 
     def emit(g, d, t):

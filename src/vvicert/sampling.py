@@ -7,6 +7,7 @@ to identical sample sequences (the reproducibility contract of the checkers).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -23,6 +24,10 @@ __all__ = [
 ]
 
 _LOW_DISCREPANCY_MAX_DIM = 3
+# the memo holds at most this many streams (one audit-matrix round draws 17),
+# each of at most this many floats, so it never keeps more than 64 MiB
+_STREAM_CACHE_SIZE = 32
+_STREAM_CACHE_MAX_FLOATS = 1 << 18
 
 
 def unit_points(
@@ -33,17 +38,37 @@ def unit_points(
     dimension is <= 3, otherwise seeded uniform.
 
     base_dim is the problem dimension driving the choice; dim may be larger
-    (pair streams draw 2n coordinates at once). Both streams jump straight to
-    row start, so a chunk equals the same rows sliced from a longer draw.
+    (pair streams draw 2n coordinates at once). A chunk equals the same rows
+    sliced from a longer draw. The uniform stream jumps straight to row
+    start; Halton's fast_forward draws and discards the rows before it.
+
+    Streams of at most _STREAM_CACHE_MAX_FLOATS floats are memoized for the
+    life of the process (Halton rows do not depend on the seed). The
+    returned array is read-only.
     """
     decider = dim if base_dim is None else base_dim
-    if decider <= _LOW_DISCREPANCY_MAX_DIM:
+    key = (dim, count, None if decider <= _LOW_DISCREPANCY_MAX_DIM else seed, start)
+    if dim * count > _STREAM_CACHE_MAX_FLOATS:
+        return _draw(*key)
+    return _stream(*key)
+
+
+def _draw(dim: int, count: int, seed: int | None, start: int) -> np.ndarray:
+    """Rows start, ..., start + count - 1, read-only: Halton when seed is
+    None, else seeded uniform."""
+    if seed is None:
         h = qmc.Halton(d=dim, scramble=False)
         h.fast_forward(1 + start)  # the unscrambled sequence starts at the origin
-        return h.random(count)
-    rng = np.random.default_rng(seed)
-    rng.bit_generator.advance(start * dim)  # one 64-bit draw per coordinate
-    return rng.random((count, dim))
+        u = h.random(count)
+    else:
+        rng = np.random.default_rng(seed)
+        rng.bit_generator.advance(start * dim)  # one 64-bit draw per coordinate
+        u = rng.random((count, dim))
+    u.setflags(write=False)
+    return u
+
+
+_stream = lru_cache(maxsize=_STREAM_CACHE_SIZE)(_draw)
 
 
 def box_points(box: np.ndarray, count: int, seed: int) -> np.ndarray:

@@ -185,9 +185,16 @@ class TestDispatch:
     def test_cross_process_payload_determinism(self):
         # fresh interpreters have different hash randomization; payload bytes
         # must not depend on it
+        import os
         import subprocess
         import sys
 
+        import vvicert
+
+        # the child imports vvicert from where this process found it
+        src = os.path.dirname(os.path.dirname(vvicert.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         code = (
             "import json;from vvicert.cli import dispatch;"
             "c,r=dispatch(['check','vvi','--variant','svvi','--problem','example5',"
@@ -197,7 +204,7 @@ class TestDispatch:
         outs = set()
         for _ in range(2):
             res = subprocess.run(
-                [sys.executable, "-c", code], capture_output=True, text=True
+                [sys.executable, "-c", code], capture_output=True, text=True, env=env
             )
             assert res.returncode == 0, res.stderr
             outs.add(res.stdout.strip().splitlines()[-1])

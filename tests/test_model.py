@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vvicert import audit, exprlang as el
+from vvicert import audit, exprlang as el, model
 from vvicert.errors import (
     InconsistentPiecesError,
     NoActivePieceError,
@@ -274,7 +274,9 @@ class TestBoundaryProbes:
         # reference: every sign change bisected the full 80 steps
         def roots_80(f, start, radius):
             box = f.inner_box()
-            gs = [g for p in f.pieces for g in el.boundary_expressions(p.region)]
+            gs = list(dict.fromkeys(
+                g for p in f.pieces for g in el.boundary_expressions(p.region)
+            ))
             out = []
             for axis in range(f.n):
                 for sign in (1.0, -1.0):
@@ -324,6 +326,36 @@ class TestBoundaryProbes:
                 found += len(got)
         assert found > 20
 
+    def test_expression_dedupe_keeps_probes_and_validate(self, example5, example23, monkeypatch):
+        class KeepRepeats:
+            # stands in for dict in model's namespace: fromkeys keeps repeats
+            fromkeys = staticmethod(list)
+
+        problems = [(example5.f, [0.0]), (example23.f, [0.0])]
+        for i in range(12):
+            spec = audit.RandomInstanceSpec(seed=i, n=1 + i % 3, m=2, piece_count=2 + i % 2,
+                                            degree=1 + i % 3)
+            inst = audit.generate_instance(spec)
+            problems.append((inst.f, inst.point("x0")))
+
+        def outputs(f, start):
+            out = []
+            for g in (f, f.negated()):
+                fresh = PiecewiseVectorFn(g.n, g.m, g.domain, g.pieces)
+                out.append(fresh.validate())
+                out += [boundary_probes(fresh, start, r).tobytes() for r in (0.1, 0.25, 1.0)]
+            return out
+
+        def root_count(f, start):
+            return sum(1 for _ in _chord_roots(f, np.asarray(start, dtype=float), 1.0))
+
+        deduped = [(outputs(f, s), root_count(f, s)) for f, s in problems]
+        monkeypatch.setattr(model, "dict", KeepRepeats, raising=False)
+        repeated = [(outputs(f, s), root_count(f, s)) for f, s in problems]
+        assert [o for o, _ in deduped] == [o for o, _ in repeated]
+        # the dedupe skipped repeated scans on these problems
+        assert sum(c for _, c in repeated) > sum(c for _, c in deduped)
+
 
 class TestNegated:
     @staticmethod
@@ -348,3 +380,22 @@ class TestNegated:
             assert neg.pieces == want.pieces
             assert neg.to_dict() == want.to_dict()
             assert np.array_equal(neg.domain, want.domain)
+
+    def test_shares_the_probe_cache(self, example5, example23):
+        problems = [(example5.f, [0.0]), (example23.f, [0.0])]
+        for i in range(6):
+            spec = audit.RandomInstanceSpec(seed=i, n=1 + i % 3, m=2, piece_count=2 + i % 2,
+                                            degree=1 + i % 3)
+            inst = audit.generate_instance(spec)
+            problems.append((inst.f, inst.point("x0")))
+        for f, start in problems:
+            f = PiecewiseVectorFn(f.n, f.m, f.domain, f.pieces)
+            boundary_probes(f, start, 0.25)  # f fills the cache first
+            neg = f.negated()
+            assert neg._probe_cache is f._probe_cache
+            boundary_probes(neg, start, 0.5)  # -f fills it first
+            for g in (f, neg):
+                uncached = PiecewiseVectorFn(g.n, g.m, g.domain, g.pieces)
+                for r in (0.25, 0.5):
+                    got = boundary_probes(g, start, r)
+                    assert got.tobytes() == boundary_probes(uncached, start, r).tobytes()

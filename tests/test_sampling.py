@@ -2,8 +2,10 @@ import time
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
-from vvicert import sampling
+from vvicert import audit, sampling
+from vvicert.certify import SamplingPlan
 from vvicert.errors import SamplingFailedError
 
 
@@ -81,6 +83,76 @@ class TestStreams:
                 got = sampling.unit_points(dim, count, seed, start=start)
                 want = sampling.unit_points(dim, start + count, seed)[start:]
                 assert got.tobytes() == want.tobytes()
+
+
+def _uncached_unit_points(dim, count, seed, base_dim, start):
+    """The stream drawn anew: Halton or PCG64 straight from its definition."""
+    if base_dim <= 3:
+        h = qmc.Halton(d=dim, scramble=False)
+        h.fast_forward(1 + start)
+        return h.random(count)
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(start * dim)
+    return rng.random((count, dim))
+
+
+class TestStreamMemo:
+    @pytest.mark.parametrize(
+        "dim,base_dim", [(1, 1), (2, 2), (3, 3), (4, 2), (5, 3), (6, 3), (4, 4), (8, 4), (16, 8)]
+    )
+    def test_memo_equals_uncached_draws(self, dim, base_dim):
+        for start in (0, 1, 37, 2500):
+            for count in (1, 2, 3, 64, 999, 3000):
+                want = _uncached_unit_points(dim, count, 7, base_dim, start)
+                for _ in range(2):  # a miss, then a hit
+                    got = sampling.unit_points(dim, count, 7, base_dim=base_dim, start=start)
+                    assert got.tobytes() == want.tobytes()
+
+    def test_result_is_read_only(self):
+        for dim in (2, 5):
+            u = sampling.unit_points(dim, 10, 0)
+            with pytest.raises(ValueError):
+                u[0, 0] = 0.5
+
+    def test_halton_ignores_seed_uniform_keeps_it(self):
+        a, b = sampling.unit_points(3, 50, 1), sampling.unit_points(3, 50, 2)
+        assert a is b
+        a, b = sampling.unit_points(4, 50, 1), sampling.unit_points(4, 50, 2)
+        assert not np.array_equal(a, b)
+
+    def test_large_streams_are_not_kept(self):
+        sampling._stream.cache_clear()
+        count = sampling._STREAM_CACHE_MAX_FLOATS // 6 + 1
+        u = sampling.unit_points(6, count, 0, base_dim=3)
+        assert sampling._stream.cache_info().currsize == 0
+        assert u.tobytes() == _uncached_unit_points(6, count, 0, 3, 0).tobytes()
+        with pytest.raises(ValueError):
+            u[0, 0] = 0.5
+
+    def test_audit_builds_each_halton_stream_once(self, example5, example23, monkeypatch):
+        real = qmc.Halton
+        built = []
+
+        class CountingHalton:
+            def __init__(self, d, scramble):
+                self._h, self._key = real(d=d, scramble=scramble), [d]
+
+            def fast_forward(self, k):
+                self._key.append(k - 1)
+                self._h.fast_forward(k)
+
+            def random(self, count):
+                d, start = self._key
+                built.append((d, count, start))
+                return self._h.random(count)
+
+        monkeypatch.setattr(sampling.qmc, "Halton", CountingHalton)
+        sampling._stream.cache_clear()
+        plan = SamplingPlan(ball_sample_count=300, pair_sample_count=300)
+        audit.run_matrix(sorted(audit.RULES), [(example5, "xi"), (example23, "x0")], plan)
+        assert len(built) > 1
+        assert len(built) == len(set(built))
+        assert sampling._stream.cache_info().hits > len(built)
 
 
 class TestBallSampling:
