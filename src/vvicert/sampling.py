@@ -24,10 +24,9 @@ __all__ = [
 ]
 
 _LOW_DISCREPANCY_MAX_DIM = 3
-# the memo holds at most this many streams (one audit-matrix round draws 17),
-# each of at most this many floats, so it never keeps more than 64 MiB
-_STREAM_CACHE_SIZE = 32
-_STREAM_CACHE_MAX_FLOATS = 1 << 18
+# the Halton memo holds at most this many streams (one audit-matrix round
+# draws 17, the largest under the default plans 30000 x 6 floats)
+_HALTON_CACHE_SIZE = 32
 
 
 def unit_points(
@@ -42,33 +41,26 @@ def unit_points(
     sliced from a longer draw. The uniform stream jumps straight to row
     start; Halton's fast_forward draws and discards the rows before it.
 
-    Streams of at most _STREAM_CACHE_MAX_FLOATS floats are memoized for the
-    life of the process (Halton rows do not depend on the seed). The
-    returned array is read-only.
+    Halton streams do not depend on the seed and are memoized for the life
+    of the process. The returned array is read-only.
     """
     decider = dim if base_dim is None else base_dim
-    key = (dim, count, None if decider <= _LOW_DISCREPANCY_MAX_DIM else seed, start)
-    if dim * count > _STREAM_CACHE_MAX_FLOATS:
-        return _draw(*key)
-    return _stream(*key)
-
-
-def _draw(dim: int, count: int, seed: int | None, start: int) -> np.ndarray:
-    """Rows start, ..., start + count - 1, read-only: Halton when seed is
-    None, else seeded uniform."""
-    if seed is None:
-        h = qmc.Halton(d=dim, scramble=False)
-        h.fast_forward(1 + start)  # the unscrambled sequence starts at the origin
-        u = h.random(count)
-    else:
-        rng = np.random.default_rng(seed)
-        rng.bit_generator.advance(start * dim)  # one 64-bit draw per coordinate
-        u = rng.random((count, dim))
+    if decider <= _LOW_DISCREPANCY_MAX_DIM:
+        return _halton(dim, count, start)
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(start * dim)  # one 64-bit draw per coordinate
+    u = rng.random((count, dim))
     u.setflags(write=False)
     return u
 
 
-_stream = lru_cache(maxsize=_STREAM_CACHE_SIZE)(_draw)
+@lru_cache(maxsize=_HALTON_CACHE_SIZE)
+def _halton(dim: int, count: int, start: int) -> np.ndarray:
+    h = qmc.Halton(d=dim, scramble=False)
+    h.fast_forward(1 + start)  # the unscrambled sequence starts at the origin
+    u = h.random(count)
+    u.setflags(write=False)
+    return u
 
 
 def box_points(box: np.ndarray, count: int, seed: int) -> np.ndarray:

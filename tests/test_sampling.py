@@ -120,15 +120,6 @@ class TestStreamMemo:
         a, b = sampling.unit_points(4, 50, 1), sampling.unit_points(4, 50, 2)
         assert not np.array_equal(a, b)
 
-    def test_large_streams_are_not_kept(self):
-        sampling._stream.cache_clear()
-        count = sampling._STREAM_CACHE_MAX_FLOATS // 6 + 1
-        u = sampling.unit_points(6, count, 0, base_dim=3)
-        assert sampling._stream.cache_info().currsize == 0
-        assert u.tobytes() == _uncached_unit_points(6, count, 0, 3, 0).tobytes()
-        with pytest.raises(ValueError):
-            u[0, 0] = 0.5
-
     def test_audit_builds_each_halton_stream_once(self, example5, example23, monkeypatch):
         real = qmc.Halton
         built = []
@@ -147,12 +138,12 @@ class TestStreamMemo:
                 return self._h.random(count)
 
         monkeypatch.setattr(sampling.qmc, "Halton", CountingHalton)
-        sampling._stream.cache_clear()
+        sampling._halton.cache_clear()
         plan = SamplingPlan(ball_sample_count=300, pair_sample_count=300)
         audit.run_matrix(sorted(audit.RULES), [(example5, "xi"), (example23, "x0")], plan)
         assert len(built) > 1
         assert len(built) == len(set(built))
-        assert sampling._stream.cache_info().hits > len(built)
+        assert sampling._halton.cache_info().hits > len(built)
 
 
 class TestBallSampling:
