@@ -27,6 +27,8 @@ from .errors import DegenerateError
 # in doubt and the LP decides
 RANK_NONZERO = 1e-6
 RANK_ZERO = 1e-9
+# an alternative-2 certificate y must be longer than this
+Y_NONZERO = 1e-9
 
 _counts: ContextVar[Optional[dict]] = ContextVar("vvicert_alt_counts", default=None)
 
@@ -171,9 +173,9 @@ def _alternative_one(A: np.ndarray, x: np.ndarray, t: float, cone) -> bool:
     return t > 1e-7 and cone.strictly_contains(-A @ x)
 
 
-def _alternative_two(A: np.ndarray, y: np.ndarray, tol: float) -> bool:
+def _alternative_two(A: np.ndarray, y: np.ndarray) -> bool:
     scale = 1.0 + float(np.max(np.abs(A)))
-    return np.max(np.abs(A.T @ y)) <= 1e-7 * scale and np.linalg.norm(y) > tol
+    return np.max(np.abs(A.T @ y)) <= 1e-7 * scale and np.linalg.norm(y) > Y_NONZERO
 
 
 def _certificate_two(y: np.ndarray, z: np.ndarray, cone) -> GordanCertificate:
@@ -182,7 +184,7 @@ def _certificate_two(y: np.ndarray, z: np.ndarray, cone) -> GordanCertificate:
     return GordanCertificate(2, y=y, dual_coords=z, strictness=float(np.linalg.norm(y)))
 
 
-def gordan(A: np.ndarray, cone, tol: float) -> GordanCertificate:
+def gordan(A: np.ndarray, cone) -> GordanCertificate:
     """Gordan's alternative for a unit-scale A against the cone's normals N:
     x with N A x < 0 (strictness min(-N A x)), or z >= 0 with sum z = 1 and
     A^T y = 0 for y = N^T z. Closed forms come first, each aiming A x at a
@@ -211,7 +213,7 @@ def gordan(A: np.ndarray, cone, tol: float) -> GordanCertificate:
         if np.all(z >= 0.0):
             z = z / np.sum(z)
             y = normals.T @ z
-            if _alternative_two(A, y, tol):
+            if _alternative_two(A, y):
                 _count("rankDecided")
                 return _certificate_two(y, z, cone)
         else:
@@ -257,6 +259,6 @@ def gordan(A: np.ndarray, cone, tol: float) -> GordanCertificate:
         )
     z = res2.x
     y = normals.T @ z
-    if not _alternative_two(A, y, tol):
+    if not _alternative_two(A, y):
         raise DegenerateError("alternative-2 certificate failed re-verification")
     return _certificate_two(y, z, cone)

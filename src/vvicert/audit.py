@@ -55,6 +55,9 @@ __all__ = [
     "run_matrix",
 ]
 
+# generated e vectors draw each component uniformly from this range
+_E_RANGE = (0.2, 0.8)
+
 CONSISTENT = "ConsistentWithTheorem"
 NOT_CERTIFIED = "HypothesisNotCertified"
 VIOLATION = "VIOLATION"
@@ -177,12 +180,11 @@ class AuditResult:
 # Point-level condition replays used by the crosschecks
 # ---------------------------------------------------------------------------
 
-def _pair_violates_class(cls, f, cone, kernel, e, x, y, plan: SamplingPlan) -> bool:
+def _pair_violates_class(cls, f, cone, kernel, e, x, y) -> bool:
     return bool(
         _invex_violation_mask(
             cls, f, cone, kernel, e,
             np.asarray(x, float)[None, :], np.asarray(y, float)[None, :],
-            plan.simplex_grid_depth, plan.exclude_zero_eta,
         )[0]
     )
 
@@ -270,7 +272,7 @@ def _audit_forward(rule, problem, xi, plan, hyp, notes, label) -> AuditResult:
     # certified hypotheses + refuted conclusion: replay hypotheses at witness
     x_star = np.asarray(conclusion.witness["x"], dtype=float)
     a, b = (xi, x_star) if rule.negated else (x_star, xi)
-    if _pair_violates_class(rule.invex_class, fn, cone, kernel, e, a, b, plan):
+    if _pair_violates_class(rule.invex_class, fn, cone, kernel, e, a, b):
         notes.append(
             f"{rule.class_key} hypothesis violated at the conclusion witness pair; "
             f"certification was a sampling artifact"
@@ -278,8 +280,7 @@ def _audit_forward(rule, problem, xi, plan, hyp, notes, label) -> AuditResult:
         return AuditResult(rule.rule_id, label, hyp, conclusion, NOT_CERTIFIED, notes)
     # the forall reading that check_vvi certified; a zero-eta x decides nothing
     if rule.variant is not None and _vvi_violation_mask(
-        rule.variant, f, cone, kernel, xi, x_star[None, :], "forall",
-        plan.simplex_grid_depth, True,
+        rule.variant, f, cone, kernel, xi, x_star[None, :], "forall"
     )[0][0]:
         notes.append(
             f"{rule.variant.value} hypothesis violated at the conclusion witness; "
@@ -348,15 +349,13 @@ def _audit_t41(rule, problem, xi, plan, hyp, notes, label) -> AuditResult:
         premise = any(cone.strictly_contains(-(v @ eta0)) for v in poly.vertices)
         if not premise:
             continue
-        if _pair_violates_class(rule.invex_class, fn, cone, kernel, e, x0, xi, plan):
+        if _pair_violates_class(rule.invex_class, fn, cone, kernel, e, x0, xi):
             notes.append(
                 "quasi type II (-f) hypothesis violated on the witness segment; "
                 "certification was a sampling artifact"
             )
             return AuditResult(rule.rule_id, label, hyp, conclusion, NOT_CERTIFIED, notes)
-        viol = _quasi_violation_mask(
-            f, cone, kernel, e, xi, rule.weak, x0[None, :], True
-        )[0]
+        viol = _quasi_violation_mask(f, cone, kernel, e, xi, rule.weak, x0[None, :])[0]
         if viol:
             notes.append(
                 "segment point refutes quasi weak efficiency although the "
@@ -389,8 +388,6 @@ class RandomInstanceSpec:
     piece_count: int = 2
     degree: int = 3
     kernel_kind: str = "difference"
-    e_low: float = 0.2
-    e_high: float = 0.8
 
     def __post_init__(self):
         if not 1 <= self.n <= 3 or not 1 <= self.m <= 3:
@@ -506,7 +503,7 @@ def _generate_once(spec: RandomInstanceSpec, rng: np.random.Generator) -> Proble
                 }
             )
             xi = (b1 / float(a @ a)) * a
-    e = np.round(rng.uniform(spec.e_low, spec.e_high, size=m), 3)
+    e = np.round(rng.uniform(*_E_RANGE, size=m), 3)
     spec_dict = {
         "version": "vvicert/1",
         "name": f"generated-{spec.seed}",

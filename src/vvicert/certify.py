@@ -49,6 +49,9 @@ __all__ = [
 # otherwise make every xi trivially fail the Stampacchia inequality).
 ZERO_ETA_TOL = 1e-12
 
+# Jacobian hull mixtures take the weights i / SIMPLEX_GRID_DEPTH
+SIMPLEX_GRID_DEPTH = 8
+
 # cap on the floats of one batch of Jacobian hull mixtures (8 MiB of float64)
 _HULL_MIX_FLOATS = 1 << 20
 
@@ -103,22 +106,20 @@ class SamplingPlan:
     """Deterministic expansion recipe for every sampled quantifier.
 
     The same plan always expands to the same sample sequence, so verdicts are
-    reproducible bit for bit.
+    reproducible bit for bit. The record also states the choices every plan
+    shares: the unit VVI search box, SIMPLEX_GRID_DEPTH and zero-eta exclusion.
     """
 
     seed: int = 42
     radius: float = 0.25
     ball_sample_count: int = 10_000
     pair_sample_count: int = 10_000
-    search_box: Optional[np.ndarray] = None
-    simplex_grid_depth: int = 8
-    exclude_zero_eta: bool = True
 
     def __post_init__(self):
         if self.ball_sample_count < 1 or self.pair_sample_count < 1:
             raise ValueError("sample counts must be >= 1")
-        if self.search_box is not None:
-            self.search_box = np.asarray(self.search_box, dtype=float)
+        if not (np.isfinite(self.radius) and self.radius > 0.0):
+            raise ValueError(f"radius must be finite and > 0, got {self.radius}")
 
     def to_dict(self) -> dict:
         return {
@@ -126,9 +127,9 @@ class SamplingPlan:
             "radius": float(self.radius),
             "ballSampleCount": int(self.ball_sample_count),
             "pairSampleCount": int(self.pair_sample_count),
-            "searchBox": None if self.search_box is None else self.search_box.tolist(),
-            "simplexGridDepth": int(self.simplex_grid_depth),
-            "excludeZeroEta": bool(self.exclude_zero_eta),
+            "searchBox": None,
+            "simplexGridDepth": SIMPLEX_GRID_DEPTH,
+            "excludeZeroEta": True,
         }
 
 
@@ -222,16 +223,13 @@ def _quasi_violation_mask(
     xi: np.ndarray,
     weak: bool,
     x: np.ndarray,
-    exclude_zero_eta: bool,
 ) -> np.ndarray:
     eta = kernel.eval_many(x, xi[None, :])
     eta_norm = np.linalg.norm(eta, axis=1)
     shifted = f.values(x) + eta_norm[:, None] * e[None, :]
     diff = f.value(xi)[None, :] - shifted
     mask = cone.strictly_contains_many(diff) if weak else cone.contains_many(diff)
-    if exclude_zero_eta:
-        mask = mask & (eta_norm > ZERO_ETA_TOL)
-    return mask
+    return mask & (eta_norm > ZERO_ETA_TOL)
 
 
 def check_quasi_efficient(
@@ -258,7 +256,7 @@ def check_quasi_efficient(
     probes = boundary_probes(f, xi, r)
     stream = sampling.ball_points(xi, r, plan.ball_sample_count, plan.seed)
     pts = _stack_points([probes, extra_points, stream], f.n)
-    viol = _quasi_violation_mask(f, cone, kernel, e, xi, weak, pts, plan.exclude_zero_eta)
+    viol = _quasi_violation_mask(f, cone, kernel, e, xi, weak, pts)
 
     kind = "quasi weak efficient" if weak else "quasi efficient"
     stats = _base_stats(
@@ -364,8 +362,6 @@ def _vvi_violation_mask(
     xi: np.ndarray,
     x: np.ndarray,
     quantifier: str,
-    grid_depth: int,
-    exclude_zero_eta: bool,
 ) -> tuple[np.ndarray, int]:
     """Mask of the rows of x where A @ eta(x, xi) <=_C 0 (<_C 0 for weak
     variants) holds for every Jacobian vertex A, or for some element of the
@@ -394,10 +390,9 @@ def _vvi_violation_mask(
         viol = _forall_active(cond, active)
     else:
         viol = _hull_exists_refine(
-            prods, active, _holds, _exists_active(cond, active), grid_depth
+            prods, active, _holds, _exists_active(cond, active), SIMPLEX_GRID_DEPTH
         )
-    if exclude_zero_eta:
-        viol = viol & (np.linalg.norm(eta, axis=1) > ZERO_ETA_TOL)
+    viol = viol & (np.linalg.norm(eta, axis=1) > ZERO_ETA_TOL)
     return viol, int(active.sum(axis=0).max())
 
 
@@ -418,8 +413,9 @@ def check_vvi(
     of the Jacobian polytope taken at xi (Stampacchia) or at x (Minty). The
     default forall-quantifier reading matches the worked verification of the
     bundled fixtures; quantifier='exists' switches to the alternative reading
-    where a single Jacobian element suffices. The search region is the plan's
-    box (default: the unit box around xi), clipped to the open domain.
+    where a single Jacobian element suffices. The search region is the unit
+    box around xi, clipped to the open domain, and points with eta(x, xi) = 0
+    are skipped.
     """
     if not isinstance(variant, VVIVariant):
         variant = VVIVariant(str(variant).strip().lower())
@@ -430,27 +426,16 @@ def check_vvi(
     f.require_inside(xi, "xi")
 
     inner = f.inner_box()
-    if plan.search_box is not None:
-        box = np.asarray(plan.search_box, dtype=float).reshape(f.n, 2)
-        box = np.stack(
-            [np.maximum(box[:, 0], inner[:, 0]), np.minimum(box[:, 1], inner[:, 1])],
-            axis=1,
-        )
-    else:
-        box = np.stack(
-            [np.maximum(xi - 1.0, inner[:, 0]), np.minimum(xi + 1.0, inner[:, 1])],
-            axis=1,
-        )
+    box = np.stack(
+        [np.maximum(xi - 1.0, inner[:, 0]), np.minimum(xi + 1.0, inner[:, 1])], axis=1
+    )
 
     probe_radius = float(np.max(np.abs(box - xi[:, None])))
     probes = boundary_probes(f, xi, probe_radius)
     stream = sampling.box_points(box, plan.ball_sample_count, plan.seed)
     pts = _stack_points([probes, extra_points, stream], f.n)
 
-    viol, vertex_count = _vvi_violation_mask(
-        variant, f, cone, kernel, xi, pts, quantifier,
-        plan.simplex_grid_depth, plan.exclude_zero_eta,
-    )
+    viol, vertex_count = _vvi_violation_mask(variant, f, cone, kernel, xi, pts, quantifier)
     stats = _base_stats(
         plan,
         cone,
@@ -492,8 +477,6 @@ def _invex_violation_mask(
     e: np.ndarray,
     xs: np.ndarray,
     ys: np.ndarray,
-    grid_depth: int,
-    exclude_zero_eta: bool,
 ) -> np.ndarray:
     eta = kernel.eval_many(xs, ys)
     eta_norm = np.linalg.norm(eta, axis=1)
@@ -521,15 +504,13 @@ def _invex_violation_mask(
             premise_vals, conclusion_vals = prods, fdiff - penalty
         premise = _exists_active(cone.strictly_contains_many(premise_vals), active)
         premise = _hull_exists_refine(
-            premise_vals, active, cone.strictly_contains_many, premise, grid_depth
+            premise_vals, active, cone.strictly_contains_many, premise, SIMPLEX_GRID_DEPTH
         )
         viol = premise & ~cone.strictly_contains_many(conclusion_vals)
     else:
         raise ValueError(f"unknown invexity class {cls!r}")
-    if exclude_zero_eta:
-        # a pair whose points differ only by rounding decides nothing
-        viol = viol & (eta_norm > ZERO_ETA_TOL)
-    return viol
+    # a pair whose points differ only by rounding decides nothing
+    return viol & (eta_norm > ZERO_ETA_TOL)
 
 
 def check_invex_class(
@@ -565,9 +546,7 @@ def check_invex_class(
     xs = _stack_points([px, ex, sx], f.n)
     ys = _stack_points([py, ey, sy], f.n)
 
-    viol = _invex_violation_mask(
-        cls, f, cone, kernel, e, xs, ys, plan.simplex_grid_depth, plan.exclude_zero_eta
-    )
+    viol = _invex_violation_mask(cls, f, cone, kernel, e, xs, ys)
     stats = _base_stats(
         plan,
         cone,
@@ -604,9 +583,7 @@ def check_invex_class(
 # Gordan's alternative
 # ---------------------------------------------------------------------------
 
-def gordan_alternative(
-    A, cone: Optional[OrderingCone] = None, tol: float = 1e-9
-) -> GordanCertificate:
+def gordan_alternative(A, cone: Optional[OrderingCone] = None) -> GordanCertificate:
     """Decide which branch of Gordan's theorem holds for the matrix A.
 
     Either some x solves A x <_C 0, or some nonzero y >=_C 0 solves A^T y = 0,
@@ -626,7 +603,7 @@ def gordan_alternative(
         cone = OrderingCone.orthant(m)
     if cone.dim != m:
         raise DegenerateError(f"matrix has {m} rows, cone dimension is {cone.dim}")
-    return _alt.gordan(A, cone, tol)
+    return _alt.gordan(A, cone)
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +628,7 @@ def check_vector_critical(
     f.require_inside(xi, "xi")
     poly = f.clarke_jacobian(xi)
     verts = poly.as_array()  # (k, m, n)
-    lambdas = sampling.simplex_weights(len(poly), plan.simplex_grid_depth)
+    lambdas = sampling.simplex_weights(len(poly), SIMPLEX_GRID_DEPTH)
     threshold = max(cone.margin, 1e-9)
     stats = _base_stats(
         plan,

@@ -81,16 +81,23 @@ def _parse_point(problem: Problem, text: str) -> np.ndarray:
 
 
 def _parse_vector(text: str) -> np.ndarray:
-    return np.array([float(tok) for tok in text.split(",")])
+    try:
+        return np.array([float(tok) for tok in text.split(",")])
+    except ValueError:
+        raise VviCertError(f"not a vector of numbers 'a,b,...': {text!r}") from None
+
+
+def _kernel_kind(name: str) -> str:
+    key = name.strip().lower().replace("-", "").replace("_", "")
+    if key not in _KERNEL_ALIASES:
+        raise VviCertError(f"unknown kernel {name!r}")
+    return _KERNEL_ALIASES[key]
 
 
 def _resolve_kernel(problem: Problem, name: str | None) -> Kernel:
     if name is None:
         return problem.kernel
-    key = name.strip().lower().replace("-", "").replace("_", "")
-    if key not in _KERNEL_ALIASES:
-        raise VviCertError(f"unknown kernel {name!r}")
-    return Kernel(_KERNEL_ALIASES[key], problem.f.n)
+    return Kernel(_kernel_kind(name), problem.f.n)
 
 
 def _resolve_seed(args) -> int:
@@ -101,13 +108,30 @@ def _resolve_seed(args) -> int:
 
 
 def _plan_from_args(args) -> SamplingPlan:
-    plan = SamplingPlan(seed=_resolve_seed(args))
+    """The plan of --seed, --r and --samples. An audit of generated instances
+    runs many checks per instance; without --samples it takes 2000 samples."""
+    options = {}
     if getattr(args, "r", None) is not None:
-        plan.radius = args.r
-    if getattr(args, "samples", None) is not None:
-        plan.ball_sample_count = args.samples
-        plan.pair_sample_count = args.samples
-    return plan
+        options["radius"] = args.r
+    samples = args.samples
+    if samples is None and getattr(args, "generated", 0) > 0:
+        samples = 2000
+    if samples is not None:
+        options.update(ball_sample_count=samples, pair_sample_count=samples)
+    return SamplingPlan(seed=_resolve_seed(args), **options)
+
+
+def _positive(kind):
+    """argparse type: a finite value of ``kind`` (int or float) above 0."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not (np.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"not a finite {kind.__name__} > 0: {text!r}")
+        return value
+    return parse
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +192,6 @@ def _cmd_check(args):
 def _cmd_audit(args):
     problem = load_problem(args.problem, args.strict)
     plan = _plan_from_args(args)
-    if getattr(args, "samples", None) is None and args.generated > 0:
-        # large matrices run many checker calls per instance; use a lighter
-        # plan unless --samples pins the effort explicitly
-        plan.ball_sample_count = 2000
-        plan.pair_sample_count = 2000
     if args.rules.strip().lower() == "all":
         rules = sorted(audit.RULES)
     else:
@@ -260,9 +279,7 @@ def _cmd_gen(args):
         m=args.m,
         piece_count=args.pieces,
         degree=args.degree,
-        kernel_kind=_KERNEL_ALIASES[args.kernel.lower().replace("-", "")]
-        if args.kernel
-        else "difference",
+        kernel_kind=_kernel_kind(args.kernel) if args.kernel else "difference",
     )
     problem = audit.generate_instance(spec)
     payload = {"operation": "gen", "problem": problem.to_dict()}
@@ -277,8 +294,8 @@ def _add_common(p, with_e=True, with_kernel=True):
     p.add_argument("--problem", required=True, help="problem file path or fixture name")
     p.add_argument("--at", required=True, help="point coordinates 'a,b,...' or named point")
     p.add_argument("--seed", type=int, default=None, help="sampling seed (env VVICERT_SEED overrides the default)")
-    p.add_argument("--samples", type=int, default=None, help="ball and pair sample counts")
-    p.add_argument("--r", type=float, default=None, help="ball radius (default 0.25)")
+    p.add_argument("--samples", type=_positive(int), default=None, help="ball and pair sample counts")
+    p.add_argument("--r", type=_positive(float), default=None, help="ball radius (default 0.25)")
     if with_e:
         p.add_argument("--e", default=None, help="e vector 'a,b,...' (default: the problem's)")
     if with_kernel:
@@ -334,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("repro", help="reproduce the bundled fixture results")
     p.add_argument("fixture", choices=list(FIXTURES))
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=_positive(int), default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_repro, strict=False)
 

@@ -25,6 +25,8 @@ from .errors import DimensionMismatchError
 __all__ = ["OrderingCone"]
 
 _CONVERT_MAX_DIM = 4
+# absolute tolerance of the closed-cone test N v >= -CONE_TOL
+CONE_TOL = 1e-9
 
 
 def _unit_rows(a: np.ndarray) -> np.ndarray:
@@ -87,7 +89,6 @@ class OrderingCone:
         normals: Optional[np.ndarray] = None,
         generators: Optional[np.ndarray] = None,
         margin: float = 1e-9,
-        tol: float = 1e-9,
     ):
         if normals is None and generators is None:
             raise ValueError("supply normals (rows) and/or generators (columns)")
@@ -121,7 +122,7 @@ class OrderingCone:
         self.normals = normals
         self.generators = generators
         self.margin = float(margin)
-        self.tol = float(tol)
+        self.tol = CONE_TOL
         self.interior_witness = interior_witness(normals, self.margin)
         self._is_orthant = self._detect_orthant()
 
@@ -140,9 +141,9 @@ class OrderingCone:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def orthant(cls, m: int, margin: float = 1e-9, tol: float = 1e-9) -> "OrderingCone":
+    def orthant(cls, m: int, margin: float = 1e-9) -> "OrderingCone":
         """The nonnegative orthant of dimension m, the default ordering cone."""
-        return cls(np.eye(m), np.eye(m), margin, tol)
+        return cls(np.eye(m), np.eye(m), margin)
 
     @classmethod
     def from_dict(cls, spec: dict) -> "OrderingCone":
@@ -177,10 +178,8 @@ class OrderingCone:
             )
 
     def contains(self, v) -> bool:
-        """v in C, up to the absolute tolerance: N v >= -tol componentwise."""
-        v = np.asarray(v, dtype=float)
-        self._check_dim(v)
-        return bool(np.all(self.normals @ v >= -self.tol))
+        """v in C, up to the absolute tolerance: N v >= -CONE_TOL componentwise."""
+        return bool(self.contains_many(v))
 
     def contains_many(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -189,9 +188,7 @@ class OrderingCone:
 
     def strictly_contains(self, v) -> bool:
         """v in int C: N v > margin * ||v|| componentwise (false at v = 0)."""
-        v = np.asarray(v, dtype=float)
-        self._check_dim(v)
-        return bool(np.all(self.normals @ v > self.margin * np.linalg.norm(v)))
+        return bool(self.strictly_contains_many(v))
 
     def strictly_contains_many(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)

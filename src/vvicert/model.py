@@ -47,6 +47,10 @@ CONTINUITY_TOL = 1e-6
 DOMAIN_INSET = 1e-9
 # Vertex matrices closer than this (max abs difference) are merged.
 VERTEX_MERGE_TOL = 1e-9
+# Kernel flags are established on this many sampled points, each up to this
+# tolerance relative to the kernel's scale on the sample.
+FLAG_SAMPLES = 128
+FLAG_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -505,37 +509,34 @@ class Kernel:
             out[:, i] = el.evaluate_many(expr, x, y)
         return out
 
-    def flags(
-        self, box, sample_count: int = 128, seed: int = 0, tol: float = 1e-9
-    ) -> KernelFlags:
+    def flags(self, box, seed: int = 0) -> KernelFlags:
         """Verify skewness, affinity in the first argument, and vanishing on
-        the diagonal over a deterministic sample of the given box."""
+        the diagonal over FLAG_SAMPLES deterministic points of the given box,
+        each up to FLAG_TOL relative to the kernel's scale."""
         box = np.asarray(box, dtype=float)
         cache = self.__dict__.setdefault("_flag_cache", {})
-        key = (box.tobytes(), sample_count, seed, tol)
+        key = (box.tobytes(), seed)
         if key in cache:
             return cache[key]
         # one 3n-dimensional stream split into three independent point sets
-        u = sampling.unit_points(3 * self.n, sample_count, seed, base_dim=self.n)
+        u = sampling.unit_points(3 * self.n, FLAG_SAMPLES, seed, base_dim=self.n)
         lo, span = box[:, 0], box[:, 1] - box[:, 0]
         a = lo + u[:, : self.n] * span
         b = lo + u[:, self.n: 2 * self.n] * span
         c = lo + u[:, 2 * self.n:] * span
-        scale = 1.0 + float(np.max(np.abs(self.eval_many(a, b))))
-        skew = bool(
-            np.max(np.abs(self.eval_many(a, b) + self.eval_many(b, a))) <= tol * scale
+        ab = self.eval_many(a, b)
+        scale = 1.0 + float(np.max(np.abs(ab)))
+        skew = bool(np.max(np.abs(ab + self.eval_many(b, a))) <= FLAG_TOL * scale)
+        vanishes = bool(np.max(np.abs(self.eval_many(a, a))) <= FLAG_TOL * scale)
+        # affinity in the first argument along three points of each chord a -> b
+        affine = not any(
+            np.max(np.abs(
+                self.eval_many(lam * a + (1 - lam) * b, c)
+                - (lam * self.eval_many(a, c) + (1 - lam) * self.eval_many(b, c))
+            )) > FLAG_TOL * scale
+            for lam in (0.25, 0.5, 0.8)
         )
-        vanishes = bool(np.max(np.abs(self.eval_many(a, a))) <= tol * scale)
-        lams = np.array([0.25, 0.5, 0.8])
-        affine = True
-        for lam in lams:
-            mix = lam * a + (1 - lam) * b
-            lhs = self.eval_many(mix, c)
-            rhs = lam * self.eval_many(a, c) + (1 - lam) * self.eval_many(b, c)
-            if np.max(np.abs(lhs - rhs)) > tol * scale:
-                affine = False
-                break
-        out = KernelFlags(skew, affine, vanishes, sample_count, seed, tol)
+        out = KernelFlags(skew, affine, vanishes, FLAG_SAMPLES, seed, FLAG_TOL)
         cache[key] = out
         return out
 

@@ -77,6 +77,9 @@ def _ball_rows(
     """(count, copies, n) array of points in B(center, radius): rejection from
     the bounding box over a (copies * n)-dimensional stream, a row accepted
     only when all of its copies land in the ball."""
+    if not (np.isfinite(radius) and radius > 0.0):
+        # an empty ball spins to the give-up; a point ball makes checks vacuous
+        raise SamplingFailedError(f"ball radius must be finite and > 0, got {radius}")
     center = np.asarray(center, dtype=float)
     n = center.shape[0]
     lo, hi = center - radius, center + radius

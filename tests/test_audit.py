@@ -236,8 +236,7 @@ class TestVviReplay:
                 for x in xs[:, None]:
                     want = self._point_violation(variant, problem.f, problem.cone, kernel, xi, x)
                     got = _vvi_violation_mask(
-                        variant, problem.f, problem.cone, kernel, xi, x[None, :],
-                        "forall", 8, True,
+                        variant, problem.f, problem.cone, kernel, xi, x[None, :], "forall"
                     )[0][0]
                     assert got == want
                     seen.add(want)
@@ -265,7 +264,7 @@ class TestZeroEtaPairs:
         f = rounding.f.negated() if negated else rounding.f
         viol = _invex_violation_mask(
             cls, f, rounding.cone, rounding.kernel, np.asarray(rounding.e),
-            x[None, :], y[None, :], 8, True,
+            x[None, :], y[None, :],
         )
         assert not viol[0]
 

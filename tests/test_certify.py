@@ -39,6 +39,45 @@ def make_problem(components, e=(0.1, 0.1), kernel="difference", name="t"):
     )
 
 
+class TestSamplingPlan:
+    # perfbench/check.py compares this record with the stats of every verdict
+    def test_record_is_pinned(self):
+        assert SamplingPlan().to_dict() == {
+            "seed": 42,
+            "radius": 0.25,
+            "ballSampleCount": 10000,
+            "pairSampleCount": 10000,
+            "searchBox": None,
+            "simplexGridDepth": 8,
+            "excludeZeroEta": True,
+        }
+        plan = SamplingPlan(ball_sample_count=1000, pair_sample_count=1000)
+        assert plan.to_dict() == {
+            "seed": 42,
+            "radius": 0.25,
+            "ballSampleCount": 1000,
+            "pairSampleCount": 1000,
+            "searchBox": None,
+            "simplexGridDepth": 8,
+            "excludeZeroEta": True,
+        }
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"ball_sample_count": 0},
+            {"pair_sample_count": -3},
+            {"radius": -0.5},
+            {"radius": 0.0},
+            {"radius": float("nan")},
+            {"radius": float("inf")},
+        ],
+    )
+    def test_bad_effort_rejected(self, options):
+        with pytest.raises(ValueError):
+            SamplingPlan(**options)
+
+
 class TestQuasiEfficiency:
     def test_example5_certified(self, example5, light_plan):
         v = check_quasi_efficient(
@@ -79,7 +118,7 @@ class TestQuasiEfficiency:
         v = check_quasi_efficient(p.f, p.cone, p.kernel, p.e, [0.0], 0.25, plan=light_plan)
         x = np.asarray(v.witness["x"])
         again = _quasi_violation_mask(
-            p.f, p.cone, p.kernel, np.asarray(p.e), np.zeros(1), False, x[None, :], True
+            p.f, p.cone, p.kernel, np.asarray(p.e), np.zeros(1), False, x[None, :]
         )
         assert bool(again[0])
 
@@ -172,7 +211,7 @@ class TestInvexClasses:
         y = np.asarray(v.witness["y"])
         again = _invex_violation_mask(
             InvexClass.INVEX, example23.f, example23.cone, diff,
-            np.array([0.5, 0.5]), x[None, :], y[None, :], 8, True,
+            np.array([0.5, 0.5]), x[None, :], y[None, :],
         )
         assert bool(again[0])
 

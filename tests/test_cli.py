@@ -252,3 +252,80 @@ class TestDispatch:
         )
         assert code == 2 and report == {}
         assert "error: rejection sampling" in capsys.readouterr().err
+
+
+class TestInputErrors:
+    """Malformed command-line input exits 2 (exit 1 means refuted)."""
+
+    EFFICIENCY = ["check", "efficiency", "--problem", "example5", "--at", "0"]
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--samples", "0"],
+            ["--samples", "-3"],
+            ["--samples", "1.5"],
+            ["--samples", "abc"],
+            ["--r", "-0.5"],
+            ["--r", "0"],
+            ["--r", "nan"],
+            ["--r", "inf"],
+            ["--r", "abc"],
+        ],
+    )
+    def test_bad_effort_exit_two(self, extra):
+        code, report = dispatch(self.EFFICIENCY + extra)
+        assert code == 2 and report == {}
+
+    def test_bad_samples_on_every_command(self):
+        for argv in (
+            ["check", "invex", "--class", "invex", "--problem", "example5", "--at", "0"],
+            ["audit", "--problem", "example5", "--at", "0"],
+            ["repro", "example5"],
+        ):
+            assert dispatch(argv + ["--samples", "-3"]) == (2, {})
+
+    def test_bad_e_vector_exit_two(self, capsys):
+        code, report = dispatch(self.EFFICIENCY + ["--e", "abc"])
+        assert code == 2 and report == {}
+        assert "error: not a vector" in capsys.readouterr().err
+
+    def test_audit_generated_default_samples(self, monkeypatch):
+        from vvicert import audit
+
+        plans = []
+
+        def fake_run_matrix(rules, instances, plan):
+            plans.append(plan)
+            return audit.MatrixSummary([])
+
+        monkeypatch.setattr(audit, "run_matrix", fake_run_matrix)
+        base = ["audit", "--problem", "example5", "--at", "0", "--rules", "T3.3"]
+        dispatch(base)
+        dispatch(base + ["--generated", "1"])
+        dispatch(base + ["--generated", "1", "--samples", "300"])
+        assert [(p.ball_sample_count, p.pair_sample_count) for p in plans] == [
+            (10_000, 10_000), (2000, 2000), (300, 300)
+        ]
+
+
+class TestKernelAliases:
+    def test_gen_unknown_kernel_exit_two(self, capsys):
+        assert dispatch(["gen", "--kernel", "foo"]) == (2, {})
+        assert "unknown kernel" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alias", ["neg_norm", "negNorm", "NEG-NORM-DIFFERENCE"])
+    def test_gen_accepts_every_check_alias(self, alias):
+        _, want = dispatch(["gen", "--seed", "5", "--kernel", "negNormDifference"])
+        code, got = dispatch(["gen", "--seed", "5", "--kernel", alias])
+        assert code == 0
+        assert payload_bytes(got) == payload_bytes(want)
+        assert got["payload"]["problem"]["kernel"] == {"kind": "negNormDifference"}
+
+    def test_check_and_gen_share_aliases(self):
+        base = ["check", "invex", "--class", "invex", "--problem", "example23",
+                "--at", "0", "--samples", "300"]
+        _, want = dispatch(base + ["--kernel", "negNormDifference"])
+        code, got = dispatch(base + ["--kernel", "neg_norm"])
+        assert code == 0
+        assert payload_bytes(got) == payload_bytes(want)

@@ -8,7 +8,7 @@ from scipy.linalg import null_space
 
 import vvicert
 from vvicert import _alt
-from vvicert.cone import OrderingCone, _dedupe_rays, _extreme_rays
+from vvicert.cone import CONE_TOL, OrderingCone, _dedupe_rays, _extreme_rays
 from vvicert.errors import DimensionMismatchError
 
 
@@ -37,6 +37,37 @@ class TestMembership:
         assert orthant2.validate_e([0.5, 0.5])
         assert not orthant2.validate_e([1.0, 0.0])
         assert orthant2.validate_e([1e-6, 1e-6])
+
+    def test_scalar_tests_agree_with_batch(self):
+        """contains and strictly_contains agree with their batch forms and
+        with the halfspace inequalities, also on and near the facets. Rows
+        sit at least 5e-10 from a threshold: exactly on one, a single
+        rounding of N v decides, and a one-row product may round otherwise
+        than a batch."""
+        cones = [OrderingCone.orthant(m) for m in (1, 2, 3, 4)] + [
+            OrderingCone(normals=np.array([[1.0, 0.2, 0.0], [0.0, 1.0, 0.2], [0.2, 0.0, 1.0]])),
+            OrderingCone(generators=np.array([[1.0, 1.0], [0.0, 1.0]])),
+            OrderingCone(generators=np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 3.0]])),
+        ]
+        rng = np.random.default_rng(8)
+        for cone in cones:
+            m = cone.dim
+            v = rng.uniform(-1.0, 1.0, (400, m))
+            # project each row onto one facet, then nudge it across
+            facet = cone.normals[rng.integers(0, len(cone.normals), 400)]
+            on = v - np.sum(v * facet, axis=1, keepdims=True) * facet
+            nudge = rng.choice([-1e-8, -3e-9, -5e-10, 0.0, 5e-10, 3e-9, 1e-8], (400, 1))
+            v = np.vstack([v, on, on + nudge * facet, np.zeros((1, m))])
+            nv = v @ cone.normals.T
+            want = np.all(nv >= -cone.tol, axis=1)
+            want_strict = np.all(
+                nv > cone.margin * np.linalg.norm(v, axis=1, keepdims=True), axis=1
+            )
+            assert want.any() and not want.all() and want_strict.any()
+            assert np.array_equal(cone.contains_many(v), want)
+            assert np.array_equal(cone.strictly_contains_many(v), want_strict)
+            assert [cone.contains(row) for row in v] == want.tolist()
+            assert [cone.strictly_contains(row) for row in v] == want_strict.tolist()
 
     def test_dimension_mismatch(self, orthant2):
         with pytest.raises(DimensionMismatchError):
@@ -123,8 +154,8 @@ class TestConstruction:
 
     def test_orthant_matches_hand_built(self):
         for m in (1, 2, 3, 4):
-            cone = OrderingCone.orthant(m, margin=1e-8, tol=1e-7)
-            assert cone.dim == m and cone.margin == 1e-8 and cone.tol == 1e-7
+            cone = OrderingCone.orthant(m, margin=1e-8)
+            assert cone.dim == m and cone.margin == 1e-8 and cone.tol == CONE_TOL
             assert cone.is_orthant and cone.to_dict() == {"orthant": m}
             assert np.array_equal(cone.normals, np.eye(m))
             assert np.array_equal(cone.generators, np.eye(m))

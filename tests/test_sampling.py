@@ -187,6 +187,15 @@ class TestBallSampling:
                     assert gx.tobytes() == wx.tobytes()
                     assert gy.tobytes() == wy.tobytes()
 
+    @pytest.mark.parametrize("radius", [-0.5, 0.0, float("nan")])
+    def test_empty_or_point_ball_refused_at_once(self, radius):
+        start = time.perf_counter()
+        with pytest.raises(SamplingFailedError):
+            sampling.ball_points(np.zeros(1), radius, 1000, 42)
+        with pytest.raises(SamplingFailedError):
+            sampling.ball_pairs(np.zeros(2), radius, 1000, 42)
+        assert time.perf_counter() - start < 1.0
+
     def test_stalled_rejection_raises_toolkit_error(self):
         # in 16 dimensions almost no pair of the bounding box lands in the ball
         start = time.perf_counter()
