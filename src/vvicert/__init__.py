@@ -40,6 +40,7 @@ from .errors import (
     GenerationFailedError,
     InconsistentPiecesError,
     InvalidEError,
+    InvalidSeedError,
     NoActivePieceError,
     NonSmoothOperatorError,
     OutOfDomainError,
@@ -71,6 +72,7 @@ __all__ = [
     "GordanCertificate",
     "InconsistentPiecesError",
     "InvalidEError",
+    "InvalidSeedError",
     "InvexClass",
     "JacobianPolytope",
     "Kernel",

@@ -20,6 +20,8 @@ Two mechanisms keep false violations out:
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -197,13 +199,55 @@ def _tile(xi: np.ndarray, count: int) -> np.ndarray:
     return np.tile(xi[None, :], (count, 1))
 
 
+def _digest(*parts) -> bytes:
+    """16-byte digest of the content of arrays (dtype, shape and values) and
+    of JSON-encodable values, so that memo keys never hold sample arrays."""
+    h = hashlib.blake2b(digest_size=16)
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            data = f"{part.dtype.str}{part.shape}".encode() + part.tobytes()
+        else:
+            data = json.dumps(part, sort_keys=True).encode()
+        h.update(len(data).to_bytes(8, "little"))
+        h.update(data)
+    return h.digest()
+
+
+def _checked(problem: Problem, key: tuple, checker, *args, **kwargs) -> Verdict:
+    """checker(*args, **kwargs), run at most once per problem for each key.
+
+    Rules on one problem share hypotheses (pseudo1(f) underlies R4.0 and
+    T4.6, the SVVI T3.1 and T3.3), so the verdicts live on the problem,
+    next to the probe and flag caches of its f and kernel. The key is the
+    checker object itself, so a replaced or wrapped checker is called anew,
+    plus the content of every input it reads. A VviCertError outcome is
+    kept and raised again. Rows that share a verdict hold the same object.
+    """
+    memo = problem.__dict__.setdefault("_verdict_memo", {})
+    key = (checker,) + key
+    if key not in memo:
+        try:
+            memo[key] = checker(*args, **kwargs)
+        except VviCertError as exc:
+            memo[key] = exc.with_traceback(None)  # keep no checker frames alive
+    out = memo[key]
+    if isinstance(out, VviCertError):
+        raise out
+    return out
+
+
 def audit_rule(
     rule: TheoremRule,
     problem: Problem,
     point,
     plan: Optional[SamplingPlan] = None,
 ) -> AuditResult:
-    """Run one rule on one instance at one base point."""
+    """Run one rule on one instance at one base point.
+
+    Checker verdicts are shared across rules on the same problem object:
+    a hypothesis that another rule already checked with the same inputs
+    (kernel, cone, e, point, plan and injected samples) is not checked again.
+    """
     if isinstance(rule, str):
         rule = RULES[rule]
     plan = plan or SamplingPlan()
@@ -235,23 +279,37 @@ def audit_rule(
         )
 
 
+def _inputs_digest(problem: Problem, xi: np.ndarray, plan: SamplingPlan) -> bytes:
+    """The inputs every checker call of one audit reads, besides the rule's
+    own choices and injected samples."""
+    return _digest(
+        problem.f.to_dict(), problem.kernel.to_dict(), problem.cone.normals,
+        problem.cone.margin, problem.e, xi, plan.to_dict(),
+    )
+
+
 def _audit_forward(rule, problem, xi, plan, hyp, notes, label) -> AuditResult:
     f, cone, kernel, e = problem.f, problem.cone, problem.kernel, problem.e
     r = plan.radius
+    inputs = _inputs_digest(problem, xi, plan)
     ball = sampling.ball_points(xi, r, plan.ball_sample_count, plan.seed)
     fn = f.negated() if rule.negated else f
     pairs = (ball, _tile(xi, ball.shape[0]))  # pairs (x, xi), or (xi, x) on -f
     if rule.negated:
         pairs = pairs[::-1]
 
-    hyp[rule.class_key] = check_invex_class(
-        rule.invex_class, fn, cone, kernel, e, xi, r, plan, extra_pairs=pairs
+    hyp[rule.class_key] = _checked(
+        problem, (inputs, rule.class_key, _digest(*pairs)), check_invex_class,
+        rule.invex_class, fn, cone, kernel, e, xi, r, plan, extra_pairs=pairs,
     )
     if rule.variant is None:
-        hyp["critical"] = check_vector_critical(f, cone, xi, plan)
+        hyp["critical"] = _checked(
+            problem, (inputs,), check_vector_critical, f, cone, xi, plan
+        )
     else:
-        hyp[rule.variant.value] = check_vvi(
-            rule.variant, f, cone, kernel, xi, plan, extra_points=ball
+        hyp[rule.variant.value] = _checked(
+            problem, (inputs, rule.variant.value, _digest(ball)), check_vvi,
+            rule.variant, f, cone, kernel, xi, plan, extra_points=ball,
         )
 
     not_certified = [
@@ -263,8 +321,9 @@ def _audit_forward(rule, problem, xi, plan, hyp, notes, label) -> AuditResult:
             notes + [f"hypotheses not certified: {', '.join(not_certified)}"],
         )
 
-    conclusion = check_quasi_efficient(
-        f, cone, kernel, e, xi, r, weak=rule.weak, plan=plan
+    conclusion = _checked(
+        problem, (inputs, rule.weak), check_quasi_efficient,
+        f, cone, kernel, e, xi, r, weak=rule.weak, plan=plan,
     )
     if not conclusion.refuted:
         return AuditResult(rule.rule_id, label, hyp, conclusion, CONSISTENT, notes)
@@ -309,8 +368,12 @@ def _audit_t41(rule, problem, xi, plan, hyp, notes, label) -> AuditResult:
     r = plan.radius
     fn = f.negated() if rule.negated else f
     ball = sampling.ball_points(xi, r, plan.ball_sample_count, plan.seed)
+    inputs = _inputs_digest(problem, xi, plan)
 
-    vvi = check_vvi(rule.variant, f, cone, kernel, xi, plan, extra_points=ball)
+    vvi = _checked(
+        problem, (inputs, rule.variant.value, _digest(ball)), check_vvi,
+        rule.variant, f, cone, kernel, xi, plan, extra_points=ball,
+    )
     hyp[f"{rule.variant.value}-refuted"] = vvi
     if not vvi.refuted:
         return AuditResult(
@@ -321,12 +384,10 @@ def _audit_t41(rule, problem, xi, plan, hyp, notes, label) -> AuditResult:
     segment = _segment_points(xi, x_hat, r)
 
     # pairs (x, xi) along the witness segment and the ball
-    hyp[rule.class_key] = check_invex_class(
-        rule.invex_class, fn, cone, kernel, e, xi, r, plan,
-        extra_pairs=(
-            np.vstack([segment, ball]),
-            _tile(xi, segment.shape[0] + ball.shape[0]),
-        ),
+    pairs = (np.vstack([segment, ball]), _tile(xi, segment.shape[0] + ball.shape[0]))
+    hyp[rule.class_key] = _checked(
+        problem, (inputs, rule.class_key, _digest(*pairs)), check_invex_class,
+        rule.invex_class, fn, cone, kernel, e, xi, r, plan, extra_pairs=pairs,
     )
     if not hyp[rule.class_key].certified:
         return AuditResult(
@@ -334,8 +395,9 @@ def _audit_t41(rule, problem, xi, plan, hyp, notes, label) -> AuditResult:
             notes + ["quasi type II hypothesis on -f not certified"],
         )
 
-    conclusion = check_quasi_efficient(
-        f, cone, kernel, e, xi, r, weak=rule.weak, plan=plan, extra_points=segment
+    conclusion = _checked(
+        problem, (inputs, rule.weak, _digest(segment)), check_quasi_efficient,
+        f, cone, kernel, e, xi, r, weak=rule.weak, plan=plan, extra_points=segment,
     )
     if conclusion.refuted:
         return AuditResult(rule.rule_id, label, hyp, conclusion, CONSISTENT, notes)
@@ -390,6 +452,8 @@ class RandomInstanceSpec:
     kernel_kind: str = "difference"
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise GenerationFailedError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.n <= 3 or not 1 <= self.m <= 3:
             raise GenerationFailedError("dimensions must satisfy 1 <= n, m <= 3")
         if not 1 <= self.degree <= 3:

@@ -189,26 +189,18 @@ def _stack_points(parts: Sequence[np.ndarray], n: int) -> np.ndarray:
     return np.vstack(parts)
 
 
-def _probe_pairs(f: PiecewiseVectorFn, x0: np.ndarray, r: float):
+def _probe_pairs(x0: np.ndarray, probes: np.ndarray):
     """Ordered pairs over {center} + the first 12 boundary probes; the
     structured prefix of every pair stream. Pairs are enumerated with the
     center first and probes in lexicographic order, so witnesses are
     plan-deterministic."""
-    probes = boundary_probes(f, x0, r)
-    pts = [np.asarray(x0, dtype=float)]
+    pts = np.asarray(x0, dtype=float)[None, :]
     for p in probes[:12]:
-        if not any(np.max(np.abs(p - q)) <= 1e-15 for q in pts):
-            pts.append(p)
-    xs, ys = [], []
-    for a in pts:
-        for b in pts:
-            if np.max(np.abs(a - b)) <= 1e-15:
-                continue
-            xs.append(a)
-            ys.append(b)
-    if not xs:
-        return np.empty((0, f.n)), np.empty((0, f.n))
-    return np.array(xs), np.array(ys)
+        if not np.any(np.max(np.abs(pts - p), axis=1) <= 1e-15):
+            pts = np.vstack([pts, p])
+    close = np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=2) <= 1e-15
+    first, second = np.nonzero(~close)
+    return pts[first], pts[second]
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +532,7 @@ def check_invex_class(
     f.require_inside(x0, "x0")
     f.require_ball_inside(x0, r)
 
-    px, py = _probe_pairs(f, x0, r)
+    px, py = _probe_pairs(x0, boundary_probes(f, x0, r))
     sx, sy = sampling.ball_pairs(x0, r, plan.pair_sample_count, plan.seed)
     ex, ey = extra_pairs if extra_pairs is not None else (None, None)
     xs = _stack_points([px, ex, sx], f.n)

@@ -26,7 +26,7 @@ from .certify import (
     check_vector_critical,
     check_vvi,
 )
-from .errors import VviCertError
+from .errors import InvalidSeedError, VviCertError
 from .model import Kernel
 from .problem import Problem
 
@@ -101,10 +101,18 @@ def _resolve_kernel(problem: Problem, name: str | None) -> Kernel:
 
 
 def _resolve_seed(args) -> int:
-    """--seed, else the VVICERT_SEED environment variable, else DEFAULT_SEED."""
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get(SEED_ENV_VAR, DEFAULT_SEED))
+    """--seed, else the VVICERT_SEED environment variable, else DEFAULT_SEED.
+    Seeds feed numpy's SeedSequence, which takes only non-negative integers."""
+    seed = args.seed
+    if seed is None:
+        text = os.environ.get(SEED_ENV_VAR)
+        try:
+            seed = DEFAULT_SEED if text is None else int(text)
+        except ValueError:
+            raise InvalidSeedError(f"{SEED_ENV_VAR}={text!r} is not an integer") from None
+    if seed < 0:
+        raise InvalidSeedError(f"seed must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _plan_from_args(args) -> SamplingPlan:
@@ -377,6 +385,7 @@ def dispatch(argv) -> tuple[int, dict]:
         return (int(exc.code) if exc.code else 0), {}
     started = time.perf_counter()
     try:
+        seed = _resolve_seed(args)
         code, payload, problem = args.handler(args)
     except VviCertError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -386,7 +395,7 @@ def dispatch(argv) -> tuple[int, dict]:
         "command": ["vvicert"] + list(argv),
         "toolVersion": __version__,
         "problemHash": problem.content_hash() if problem is not None else None,
-        "seed": _resolve_seed(args),
+        "seed": seed,
         "payload": payload,
         "elapsedSeconds": elapsed,
     }

@@ -57,5 +57,9 @@ class GenerationFailedError(VviCertError):
     """Random instance generation failed after bounded retries."""
 
 
+class InvalidSeedError(VviCertError):
+    """A sampling or generation seed is not a non-negative integer."""
+
+
 class SamplingFailedError(VviCertError):
     """Rejection sampling used up its bounded draw without filling the request."""

@@ -1,4 +1,6 @@
+import functools
 import json
+from enum import Enum
 
 import numpy as np
 import pytest
@@ -13,8 +15,10 @@ from vvicert.certify import (
     _invex_violation_mask,
     _vvi_violation_mask,
 )
-from vvicert.errors import GenerationFailedError
-from vvicert.model import Kernel
+from vvicert.cli import load_problem
+from vvicert.cone import OrderingCone
+from vvicert.errors import GenerationFailedError, OutOfDomainError
+from vvicert.model import Kernel, PiecewiseVectorFn
 from vvicert.problem import Problem
 
 
@@ -296,6 +300,9 @@ class TestGenerateInstance:
     def test_degenerate_spec_rejected(self):
         with pytest.raises(GenerationFailedError):
             audit.generate_instance(audit.RandomInstanceSpec(seed=1, piece_count=0))
+        # numpy's SeedSequence takes no negative seed
+        with pytest.raises(GenerationFailedError):
+            audit.RandomInstanceSpec(seed=-1)
 
     def test_generated_point_inside_domain(self):
         for seed in range(5):
@@ -341,7 +348,9 @@ class TestRunMatrix:
     def test_reproducible_summary(self, example5, plan):
         payloads = []
         for _ in range(2):
-            summary = audit.run_matrix(["T3.3", "T4.6"], [(example5, "xi")], plan)
+            # a new problem object each time, so no verdict comes from its memo
+            fresh = Problem.from_dict(example5.to_dict())
+            summary = audit.run_matrix(["T3.3", "T4.6"], [(fresh, "xi")], plan)
             payloads.append(json.dumps(summary.to_payload(), sort_keys=True))
         assert payloads[0] == payloads[1]
 
@@ -361,3 +370,143 @@ class TestRunMatrix:
         summary = audit.run_matrix(["T3.3"], [(example5, "xi")], plan)
         text = summary.table()
         assert "T3.3" in text and "violations: 0" in text
+
+
+CHECKERS = ("check_invex_class", "check_vvi", "check_quasi_efficient", "check_vector_critical")
+
+
+def _canon(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _content(value):
+    """Hashable content of a checker argument, to spot a repeated call."""
+    if isinstance(value, np.ndarray):
+        return ("array", value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, (tuple, list)):
+        return tuple(_content(v) for v in value)
+    if isinstance(value, dict):
+        return tuple(sorted((k, _content(v)) for k, v in value.items()))
+    if isinstance(value, (PiecewiseVectorFn, Kernel, SamplingPlan)):
+        return _canon(value.to_dict())
+    if isinstance(value, OrderingCone):
+        return (_content(value.normals), value.margin)
+    if isinstance(value, Enum):
+        return value.value
+    return value
+
+
+def _fresh(problem: Problem) -> Problem:
+    return Problem.from_dict(problem.to_dict())
+
+
+class TestVerdictMemo:
+    """Rules on one problem object share checker verdicts, keyed by the
+    checker and the content of its inputs."""
+
+    @staticmethod
+    def _instances():
+        ex23_diff = load_problem("example23")
+        ex23_diff.kernel = Kernel("difference", ex23_diff.f.n)  # as --kernel does
+        out = [(load_problem("example5"), "xi"), (load_problem("example23"), "x0"),
+               (ex23_diff, "x0")]
+        for i in range(6):  # one turn of the criterion-10 shape rotation
+            spec = audit.RandomInstanceSpec(
+                seed=500 + i, n=1 + i % 3, m=2 + i % 2, piece_count=1 + i % 3,
+                degree=1 + i % 3, kernel_kind=["difference", "negNormDifference"][i % 2],
+            )
+            out.append((audit.generate_instance(spec), "x0"))
+        return out
+
+    def test_shared_problem_matches_fresh_problem_per_rule(self, plan):
+        rules = sorted(audit.RULES)
+        for problem, at in self._instances():
+            shared = [_canon(audit.audit_rule(r, problem, at, plan).to_payload())
+                      for r in rules]
+            fresh = [_canon(audit.audit_rule(r, _fresh(problem), at, plan).to_payload())
+                     for r in rules]
+            assert shared == fresh, problem.name
+
+    def test_no_checker_call_repeats_on_one_problem(self, monkeypatch, plan):
+        # the memo is per problem: example23 under two kernels is two problems
+        # and may check its criticality twice
+        seen = {name: set() for name in CHECKERS}
+        repeats = []
+
+        def recording(name, checker):
+            def wrapper(*args, **kwargs):
+                key = _content((args, kwargs))
+                if key in seen[name]:
+                    repeats.append(name)
+                seen[name].add(key)
+                return checker(*args, **kwargs)
+            return wrapper
+
+        for name in CHECKERS:
+            monkeypatch.setattr(audit, name, recording(name, getattr(audit, name)))
+        ran = set()
+        for problem, at in self._instances():
+            audit.run_matrix(sorted(audit.RULES), [(problem, at)], plan)
+            assert repeats == [], problem.name
+            ran.update(name for name, keys in seen.items() if keys)
+            for keys in seen.values():
+                keys.clear()
+        assert ran == set(CHECKERS)
+
+    @pytest.mark.parametrize(
+        "attr, value",
+        [("kernel", Kernel("difference", 1)), ("e", np.array([0.3, 0.7]))],
+    )
+    def test_reassigned_input_never_served_stale(self, plan, attr, value):
+        problem = load_problem("example23")
+        original = getattr(problem, attr)
+        rules = sorted(audit.RULES)
+
+        def rows(p):
+            return [_canon(audit.audit_rule(r, p, "x0", plan).to_payload()) for r in rules]
+
+        before = rows(problem)
+        setattr(problem, attr, value)
+        after = rows(problem)
+        assert after == rows(_fresh(problem))
+        assert after != before
+        setattr(problem, attr, original)
+        assert rows(problem) == before
+
+    @pytest.mark.parametrize(
+        "rid, called",
+        [("T3.1", ["check_invex_class", "check_vvi", "check_quasi_efficient"]),
+         ("T4.6", ["check_invex_class", "check_vector_critical", "check_quasi_efficient"])],
+    )
+    def test_replaced_checker_is_called(self, monkeypatch, balanced, plan, rid, called):
+        before = audit.audit_rule(rid, balanced, "xi", plan).to_payload()
+        calls = []
+        for name in CHECKERS:
+            real = getattr(audit, name)
+
+            # same name as the checker, so a memo keyed by name would hit
+            @functools.wraps(real)
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(audit, name, counted)
+        after = audit.audit_rule(rid, balanced, "xi", plan).to_payload()
+        assert calls == called
+        assert _canon(after) == _canon(before)
+
+    def test_checker_error_kept_and_raised_again(self, monkeypatch, plan):
+        calls = []
+
+        def raising(*args, **kwargs):
+            calls.append(1)
+            raise OutOfDomainError("ball leaves the domain")
+
+        monkeypatch.setattr(audit, "check_invex_class", raising)
+        problem = _one_piece("raising", ["x1", "-x1"])
+        # R4.0 and T4.6 share the pseudo1(f) hypothesis
+        rows = [audit.audit_rule(r, problem, "xi", plan) for r in ("R4.0", "T4.6")]
+        assert len(calls) == 1
+        for row in rows:
+            assert row.outcome == "HypothesisNotCertified"
+            assert row.notes == ["checker error treated as inapplicable: ball leaves the domain"]

@@ -346,6 +346,52 @@ class TestHullExistsRefine:
         assert time.perf_counter() - start < 0.5
 
 
+def _probe_pairs_reference(x0, probes):
+    """One pair at a time: the loop the array form of _probe_pairs must match."""
+    pts = [np.asarray(x0, dtype=float)]
+    for p in probes[:12]:
+        if not any(np.max(np.abs(p - q)) <= 1e-15 for q in pts):
+            pts.append(p)
+    xs, ys = [], []
+    for a in pts:
+        for b in pts:
+            if np.max(np.abs(a - b)) <= 1e-15:
+                continue
+            xs.append(a)
+            ys.append(b)
+    if not xs:
+        return np.empty((0, len(x0))), np.empty((0, len(x0)))
+    return np.array(xs), np.array(ys)
+
+
+class TestProbePairs:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_pair_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 1 + seed % 3
+        x0 = np.round(rng.uniform(-1.0, 1.0, size=n), 2)
+        count = int(rng.integers(0, 17))  # 0: no probes; > 12: a cut tail
+        probes = np.round(rng.uniform(-1.0, 1.0, size=(count, n)), 3)
+        if count >= 4:
+            # a row within 1e-15 of the center, one exactly 1e-15 off an
+            # earlier probe and one just beyond that
+            probes[1] = x0 + 5e-16
+            probes[0] = 0.0
+            probes[2] = probes[3] = 0.0
+            probes[2, 0] = 1e-15
+            probes[3, -1] = 3e-15
+        got = certify._probe_pairs(x0, probes)
+        want = _probe_pairs_reference(x0, probes)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    def test_no_probes_no_pairs(self):
+        for probes in (np.empty((0, 2)), np.zeros((3, 2))):
+            xs, ys = certify._probe_pairs(np.zeros(2), probes)
+            assert xs.shape == ys.shape == (0, 2)
+
+
 class TestDeterminism:
     def test_identical_plan_identical_payload(self, example5):
         plan = SamplingPlan(seed=7, ball_sample_count=800, pair_sample_count=800)

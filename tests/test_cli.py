@@ -285,6 +285,22 @@ class TestInputErrors:
         ):
             assert dispatch(argv + ["--samples", "-3"]) == (2, {})
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["gen", "--seed", "-1"], EFFICIENCY + ["--seed", "-1"],
+         ["audit", "--problem", "example5", "--at", "0", "--seed", "-2", "--generated", "1"]],
+    )
+    def test_negative_seed_exit_two(self, capsys, argv):
+        assert dispatch(argv) == (2, {})
+        assert "error: seed must be a non-negative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "-7"])
+    def test_bad_seed_env_exit_two(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("VVICERT_SEED", value)
+        for argv in (["gen"], self.EFFICIENCY, ["jacobian", "--problem", "example5", "--at", "0"]):
+            assert dispatch(argv) == (2, {})
+        assert "error:" in capsys.readouterr().err
+
     def test_bad_e_vector_exit_two(self, capsys):
         code, report = dispatch(self.EFFICIENCY + ["--e", "abc"])
         assert code == 2 and report == {}
