@@ -5,10 +5,15 @@ Gordan's alternative, the strictly interior multiplier of vector criticality
 and the interior witness of an ordering cone are linear-algebra questions
 first (Mangasarian, *Nonlinear Programming*, 1969, ch. 2). An SVD of A gives
 the null space of A^T, and its dimension settles most instances in closed
-form. The LP (HiGHS through ``scipy.optimize.linprog``, imported on first
-use) runs only where the rank is in doubt, where the null space has more
-than one dimension, or where a closed-form certificate fails the same
-re-verification an LP certificate must pass.
+form. A one-column A (n = 1) is settled in closed form whatever the
+dimension of that null space: Gordan's alternative from the signs of N A
+under any cone, and the multiplier from a one-dimensional problem in N mu
+under a simplicial cone. The LP (HiGHS through ``scipy.optimize.linprog``,
+imported on first use) runs only where the rank is in doubt, where the null
+space has more than one dimension and A more than one column, where the
+multiplier of a one-column A is sought under a non-simplicial cone, or where
+a closed-form certificate fails the same re-verification an LP certificate
+must pass.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateError
+from .errors import DegenerateError, DimensionMismatchError
 
 # singular values relative to the largest: above RANK_NONZERO a value counts
 # as nonzero, at or below RANK_ZERO as zero; one in between leaves the rank
@@ -72,6 +77,18 @@ def null_basis(A: np.ndarray) -> Optional[np.ndarray]:
     return u[:, int(np.count_nonzero(ratio > RANK_NONZERO)):]
 
 
+def check_matrix(A: np.ndarray, m: int) -> None:
+    """Raise DimensionMismatchError unless A is a nonempty m x n matrix, m
+    the dimension of the cone, and DegenerateError if an entry of A is not
+    finite."""
+    if A.ndim != 2 or A.shape[0] != m or A.size == 0:
+        raise DimensionMismatchError(
+            f"matrix of shape {A.shape} against a cone of dimension {m}"
+        )
+    if not np.all(np.isfinite(A)):
+        raise DegenerateError("matrix has a non-finite entry")
+
+
 def interior_witness(normals: np.ndarray, margin: float) -> np.ndarray:
     """Unit vector w with N w > margin for the cone {v : N v >= 0}.
 
@@ -103,8 +120,11 @@ def strict_mu(A: np.ndarray, normals: np.ndarray):
     or (None, None) when infeasible.
 
     A positive optimum certifies a strictly interior mu annihilating A^T.
-    Since N mu >= s sums to a.mu = 1, s <= 1 never binds.
+    Since N mu >= s sums to a.mu = 1, s <= 1 never binds. Closed forms
+    decide a null space of dimension 0 or 1 and, under a simplicial cone, a
+    one-column A (``_one_column_mu``); the LP decides the rest.
     """
+    check_matrix(A, normals.shape[1])
     m = A.shape[0]
     h = normals.shape[0]
     a = normals.sum(axis=0)
@@ -121,6 +141,9 @@ def strict_mu(A: np.ndarray, normals: np.ndarray):
             mu = v / av
             s = float(np.min(normals @ mu))
             return (None, None) if s < -1.0 else (mu, s)
+    if basis is not None and A.shape[1] == 1 and h == m:
+        _count("rankDecided")
+        return _one_column_mu(A[:, 0], normals)
 
     # the feasible mu do not depend on the scale of A; HiGHS's absolute
     # tolerances do, so the LP sees a unit-scale copy
@@ -141,6 +164,38 @@ def strict_mu(A: np.ndarray, normals: np.ndarray):
     if not res.success:
         return None, None
     return res.x[:m], float(res.x[-1])
+
+
+def _one_column_mu(col: np.ndarray, normals: np.ndarray):
+    """``strict_mu`` for a one-column A under a simplicial cone (square N).
+
+    With w = N mu and b = N^-T col the LP reads max min w subject to
+    sum w = 1 and b.w = 0. An optimal w is s everywhere except at one
+    coordinate k, which takes the remainder 1 - (m - 1) s: the smallest b_k
+    when sum b > 0, the largest when sum b < 0 (sum b = 0 gives w = 1/m). Then
+    b.w = 0 gives s = b_k / (m b_k - sum b). A positive s needs b of both
+    signs; b of one sign gives s <= 0, and a constant nonzero b, or s < -1,
+    is infeasible.
+    """
+    m = normals.shape[0]
+    # s does not depend on the scale of col; a subnormal col would lose it
+    peak = float(np.max(np.abs(col)))
+    b = np.linalg.solve(normals.T, col / peak if peak > 0.0 else col)
+    total = float(np.sum(b))
+    if total == 0.0:
+        w = np.full(m, 1.0 / m)
+    else:
+        k = int(np.argmin(b)) if total > 0.0 else int(np.argmax(b))
+        denominator = m * b[k] - total
+        if denominator == 0.0:
+            return None, None
+        s = float(b[k] / denominator)
+        if s < -1.0:
+            return None, None
+        w = np.full(m, s)
+        w[k] = 1.0 - (m - 1) * s
+    mu = np.linalg.solve(normals, w)
+    return mu, float(np.min(normals @ mu))
 
 
 @dataclass
@@ -184,6 +239,31 @@ def _certificate_two(y: np.ndarray, z: np.ndarray, cone) -> GordanCertificate:
     return GordanCertificate(2, y=y, dual_coords=z, strictness=float(np.linalg.norm(y)))
 
 
+def _one_column_gordan(A: np.ndarray, col: np.ndarray, cone) -> Optional[GordanCertificate]:
+    """Gordan's alternative for a one-column A, where col = N A[:, 0].
+
+    If every entry of col is < 0 (> 0), x = [1] ([-1]) is alternative 1.
+    Otherwise z >= 0 with col.z = 0 and sum z = 1 is alternative 2: z = e_k
+    at the first exact zero of col, else z on the largest positive and the
+    most negative entry, weighted by each other's magnitude. None when the
+    certificate fails re-verification.
+    """
+    if np.all(col < 0.0) or np.all(col > 0.0):
+        x = np.array([1.0 if col[0] < 0.0 else -1.0])
+        t = float(np.min(-col * x[0]))
+        return GordanCertificate(1, x=x, strictness=t) if _alternative_one(A, x, t, cone) else None
+    z = np.zeros(col.size)
+    zeros = np.flatnonzero(col == 0.0)
+    if zeros.size:
+        z[zeros[0]] = 1.0
+    else:
+        i, j = int(np.argmax(col)), int(np.argmin(col))
+        z[i], z[j] = -col[j], col[i]
+        z = z / (z[i] + z[j])
+    y = cone.normals.T @ z
+    return _certificate_two(y, z, cone) if _alternative_two(A, y) else None
+
+
 def gordan(A: np.ndarray, cone) -> GordanCertificate:
     """Gordan's alternative for a unit-scale A against the cone's normals N:
     x with N A x < 0 (strictness min(-N A x)), or z >= 0 with sum z = 1 and
@@ -196,9 +276,11 @@ def gordan(A: np.ndarray, cone) -> GordanCertificate:
       Otherwise z has entries of both signs, and some p < 0 has z.p = 0; then
       u = N^-1 p is orthogonal to v, so it lies in the range of A.
 
-    Then x = A^+ u, scaled to |x|_inf = 1. A closed form that fails
-    re-verification falls through to the pair of LPs. Numerically ambiguous
-    instances raise DegenerateError.
+    Then x = A^+ u, scaled to |x|_inf = 1. A one-column A that these leave
+    undecided, under any cone, is decided from the signs of M = N A
+    (``_one_column_gordan``). A closed form that fails re-verification falls
+    through to the pair of LPs.
+    Numerically ambiguous instances raise DegenerateError.
     """
     normals = cone.normals
     M = normals @ A  # A x in -int C  iff  M x < 0 componentwise
@@ -228,6 +310,11 @@ def gordan(A: np.ndarray, cone) -> GordanCertificate:
         if _alternative_one(A, x, t, cone):
             _count("rankDecided")
             return GordanCertificate(1, x=x, strictness=t)
+    if basis is not None and n == 1:
+        cert = _one_column_gordan(A, M[:, 0], cone)
+        if cert is not None:
+            _count("rankDecided")
+            return cert
 
     # LP1: max t subject to M x + t <= 0, |x| <= 1, 0 <= t <= 1
     c = np.zeros(n + 1)

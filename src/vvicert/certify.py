@@ -581,20 +581,20 @@ def gordan_alternative(A, cone: Optional[OrderingCone] = None) -> GordanCertific
     Either some x solves A x <_C 0, or some nonzero y >=_C 0 solves A^T y = 0,
     never both. Decided from the rank of A where it is clear, otherwise by a
     pair of small linear programs; numerically ambiguous instances raise
-    DegenerateError instead of guessing.
+    DegenerateError instead of guessing. A matrix whose shape does not fit
+    the cone, or that has no column, raises DimensionMismatchError, and one
+    with a non-finite entry raises DegenerateError.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
+    _alt.check_matrix(A, A.shape[0] if cone is None else cone.dim)
     # both branches are invariant under A -> cA (c > 0); on a unit-scale copy
     # the absolute thresholds of the re-verification mean the same for every
     # scale of A
     peak = float(np.max(np.abs(A)))
     if peak > 0.0:
         A = A / peak
-    m = A.shape[0]
     if cone is None:
-        cone = OrderingCone.orthant(m)
-    if cone.dim != m:
-        raise DegenerateError(f"matrix has {m} rows, cone dimension is {cone.dim}")
+        cone = OrderingCone.orthant(A.shape[0])
     return _alt.gordan(A, cone)
 
 

@@ -26,7 +26,7 @@ from vvicert.errors import DegenerateError
 from conftest import random_smooth_expr
 
 
-CRITERION_10_SHA256 = "29df99b0d6c509cfec84a213ae23a3b597d1836ff317d632f943f163fa7b3960"
+CRITERION_10_SHA256 = "a0501d070118a4cc5065d1c3b4ccbb0d8f956db1cd61a1a0f1c7e66a5dc6415b"
 
 
 def _line(num: int, ok: bool, desc: str, detail: str = ""):

@@ -1,16 +1,20 @@
+import functools
+import itertools
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from vvicert import _alt
+from vvicert import _alt, audit
 from vvicert.certify import (
     SamplingPlan,
     check_vector_critical,
     gordan_alternative,
 )
 from vvicert.cone import OrderingCone
-from vvicert.errors import DegenerateError
+from vvicert.errors import DegenerateError, DimensionMismatchError
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +85,33 @@ class TestGordanExamples:
                     assert cone.strictly_contains(-(a @ cert.x))
                 else:
                     assert np.max(np.abs(a.T @ cert.y)) <= 1e-7
+
+
+class TestBadInput:
+    # each is rejected with a VviCertError subclass before any SVD or LP
+
+    def test_non_finite_matrix(self, orthant2):
+        for bad in (np.nan, np.inf, -np.inf):
+            a = np.array([[1.0], [bad]])
+            with pytest.raises(DegenerateError, match="non-finite"):
+                gordan_alternative(a, orthant2)
+            with pytest.raises(DegenerateError, match="non-finite"):
+                _alt.strict_mu(a, orthant2.normals)
+
+    def test_matrix_without_columns(self, orthant2):
+        with pytest.raises(DimensionMismatchError):
+            gordan_alternative(np.zeros((2, 0)), orthant2)
+        with pytest.raises(DimensionMismatchError):
+            gordan_alternative(np.zeros((2, 0)))
+        with pytest.raises(DimensionMismatchError):
+            _alt.strict_mu(np.zeros((2, 0)), orthant2.normals)
+
+    def test_cone_of_another_dimension(self, orthant2):
+        with pytest.raises(DimensionMismatchError):
+            gordan_alternative(np.ones((3, 1)), orthant2)
+        with pytest.raises(DimensionMismatchError):
+            _alt.strict_mu(np.ones((3, 1)), orthant2.normals)
+
 
 class TestGordanDichotomy:
     def test_thousand_random_matrices(self):
@@ -229,6 +260,22 @@ class TestRankAgainstLp:
         _gordan_outcome(a, cone)
         assert len(calls) >= 2
 
+    def test_one_column_solves_no_lp(self):
+        counts = {}
+        with _alt.counting(counts):
+            for a, cone in _agreement_cases():
+                for scale in (1e-9, 1.0, 1e9) if a.shape[1] == 1 else ():
+                    _gordan_outcome(scale * a, cone)
+                    _alt.strict_mu(scale * a, cone.normals)
+            # the n = 1 instances of acceptance criterion 10 at their base point
+            for i in range(0, 100, 3):
+                inst = audit.generate_instance(audit.RandomInstanceSpec(
+                    seed=i, n=1, m=2 + i % 2, piece_count=1, degree=1,
+                    kernel_kind=["difference", "negNormDifference"][i % 2],
+                ))
+                check_vector_critical(inst.f, inst.cone, inst.point("x0"), SamplingPlan())
+        assert counts["lpSolved"] == 0 and counts["rankDecided"] > 0
+
     def test_counters_in_criticality_stats(self, example5, example23):
         # example5 at 0: the first mixture has a one-dimensional null space
         # and is critical; example23 at 0: 9 mixtures (1, k), each with a
@@ -237,21 +284,140 @@ class TestRankAgainstLp:
         assert (v.stats["rankDecided"], v.stats["lpSolved"]) == (1, 0)
         v = check_vector_critical(example23.f, example23.cone, [0.0], SamplingPlan())
         assert (v.stats["rankDecided"], v.stats["lpSolved"]) == (18, 0)
-        # f = (x, -x, x): the null space of A^T is a plane, and the LP finds mu
         from vvicert.problem import Problem
 
-        p = Problem.from_dict(
-            {
-                "version": "vvicert/1",
-                "n": 1,
-                "m": 3,
-                "domain": [[-2.0, 2.0]],
-                "pieces": [{"region": "0 <= 1", "components": ["x1", "-x1", "x1"]}],
-                "cone": {"orthant": 3},
-                "kernel": {"kind": "difference"},
-                "e": [0.1, 0.1, 0.1],
-            }
-        )
+        def single_piece(n, components):
+            m = len(components)
+            return Problem.from_dict(
+                {
+                    "version": "vvicert/1",
+                    "n": n,
+                    "m": m,
+                    "domain": [[-2.0, 2.0]] * n,
+                    "pieces": [{"region": "0 <= 1", "components": components}],
+                    "cone": {"orthant": m},
+                    "kernel": {"kind": "difference"},
+                    "e": [0.1] * m,
+                }
+            )
+
+        # f = (x, -x, x): the null space of A^T is a plane, but A has one
+        # column, so mu has a closed form
+        p = single_piece(1, ["x1", "-x1", "x1"])
         v = check_vector_critical(p.f, p.cone, [0.3], SamplingPlan())
         assert v.certified
+        assert (v.stats["rankDecided"], v.stats["lpSolved"]) == (1, 0)
+        # f = (x1, -x1, x2, -x2): a plane again, with two columns; the LP finds mu
+        p = single_piece(2, ["x1", "-x1", "x2", "-x2"])
+        v = check_vector_critical(p.f, p.cone, [0.3, 0.1], SamplingPlan())
+        assert v.certified
         assert (v.stats["rankDecided"], v.stats["lpSolved"]) == (0, 1)
+
+
+# ---------------------------------------------------------------------------
+# One-column closed forms against the LPs
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _cross_cone(m):
+    """{v : |v_i| <= v_m for i < m}: 2(m - 1) facets, more than m for m >= 3."""
+    normals = np.zeros((2 * (m - 1), m))
+    normals[:, -1] = 1.0
+    for i in range(m - 1):
+        normals[2 * i, i], normals[2 * i + 1, i] = 1.0, -1.0
+    generators = np.array(
+        [signs + (1.0,) for signs in itertools.product((1.0, -1.0), repeat=m - 1)]
+    ).T
+    return OrderingCone(normals=normals, generators=generators)
+
+
+def _random_simplicial(m, seed):
+    normals = np.eye(m) + 0.5 * np.random.default_rng(seed).uniform(-1.0, 1.0, size=(m, m))
+    assume(np.linalg.cond(normals) < 1e3)  # the 1e-12 comparisons need a tame N
+    return OrderingCone(normals=normals, generators=np.linalg.inv(normals))
+
+
+# exact zeros, entries within 1e-12 of zero and ordinary entries
+_ENTRIES = st.one_of(st.just(0.0), st.floats(-1e-12, 1e-12), st.floats(-1.0, 1.0))
+
+
+def _decide(a, cone):
+    try:
+        cert = gordan_alternative(a, cone)
+    except DegenerateError:
+        cert = None
+    return cert, _alt.strict_mu(a, cone.normals)
+
+
+def _vertex_mu_optimum(col, normals):
+    """The optimum s of the LP of ``_alt.strict_mu`` for a unit-scale column
+    under a simplicial cone, or None when the LP is infeasible. It is the
+    largest s over the vertices of the feasible set: the points where the
+    equalities and m - 1 of the inequalities N mu >= s, -1 <= s <= 1 (m of
+    them for a zero column) hold with equality."""
+    m = col.size
+    eq = np.array([np.append(col, 0.0), np.append(normals.sum(axis=0), 0.0)])
+    eq_rhs = np.array([0.0, 1.0])
+    if not np.any(col):
+        eq, eq_rhs = eq[1:], eq_rhs[1:]
+    # rows g, rhs of g.(mu, s) >= rhs
+    g = np.vstack([np.hstack([normals, -np.ones((m, 1))]), np.eye(m + 1)[-1], -np.eye(m + 1)[-1]])
+    rhs = np.concatenate([np.zeros(m), [-1.0, -1.0]])
+    combos = [list(c) for c in itertools.combinations(range(m + 2), m + 1 - len(eq))]
+    systems = np.stack([np.vstack([eq, g[c]]) for c in combos])
+    keep = np.linalg.cond(systems) < 1e12
+    b = np.stack([np.concatenate([eq_rhs, rhs[c]]) for c in combos])
+    x = np.linalg.solve(systems[keep], b[keep][..., None])[..., 0]
+    feasible = np.all(x @ g.T >= rhs - 1e-12, axis=1)
+    return float(np.max(x[feasible, -1])) if np.any(feasible) else None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_one_column_closed_forms_match_the_lps(data):
+    """Closed forms against the LPs they replace (``null_basis`` off): the
+    same Gordan alternative, with a certificate that re-verifies, and the
+    same multiplier optimum s within 1e-12 where it is positive. HiGHS reads
+    coefficients of magnitude <= 1e-9 (of the unit-scale A) as zero, so s is
+    compared with an enumeration of the LP's vertices as well, and with the
+    LP only where A has no such entry."""
+    m = data.draw(st.integers(1, 6), label="m")
+    kinds = ["orthant"] + ["simplicial"] * (m >= 2) + ["wedge"] * (m == 3) + ["cross"] * (m >= 3)
+    kind = data.draw(st.sampled_from(kinds), label="cone")
+    if kind == "orthant":
+        cone = OrderingCone.orthant(m)
+    elif kind == "wedge":
+        cone = OrderingCone(normals=WEDGE_NORMALS)
+    elif kind == "cross":
+        cone = _cross_cone(m)
+    else:
+        cone = _random_simplicial(m, data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    scale = data.draw(st.sampled_from([1e-9, 1.0, 1e9]), label="scale")
+    a = scale * np.array(data.draw(st.lists(_ENTRIES, min_size=m, max_size=m), label="a"))[:, None]
+    peak = np.max(np.abs(a))
+    unit = a / peak if peak > 0.0 else a
+
+    cert, (mu, s) = _decide(a, cone)
+    with mock.patch.object(_alt, "null_basis", lambda A: None):
+        ref_cert, (_, lp_s) = _decide(a, cone)
+
+    assert (cert and cert.alternative) == (ref_cert and ref_cert.alternative)
+    if cert is not None and cert.alternative == 1:
+        assert cone.strictly_contains(-(a @ cert.x))
+    elif cert is not None:
+        assert np.all(cert.dual_coords >= 0.0)
+        assert np.allclose(cone.normals.T @ cert.dual_coords, cert.y)
+        assert np.max(np.abs(unit.T @ cert.y)) <= 1e-7
+
+    if kind == "cross":
+        return  # mu of a one-column A under a non-simplicial cone is the LP's
+    references = [_vertex_mu_optimum(unit[:, 0], cone.normals)]
+    if np.all((np.abs(unit) > 1e-9) | (unit == 0.0)):
+        references.append(lp_s)
+    for ref_s in references:
+        best = max(-np.inf if s is None else s, -np.inf if ref_s is None else ref_s)
+        if best > 1e-12:
+            assert s is not None and ref_s is not None and abs(s - ref_s) <= 1e-12, (s, ref_s)
+    if s is not None and s > 1e-12:
+        assert np.all(cone.normals @ mu >= s - 1e-15)
+        assert np.max(np.abs(unit.T @ mu)) <= 1e-12 * np.linalg.norm(mu)
