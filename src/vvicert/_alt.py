@@ -117,7 +117,7 @@ def interior_witness(normals: np.ndarray, margin: float) -> np.ndarray:
 def strict_mu(A: np.ndarray, normals: np.ndarray):
     """max s over mu with A^T mu = 0, N mu >= s, a.mu = 1, -1 <= s <= 1, where
     a, the sum of N's rows, is interior to C*. Returns (mu, s) at the optimum,
-    or (None, None) when infeasible.
+    with s = min(N mu) of that mu, or (None, None) when infeasible.
 
     A positive optimum certifies a strictly interior mu annihilating A^T.
     Since N mu >= s sums to a.mu = 1, s <= 1 never binds. Closed forms
@@ -163,7 +163,10 @@ def strict_mu(A: np.ndarray, normals: np.ndarray):
     )
     if not res.success:
         return None, None
-    return res.x[:m], float(res.x[-1])
+    # HiGHS meets N mu >= s only within its feasibility tolerance, so report
+    # the interiority the returned mu actually has
+    mu = res.x[:m]
+    return mu, float(np.min(normals @ mu))
 
 
 def _one_column_mu(col: np.ndarray, normals: np.ndarray):

@@ -612,8 +612,10 @@ def check_vector_critical(
     A in the generalized Jacobian at xi admits mu >_C 0 with mu^T A = 0.
 
     CertifiedUpToSampling means critical (the found (lambda, mu) pair is in
-    the certificate); Refuted means not critical, with a Gordan alternative-1
-    direction recorded as evidence for every sampled lambda.
+    the certificate). Refuted means only that no mixture of the Jacobian's
+    vertices on the lambda grid of depth SIMPLEX_GRID_DEPTH (8) is critical,
+    with a Gordan alternative-1 direction recorded as evidence for every grid
+    lambda; a critical mixture between grid points is not ruled out.
     """
     plan = plan or SamplingPlan()
     xi = np.asarray(xi, dtype=float)

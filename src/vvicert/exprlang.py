@@ -11,6 +11,7 @@ declared dimension is 1). In kernel context ``y1..yn`` are available as well.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -61,12 +62,33 @@ EQ_TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class Expr:
-    """Base class for expression nodes. Immutable and safe to share."""
+    """Base class for expression nodes. Immutable and safe to share.
+
+    Each node evaluates itself (``ev``, at a point or on rows of points),
+    takes its exact partial derivative (``derive``) and prints itself
+    (``text``, binding as tightly as ``prec``)."""
+
+    prec = 5
+
+    def _paren(self, parent_prec: int, right_side: bool = False) -> str:
+        text = self.text()
+        if self.prec < parent_prec or (right_side and self.prec == parent_prec):
+            return f"({text})"
+        return text
 
 
 @dataclass(frozen=True)
 class Const(Expr):
     value: float
+
+    def ev(self, x, y):
+        return self.value
+
+    def derive(self, var: int) -> Expr:
+        return _const(0.0)
+
+    def text(self) -> str:
+        return repr(self.value)
 
 
 @dataclass(frozen=True)
@@ -74,45 +96,143 @@ class Var(Expr):
     axis: str  # 'x' or 'y'
     index: int  # 0-based
 
+    def ev(self, x, y):
+        arr = x if self.axis == "x" else y
+        if arr is None:
+            raise DimensionMismatchError(
+                f"variable {self.axis}{self.index + 1} has no bound value"
+            )
+        return arr[..., self.index]
 
-@dataclass(frozen=True)
-class Add(Expr):
-    left: Expr
-    right: Expr
+    def derive(self, var: int) -> Expr:
+        return _const(1.0) if (self.axis == "x" and self.index == var) else _const(0.0)
 
-
-@dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
+    def text(self) -> str:
+        return f"{self.axis}{self.index + 1}"
 
 
 @dataclass(frozen=True)
-class Div(Expr):
+class _Binary(Expr):
+    """A node printed as ``left<symbol>right``. Subtraction and division
+    parenthesize a right operand of equal precedence (``right_tight``)."""
+
     left: Expr
     right: Expr
+    symbol = ""
+    right_tight = False
+
+    def text(self) -> str:
+        left = self.left._paren(self.prec)
+        right = self.right._paren(self.prec, self.right_tight)
+        return f"{left}{self.symbol}{right}"
+
+    def _product_terms(self, var: int):
+        # d(left)*right and left*d(right), shared by the product and quotient rules
+        return _mul(self.left.derive(var), self.right), _mul(self.left, self.right.derive(var))
+
+
+@dataclass(frozen=True)
+class Add(_Binary):
+    prec = 1
+    symbol = " + "
+
+    def ev(self, x, y):
+        return self.left.ev(x, y) + self.right.ev(x, y)
+
+    def derive(self, var: int) -> Expr:
+        return _add(self.left.derive(var), self.right.derive(var))
+
+
+@dataclass(frozen=True)
+class Sub(_Binary):
+    prec = 1
+    symbol = " - "
+    right_tight = True
+
+    def ev(self, x, y):
+        return self.left.ev(x, y) - self.right.ev(x, y)
+
+    def derive(self, var: int) -> Expr:
+        return _sub(self.left.derive(var), self.right.derive(var))
+
+
+@dataclass(frozen=True)
+class Mul(_Binary):
+    prec = 2
+    symbol = "*"
+
+    def ev(self, x, y):
+        return self.left.ev(x, y) * self.right.ev(x, y)
+
+    def derive(self, var: int) -> Expr:
+        return _add(*self._product_terms(var))
+
+
+@dataclass(frozen=True)
+class Div(_Binary):
+    prec = 2
+    symbol = "/"
+    right_tight = True
+
+    def ev(self, x, y):
+        num = self.left.ev(x, y)
+        den = self.right.ev(x, y)
+        if np.any(np.asarray(den) == 0.0):
+            raise DivisionByZeroError(self.text())
+        return num / den
+
+    def derive(self, var: int) -> Expr:
+        return _div(_sub(*self._product_terms(var)), _pow(self.right, 2))
 
 
 @dataclass(frozen=True)
 class Pow(Expr):
     base: Expr
     exponent: int
+    prec = 4
+
+    def ev(self, x, y):
+        base = self.base.ev(x, y)
+        if self.exponent < 0 and np.any(np.asarray(base) == 0.0):
+            raise DivisionByZeroError(self.text())
+        return base ** self.exponent
+
+    def derive(self, var: int) -> Expr:
+        inner = self.base.derive(var)
+        k = self.exponent
+        return _mul(_mul(_const(float(k)), _pow(self.base, k - 1)), inner)
+
+    def text(self) -> str:
+        return f"{self.base._paren(5)}^{self.exponent}"
 
 
 @dataclass(frozen=True)
 class Neg(Expr):
     child: Expr
+    prec = 3
+
+    def ev(self, x, y):
+        return -self.child.ev(x, y)
+
+    def derive(self, var: int) -> Expr:
+        return _neg(self.child.derive(var))
+
+    def text(self) -> str:
+        return f"-{self.child._paren(3)}"
 
 
 @dataclass(frozen=True)
 class Abs(Expr):
     child: Expr
+
+    def ev(self, x, y):
+        return np.abs(self.child.ev(x, y))
+
+    def derive(self, var: int) -> Expr:
+        raise NonSmoothOperatorError("cannot differentiate through abs")
+
+    def text(self) -> str:
+        return f"abs({self.child.text()})"
 
 
 def _const(v: float) -> Const:
@@ -188,25 +308,50 @@ def _neg(a: Expr) -> Expr:
 # Predicates
 # ---------------------------------------------------------------------------
 
-_CMP_OPS = ("<", "<=", "=", ">=", ">")
+# Regions are inflated by `slack`: every comparison admits a margin of slack
+# on the unfavourable side. '=' additionally uses EQ_TOLERANCE.
+_COMPARE = {
+    "<": lambda diff, slack: diff < slack,
+    "<=": lambda diff, slack: diff <= slack,
+    "=": lambda diff, slack: np.abs(diff) <= EQ_TOLERANCE + slack,
+    ">=": lambda diff, slack: diff >= -slack,
+    ">": lambda diff, slack: diff > -slack,
+}
+
+_COMBINE = {"and": np.logical_and, "or": np.logical_or}
 
 
 @dataclass(frozen=True)
 class Predicate:
-    """Base class for region predicates."""
+    """Base class for region predicates. Each predicate type tests itself on
+    a point or on rows of points (``holds``) and lists the expressions whose
+    zero sets bound its region (``boundaries``)."""
 
 
 @dataclass(frozen=True)
 class Comparison(Predicate):
     left: Expr
-    op: str  # one of _CMP_OPS
+    op: str  # a key of _COMPARE
     right: Expr
+
+    def holds(self, x, slack: float):
+        diff = self.left.ev(x, None) - self.right.ev(x, None)
+        return _COMPARE[self.op](diff, slack)
+
+    def boundaries(self) -> list:
+        return [_sub(self.left, self.right)]
 
 
 @dataclass(frozen=True)
 class BoolOp(Predicate):
     op: str  # 'and' | 'or'
     parts: tuple
+
+    def holds(self, x, slack: float):
+        return functools.reduce(_COMBINE[self.op], [q.holds(x, slack) for q in self.parts])
+
+    def boundaries(self) -> list:
+        return [b for q in self.parts for b in q.boundaries()]
 
 
 # ---------------------------------------------------------------------------
@@ -372,28 +517,20 @@ class _Parser:
     # predicate grammar ------------------------------------------------------
 
     def parse_predicate(self) -> Predicate:
-        node = self.parse_and()
-        parts = [node]
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "ident" and value.lower() == "or":
-                self.advance()
-                parts.append(self.parse_and())
-            else:
-                break
-        return parts[0] if len(parts) == 1 else BoolOp("or", tuple(parts))
+        return self.parse_joined("or", self.parse_and)
 
     def parse_and(self) -> Predicate:
-        node = self.parse_comparison()
-        parts = [node]
-        while True:
+        return self.parse_joined("and", self.parse_comparison)
+
+    def parse_joined(self, keyword: str, parse_part) -> Predicate:
+        """One or more parts separated by the keyword 'and' or 'or'."""
+        parts = [parse_part()]
+        kind, value, _ = self.peek()
+        while kind == "ident" and value.lower() == keyword:
+            self.advance()
+            parts.append(parse_part())
             kind, value, _ = self.peek()
-            if kind == "ident" and value.lower() == "and":
-                self.advance()
-                parts.append(self.parse_comparison())
-            else:
-                break
-        return parts[0] if len(parts) == 1 else BoolOp("and", tuple(parts))
+        return parts[0] if len(parts) == 1 else BoolOp(keyword, tuple(parts))
 
     def parse_comparison(self) -> Predicate:
         left = self.parse_expr()
@@ -405,6 +542,18 @@ class _Parser:
         return Comparison(left, value, right)
 
 
+def _parse_whole(text: str, dim: int, context: str, what: str, rule):
+    """Parse all of text with the grammar rule ``rule(parser)`` for ``what``."""
+    if not text or not text.strip():
+        raise ParseError(f"empty {what}", 0)
+    parser = _Parser(_tokenize(text), dim, context, allow_abs=what == "predicate")
+    node = rule(parser)
+    kind, _, pos = parser.peek()
+    if kind != "end":
+        raise ParseError("unexpected trailing input", pos)
+    return node
+
+
 def parse(text: str, dim: int, context: str = "function") -> Expr:
     """Parse an arithmetic expression over x1..x<dim> (plus y1..y<dim> for kernels).
 
@@ -413,220 +562,63 @@ def parse(text: str, dim: int, context: str = "function") -> Expr:
     """
     if context not in ("function", "kernel"):
         raise ValueError(f"context must be 'function' or 'kernel', got {context!r}")
-    if not text or not text.strip():
-        raise ParseError("empty expression", 0)
-    parser = _Parser(_tokenize(text), dim, context, allow_abs=False)
-    node = parser.parse_expr()
-    kind, _, pos = parser.peek()
-    if kind != "end":
-        raise ParseError("unexpected trailing input", pos)
-    return node
+    return _parse_whole(text, dim, context, "expression", _Parser.parse_expr)
 
 
 def parse_predicate(text: str, dim: int, context: str = "function") -> Predicate:
     """Parse a region predicate: comparisons joined by and/or, abs permitted."""
-    if not text or not text.strip():
-        raise ParseError("empty predicate", 0)
-    parser = _Parser(_tokenize(text), dim, context, allow_abs=True)
-    node = parser.parse_predicate()
-    kind, _, pos = parser.peek()
-    if kind != "end":
-        raise ParseError("unexpected trailing input", pos)
-    return node
+    return _parse_whole(text, dim, context, "predicate", _Parser.parse_predicate)
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation, differentiation, printing and predicate tests
 # ---------------------------------------------------------------------------
-
-def _eval(e: Expr, x, y):
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        arr = x if e.axis == "x" else y
-        if arr is None:
-            raise DimensionMismatchError(
-                f"variable {e.axis}{e.index + 1} has no bound value"
-            )
-        return arr[..., e.index]
-    if isinstance(e, Add):
-        return _eval(e.left, x, y) + _eval(e.right, x, y)
-    if isinstance(e, Sub):
-        return _eval(e.left, x, y) - _eval(e.right, x, y)
-    if isinstance(e, Mul):
-        return _eval(e.left, x, y) * _eval(e.right, x, y)
-    if isinstance(e, Div):
-        num = _eval(e.left, x, y)
-        den = _eval(e.right, x, y)
-        if np.any(np.asarray(den) == 0.0):
-            raise DivisionByZeroError(to_string(e))
-        return num / den
-    if isinstance(e, Pow):
-        base = _eval(e.base, x, y)
-        if e.exponent < 0 and np.any(np.asarray(base) == 0.0):
-            raise DivisionByZeroError(to_string(e))
-        return base ** e.exponent
-    if isinstance(e, Neg):
-        return -_eval(e.child, x, y)
-    if isinstance(e, Abs):
-        return np.abs(_eval(e.child, x, y))
-    raise TypeError(f"unknown node {type(e).__name__}")
-
 
 def evaluate(e: Expr, point, y: Optional[np.ndarray] = None) -> float:
     """Evaluate at a single point (1-d array of length dim)."""
     x = np.asarray(point, dtype=float)
     yv = None if y is None else np.asarray(y, dtype=float)
-    return float(_eval(e, x, yv))
+    return float(e.ev(x, yv))
 
 
 def evaluate_many(e: Expr, x: np.ndarray, y: Optional[np.ndarray] = None) -> np.ndarray:
     """Vectorized evaluation over rows of x (and y in kernel context)."""
     x = np.asarray(x, dtype=float)
-    out = _eval(e, x, None if y is None else np.asarray(y, dtype=float))
-    if np.ndim(out) == 0:
-        return np.full(x.shape[0], float(out))
-    return np.asarray(out, dtype=float)
+    out = e.ev(x, None if y is None else np.asarray(y, dtype=float))
+    return _per_row(out, x.shape[0], float)
 
 
-# ---------------------------------------------------------------------------
-# Differentiation
-# ---------------------------------------------------------------------------
-
-def differentiate(e: Expr, var: int, axis: str = "x") -> Expr:
+def differentiate(e: Expr, var: int) -> Expr:
     """Exact symbolic partial derivative with respect to x<var+1> (0-based var).
 
     Raises NonSmoothOperatorError if an abs node is reached.
     """
-    if isinstance(e, Const):
-        return _const(0.0)
-    if isinstance(e, Var):
-        return _const(1.0) if (e.axis == axis and e.index == var) else _const(0.0)
-    if isinstance(e, Add):
-        return _add(differentiate(e.left, var, axis), differentiate(e.right, var, axis))
-    if isinstance(e, Sub):
-        return _sub(differentiate(e.left, var, axis), differentiate(e.right, var, axis))
-    if isinstance(e, Mul):
-        return _add(
-            _mul(differentiate(e.left, var, axis), e.right),
-            _mul(e.left, differentiate(e.right, var, axis)),
-        )
-    if isinstance(e, Div):
-        num = _sub(
-            _mul(differentiate(e.left, var, axis), e.right),
-            _mul(e.left, differentiate(e.right, var, axis)),
-        )
-        return _div(num, _pow(e.right, 2))
-    if isinstance(e, Pow):
-        inner = differentiate(e.base, var, axis)
-        return _mul(_mul(_const(float(e.exponent)), _pow(e.base, e.exponent - 1)), inner)
-    if isinstance(e, Neg):
-        return _neg(differentiate(e.child, var, axis))
-    if isinstance(e, Abs):
-        raise NonSmoothOperatorError("cannot differentiate through abs")
-    raise TypeError(f"unknown node {type(e).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# Printing
-# ---------------------------------------------------------------------------
-
-_PRECEDENCE = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4, Const: 5, Var: 5, Abs: 5}
-
-
-def _paren(child: Expr, parent_prec: int, right_side: bool = False) -> str:
-    text = to_string(child)
-    prec = _PRECEDENCE[type(child)]
-    if prec < parent_prec or (right_side and prec == parent_prec):
-        return f"({text})"
-    return text
+    return e.derive(var)
 
 
 def to_string(e: Expr) -> str:
     """Render the expression; parse(to_string(e)) evaluates identically to e."""
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return f"{e.axis}{e.index + 1}"
-    if isinstance(e, Add):
-        return f"{_paren(e.left, 1)} + {_paren(e.right, 1)}"
-    if isinstance(e, Sub):
-        return f"{_paren(e.left, 1)} - {_paren(e.right, 1, right_side=True)}"
-    if isinstance(e, Mul):
-        return f"{_paren(e.left, 2)}*{_paren(e.right, 2)}"
-    if isinstance(e, Div):
-        return f"{_paren(e.left, 2)}/{_paren(e.right, 2, right_side=True)}"
-    if isinstance(e, Pow):
-        return f"{_paren(e.base, 5)}^{e.exponent}"
-    if isinstance(e, Neg):
-        return f"-{_paren(e.child, 3)}"
-    if isinstance(e, Abs):
-        return f"abs({to_string(e.child)})"
-    raise TypeError(f"unknown node {type(e).__name__}")
-
-
-def predicate_to_string(p: Predicate) -> str:
-    if isinstance(p, Comparison):
-        return f"{to_string(p.left)} {p.op} {to_string(p.right)}"
-    if isinstance(p, BoolOp):
-        return f" {p.op} ".join(predicate_to_string(q) for q in p.parts)
-    raise TypeError(f"unknown predicate {type(p).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# Predicate evaluation
-# ---------------------------------------------------------------------------
-
-def _compare(diff, op: str, slack: float):
-    # Regions are inflated by `slack`: every comparison admits a margin of
-    # slack on the unfavourable side. '=' additionally uses EQ_TOLERANCE.
-    if op == "<":
-        return diff < slack
-    if op == "<=":
-        return diff <= slack
-    if op == ">":
-        return diff > -slack
-    if op == ">=":
-        return diff >= -slack
-    if op == "=":
-        return np.abs(diff) <= EQ_TOLERANCE + slack
-    raise ValueError(f"unknown comparison {op!r}")
+    return e.text()
 
 
 def predicate_holds(p: Predicate, point, slack: float = 0.0) -> bool:
     x = np.asarray(point, dtype=float)
-    return bool(_pred_eval(p, x, slack))
+    return bool(p.holds(x, slack))
 
 
 def predicate_holds_many(p: Predicate, x: np.ndarray, slack: float = 0.0) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    out = _pred_eval(p, x, slack)
+    return _per_row(p.holds(x, slack), x.shape[0], bool)
+
+
+def _per_row(out, rows: int, dtype):
+    # a node free of variables evaluates to one scalar for all rows
     if np.ndim(out) == 0:
-        return np.full(x.shape[0], bool(out))
-    return np.asarray(out, dtype=bool)
-
-
-def _pred_eval(p: Predicate, x, slack: float):
-    if isinstance(p, Comparison):
-        diff = _eval(p.left, x, None) - _eval(p.right, x, None)
-        return _compare(diff, p.op, slack)
-    if isinstance(p, BoolOp):
-        vals = [_pred_eval(q, x, slack) for q in p.parts]
-        out = vals[0]
-        for v in vals[1:]:
-            out = np.logical_and(out, v) if p.op == "and" else np.logical_or(out, v)
-        return out
-    raise TypeError(f"unknown predicate {type(p).__name__}")
+        return np.full(rows, dtype(out))
+    return np.asarray(out, dtype=dtype)
 
 
 def boundary_expressions(p: Predicate) -> list:
     """Left-minus-right expressions of every comparison; their zero sets are
     the candidate region boundaries used by the boundary probing heuristics."""
-    if isinstance(p, Comparison):
-        return [_sub(p.left, p.right)]
-    if isinstance(p, BoolOp):
-        out = []
-        for q in p.parts:
-            out.extend(boundary_expressions(q))
-        return out
-    raise TypeError(f"unknown predicate {type(p).__name__}")
+    return p.boundaries()

@@ -260,6 +260,18 @@ class TestRankAgainstLp:
         _gordan_outcome(a, cone)
         assert len(calls) >= 2
 
+    def test_lp_mu_reports_its_own_interiority(self):
+        # a three-dimensional null space under six facets goes to the LP, whose
+        # own s exceeds min(N mu) by about 8e-8, within HiGHS's tolerance
+        normals = _cross_cone(4).normals
+        a = np.array([[0.0], [1.0], [1.0], [5e-7]])
+        counts = {}
+        with _alt.counting(counts):
+            mu, s = _alt.strict_mu(a, normals)
+        assert counts["lpSolved"] == 1
+        assert s > 0.16 and np.all(normals @ mu >= s)
+        assert s == float(np.min(normals @ mu))
+
     def test_one_column_solves_no_lp(self):
         counts = {}
         with _alt.counting(counts):
