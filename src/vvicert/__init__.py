@@ -45,6 +45,7 @@ from .errors import (
     NonSmoothOperatorError,
     OutOfDomainError,
     ParseError,
+    ProblemFileError,
     SamplingFailedError,
     VviCertError,
 )
@@ -86,6 +87,7 @@ __all__ = [
     "ParseError",
     "PiecewiseVectorFn",
     "Problem",
+    "ProblemFileError",
     "RULES",
     "RandomInstanceSpec",
     "SamplingFailedError",

@@ -320,7 +320,6 @@ def _hull_exists_refine(
     active: np.ndarray,
     test_many,
     base: np.ndarray,
-    depth: int,
 ) -> np.ndarray:
     """Upgrade a vertex-only 'exists' mask with simplex-grid hull mixtures at
     the points where several pieces are active.
@@ -336,7 +335,7 @@ def _hull_exists_refine(
     for g, pattern in enumerate(patterns):
         act = np.nonzero(pattern)[0]
         idx = todo[group == g]
-        lams = sampling.simplex_weights(len(act), depth)  # (L, k)
+        lams = sampling.simplex_weights(len(act), SIMPLEX_GRID_DEPTH)  # (L, k)
         # point blocks keep the (points, L, m) mixture array bounded
         block = max(1, _HULL_MIX_FLOATS // (len(lams) * prods.shape[2]))
         for start in range(0, idx.size, block):
@@ -381,9 +380,7 @@ def _vvi_violation_mask(
     if quantifier == "forall":
         viol = _forall_active(cond, active)
     else:
-        viol = _hull_exists_refine(
-            prods, active, _holds, _exists_active(cond, active), SIMPLEX_GRID_DEPTH
-        )
+        viol = _hull_exists_refine(prods, active, _holds, _exists_active(cond, active))
     viol = viol & (np.linalg.norm(eta, axis=1) > ZERO_ETA_TOL)
     return viol, int(active.sum(axis=0).max())
 
@@ -488,7 +485,7 @@ def _invex_violation_mask(
     elif cls is InvexClass.PSEUDO_II:
         premise = cone.strictly_contains_many(-fdiff)
         viol = premise & ~_forall_active(cone.strictly_contains_many(-prods - penalty), active)
-    elif cls in (InvexClass.QUASI_I, InvexClass.QUASI_II):
+    else:  # QUASI_I or QUASI_II
         # type I moves the penalty into the premise, type II into the conclusion
         if cls is InvexClass.QUASI_I:
             premise_vals, conclusion_vals = prods - penalty, fdiff
@@ -496,11 +493,9 @@ def _invex_violation_mask(
             premise_vals, conclusion_vals = prods, fdiff - penalty
         premise = _exists_active(cone.strictly_contains_many(premise_vals), active)
         premise = _hull_exists_refine(
-            premise_vals, active, cone.strictly_contains_many, premise, SIMPLEX_GRID_DEPTH
+            premise_vals, active, cone.strictly_contains_many, premise
         )
         viol = premise & ~cone.strictly_contains_many(conclusion_vals)
-    else:
-        raise ValueError(f"unknown invexity class {cls!r}")
     # a pair whose points differ only by rounding decides nothing
     return viol & (eta_norm > ZERO_ETA_TOL)
 

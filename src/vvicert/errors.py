@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit."""
 
+from contextlib import contextmanager
+
 
 class VviCertError(Exception):
     """Base class for all toolkit errors."""
@@ -63,3 +65,25 @@ class InvalidSeedError(VviCertError):
 
 class SamplingFailedError(VviCertError):
     """Rejection sampling used up its bounded draw without filling the request."""
+
+
+class ProblemFileError(VviCertError):
+    """A problem file lacks a required key or gives it a malformed value.
+
+    Carries the key in ``key``; the error that revealed it is the cause.
+    """
+
+    def __init__(self, key: str, reason: str):
+        super().__init__(f"problem key {key!r}: {reason}")
+        self.key = key
+
+    @classmethod
+    @contextmanager
+    def reading(cls, key: str):
+        """Raise this error, naming `key`, for a missing key or a value the
+        block cannot read. Toolkit errors pass through unchanged."""
+        try:
+            yield
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            reason = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
+            raise cls(key, reason) from exc

@@ -21,6 +21,7 @@ from .errors import (
     InconsistentPiecesError,
     NoActivePieceError,
     OutOfDomainError,
+    ProblemFileError,
 )
 
 __all__ = [
@@ -96,24 +97,26 @@ class PiecewiseVectorFn:
     def __init__(self, n: int, m: int, domain, pieces: Sequence[Piece]):
         self.n = int(n)
         self.m = int(m)
-        self.domain = np.asarray(domain, dtype=float).reshape(self.n, 2)
-        if np.any(self.domain[:, 0] >= self.domain[:, 1]):
-            raise ValueError("domain box has empty interior")
         self.pieces = list(pieces)
         if not self.pieces:
             raise ValueError("function needs at least one piece")
+        self.domain = np.asarray(domain, dtype=float).reshape(self.n, 2)
+        if not (np.isfinite(self.domain).all() and np.all(self.domain[:, 0] < self.domain[:, 1])):
+            raise ValueError("domain box must be finite with a nonempty interior")
 
     # -- construction ---------------------------------------------------------
 
     @classmethod
     def from_dict(cls, spec: dict) -> "PiecewiseVectorFn":
-        n = int(spec["n"])
-        m = int(spec["m"])
-        pieces = [
-            _compile_piece(p["region"], p["components"], n, m)
-            for p in spec["pieces"]
-        ]
-        return cls(n, m, spec["domain"], pieces)
+        with ProblemFileError.reading("n"):
+            n = int(spec["n"])
+        with ProblemFileError.reading("m"):
+            m = int(spec["m"])
+        with ProblemFileError.reading("pieces"):
+            pieces = [_compile_piece(p["region"], p["components"], n, m) for p in spec["pieces"]]
+        # the constructor rejects an empty piece list before it reads the domain
+        with ProblemFileError.reading("domain" if pieces else "pieces"):
+            return cls(n, m, spec["domain"], pieces)
 
     def to_dict(self) -> dict:
         return {
@@ -183,16 +186,10 @@ class PiecewiseVectorFn:
             [el.predicate_holds_many(p.region, x, slack) for p in self.pieces], axis=0
         )
 
-    def values(self, x: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation over rows of x (first active piece wins)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        npts = x.shape[0]
-        mask = self.active_mask(x, 0.0)
-        covered = mask.any(axis=0)
-        if not covered.all():
-            bad = x[~covered][0]
-            raise NoActivePieceError(f"no region covers point {bad.tolist()}")
-        vals = np.full((len(self.pieces), npts, self.m), np.nan)
+    def _piece_values(self, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """(pieces, points, m) values of each piece on the rows of x where
+        mask marks it active, NaN elsewhere."""
+        vals = np.full((len(self.pieces), x.shape[0], self.m), np.nan)
         for j, piece in enumerate(self.pieces):
             idx = np.nonzero(mask[j])[0]
             if idx.size == 0:
@@ -200,8 +197,18 @@ class PiecewiseVectorFn:
             sub = x[idx]
             for i, comp in enumerate(piece.components):
                 vals[j, idx, i] = el.evaluate_many(comp, sub)
-        first = mask.argmax(axis=0)
-        out = vals[first, np.arange(npts)]
+        return vals
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        """Vectorized evaluation over rows of x (first active piece wins)."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        mask = self.active_mask(x, 0.0)
+        covered = mask.any(axis=0)
+        if not covered.all():
+            bad = x[~covered][0]
+            raise NoActivePieceError(f"no region covers point {bad.tolist()}")
+        vals = self._piece_values(x, mask)
+        out = vals[mask.argmax(axis=0), np.arange(len(x))]
         if len(self.pieces) > 1:
             dev = np.nanmax(
                 np.abs(np.where(mask[:, :, None], vals, out[None, :, :]) - out[None, :, :]),
@@ -285,22 +292,19 @@ class PiecewiseVectorFn:
             problems.append(f"continuity: {exc}")
         center = self.inner_box().mean(axis=1)
         radius = float(np.min(self.inner_box()[:, 1] - self.inner_box()[:, 0]) / 2)
-        for _, _, root, first in _chord_roots(self, center, radius):
-            if not first:
-                continue
-            rmask = self.active_mask(root[None, :], 0.0)[:, 0]
-            vals = [
-                np.array([el.evaluate(c, root) for c in self.pieces[j].components])
-                for j in range(len(self.pieces))
-                if rmask[j]
-            ]
-            for v in vals[1:]:
-                if np.max(np.abs(v - vals[0])) > CONTINUITY_TOL:
-                    problems.append(
-                        f"continuity: pieces disagree by "
-                        f"{np.max(np.abs(v - vals[0])):.3e} at boundary point {root.tolist()}"
-                    )
-                    break
+        _, _, roots, first = _chord_roots(self, center, radius)
+        roots = roots[first]
+        mask = self.active_mask(roots, 0.0)
+        vals = self._piece_values(roots, mask)
+        # each root's active pieces against its first one; the first piece
+        # that disagrees is reported
+        dev = np.abs(vals - vals[mask.argmax(axis=0), np.arange(len(roots))]).max(axis=2)
+        gap = mask & (dev > CONTINUITY_TOL)
+        problems += [
+            f"continuity: pieces disagree by {dev[gap[:, k].argmax(), k]:.3e} "
+            f"at boundary point {roots[k].tolist()}"
+            for k in np.nonzero(gap.any(axis=0))[0]
+        ]
         return problems
 
     def __repr__(self) -> str:
@@ -311,78 +315,86 @@ class PiecewiseVectorFn:
 # Boundary probes
 # ---------------------------------------------------------------------------
 
-def _chord_roots(f: PiecewiseVectorFn, start: np.ndarray, radius: float):
-    """Region-boundary roots along the axis chords of length `radius` from
-    `start`, in scan order: each boundary expression g is scanned at 33 chord
-    points and every sign change is bisected 80 times, or until its ends are
-    adjacent floats. Yields (g, d, root, first), where d is the chord
-    direction and first is False when a root equal to 12 decimals was yielded
-    before."""
-    start = np.asarray(start, dtype=float)
-    box = f.inner_box()
+def _boundary_expressions(f: PiecewiseVectorFn) -> list:
     # a repeated expression would only yield roots seen before
-    gs = list(dict.fromkeys(
+    return list(dict.fromkeys(
         g for piece in f.pieces for g in el.boundary_expressions(piece.region)
     ))
-    seen = set()
 
-    def emit(g, d, t):
-        root = start + t * d
-        key = tuple(np.round(root, 12))
-        first = key not in seen
-        seen.add(key)
-        return g, d, root, first
 
-    for axis in range(f.n):
-        for sign in (1.0, -1.0):
-            d = np.zeros(f.n)
-            d[axis] = sign
-            if sign > 0:
-                tmax = min(radius, box[axis, 1] - start[axis])
-            else:
-                tmax = min(radius, start[axis] - box[axis, 0])
-            if tmax <= 0:
-                continue
-            ts = np.linspace(0.0, tmax, 33)
-            pts = start[None, :] + ts[:, None] * d[None, :]
-            for g in gs:
-                vals = el.evaluate_many(g, pts)
-                for a in range(len(ts) - 1):
-                    va, vb = vals[a], vals[a + 1]
-                    if va == 0.0:
-                        yield emit(g, d, ts[a])
-                        continue
-                    if va * vb < 0.0:
-                        lo_t, hi_t = ts[a], ts[a + 1]
-                        flo = va
-                        for _ in range(80):
-                            mid = 0.5 * (lo_t + hi_t)
-                            fm = el.evaluate(g, start + mid * d)
-                            if fm == 0.0:
-                                lo_t = hi_t = mid
-                                break
-                            stalled = mid == lo_t or mid == hi_t
-                            if flo * fm < 0.0:
-                                hi_t = mid
-                            else:
-                                lo_t, flo = mid, fm
-                            if stalled:
-                                # the ends are adjacent floats: every later
-                                # step repeats this one
-                                break
-                        yield emit(g, d, 0.5 * (lo_t + hi_t))
-                if vals[-1] == 0.0:
-                    yield emit(g, d, ts[-1])
+def _first_rows(a: np.ndarray) -> np.ndarray:
+    """Mask of the rows of a 2-d array equal to no earlier row."""
+    order = np.lexsort(a.T[::-1])  # stable, so equal rows keep their order
+    ranked = a[order]
+    first = np.ones(len(a), dtype=bool)
+    first[order[1:]] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    return first
+
+
+def _bisect(g, start, d, lo, hi, flo) -> np.ndarray:
+    """Roots of g on the chord segments start + [lo, hi] * d, where g is flo
+    at lo and of the other sign at hi, all bisected together."""
+    # A fixed 80 steps: a lane that hit an exact zero (lo = hi) or whose ends
+    # are adjacent floats is at a fixed point of this update, so running on
+    # leaves its root's bits as stopping there would.
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        fm = el.evaluate_many(g, start + mid[:, None] * d)
+        left = flo * fm < 0.0
+        hi = np.where(left | (fm == 0.0), mid, hi)
+        lo = np.where(left, lo, mid)
+        flo = np.where(left, flo, fm)
+    return 0.5 * (lo + hi)
+
+
+def _chord_roots(f: PiecewiseVectorFn, start: np.ndarray, radius: float):
+    """Region-boundary roots along the axis chords of length `radius` from
+    `start`, one row per root in scan order: by chord (+x1, -x1, +x2, ...),
+    then boundary expression g, then position along the chord.
+
+    Each distinct g is evaluated at 33 points of every chord in one pass. A
+    scan point where g is exactly 0 is a root, and all sign changes of g are
+    bisected together. Returns (gi, d, roots, first): the index of g in
+    `_boundary_expressions(f)`, the chord direction, the root, and whether no
+    root equal to 12 decimals comes before it.
+    """
+    start = np.asarray(start, dtype=float)
+    box = f.inner_box()
+    tmax = np.minimum(radius, np.stack([box[:, 1] - start, start - box[:, 0]], axis=1).ravel())
+    # chords +x1, -x1, +x2, ...; adding 0.0 keeps the off-axis entries +0.0
+    dirs = np.repeat(np.eye(f.n), 2, axis=0) * np.tile([1.0, -1.0], f.n)[:, None] + 0.0
+    dirs, tmax = dirs[tmax > 0], tmax[tmax > 0]
+    ts = np.linspace(0.0, tmax, 33, axis=1)  # (chords, 33)
+    pts = (start + ts[:, :, None] * dirs[:, None, :]).reshape(-1, f.n)
+    found = []  # (chord, expression, position, t) per expression
+    for k, g in enumerate(_boundary_expressions(f)):
+        vals = el.evaluate_many(g, pts).reshape(ts.shape)
+        change = np.pad(vals[:, :-1] * vals[:, 1:] < 0.0, ((0, 0), (0, 1)))
+        chord, pos = np.nonzero((vals == 0.0) | change)
+        t = ts[chord, pos]
+        lane = change[chord, pos]
+        if lane.any():
+            c, a = chord[lane], pos[lane]
+            t[lane] = _bisect(g, start, dirs[c], ts[c, a], ts[c, a + 1], vals[c, a])
+        found.append((chord, np.full(chord.size, k), pos, t))
+    chord, gi, pos, t = (np.concatenate(col) for col in zip(*found))
+    order = np.lexsort((pos, gi, chord))
+    gi, d, t = gi[order], dirs[chord[order]], t[order]
+    roots = start + t[:, None] * d
+    first = _first_rows(np.round(roots, 12))
+    return gi, d, roots, first
 
 
 def boundary_probes(f: PiecewiseVectorFn, center, radius: float) -> np.ndarray:
     """Deterministic probe points near region boundaries inside B(center, radius).
 
-    For each boundary root reached from the center along an axis chord, two
-    probes are emitted: the root itself, and a point stepped back toward the
-    center far enough to stay within the TOL_ACTIVE activation window of the
-    crossed boundary (so the Jacobian polytope there still carries both sides'
-    vertices). Falsification effort concentrates where nonsmoothness lives.
+    Each boundary root reached from the center along an axis chord is a
+    probe. The first of roots equal to 12 decimals adds a point stepped back
+    toward the center, just far enough to stay within the TOL_ACTIVE
+    activation window of the crossed boundary, so the Jacobian polytope
+    there still carries both sides' vertices. Probes are clipped to the
+    inner box and kept in the ball; bitwise repeats are dropped and the rest
+    sorted. Falsification effort concentrates where nonsmoothness lives.
     """
     center = np.asarray(center, dtype=float)
     # memo writes are idempotent (same key always maps to the same array), so
@@ -391,36 +403,23 @@ def boundary_probes(f: PiecewiseVectorFn, center, radius: float) -> np.ndarray:
     cache_key = (center.tobytes(), float(radius))
     if cache_key in cache:
         return cache[cache_key]
-    out = []
-    box = f.inner_box()
-    seen = set()
-
-    def record(point):
-        point = np.clip(point, box[:, 0], box[:, 1])
-        if np.linalg.norm(point - center) > radius:
-            return
-        key = point.tobytes()
-        if key in seen:
-            return
-        seen.add(key)
-        out.append(point)
-
-    for g, d, root, first in _chord_roots(f, center, radius):
-        record(root)
-        if not first:
-            continue
-        # step back toward the center, calibrated so that the boundary
-        # expression stays within the activation window
-        h = 1e-6
-        slope = abs(el.evaluate(g, root + h * d) - el.evaluate(g, root - h * d)) / (2 * h)
-        delta = (TOL_ACTIVE / 2.0) / max(slope, 1e-6)
-        delta = min(delta, radius / 4.0)
-        record(root - delta * d)
-    if not out:
-        result = np.empty((0, f.n))
-    else:
-        arr = np.array(out)
-        result = arr[np.lexsort(arr.T[::-1])]
+    gi, d, roots, first = _chord_roots(f, center, radius)
+    # step back toward the center, calibrated so that the boundary
+    # expression stays within the activation window
+    h = 1e-6
+    slope = np.zeros(len(roots))
+    for k, g in enumerate(_boundary_expressions(f)):
+        sel = first & (gi == k)
+        ahead = el.evaluate_many(g, roots[sel] + h * d[sel])
+        behind = el.evaluate_many(g, roots[sel] - h * d[sel])
+        slope[sel] = np.abs(ahead - behind) / (2 * h)
+    delta = np.minimum((TOL_ACTIVE / 2.0) / np.maximum(slope, 1e-6), radius / 4.0)
+    # each root, then its step-back point if it has one
+    probes = np.stack([roots, roots - delta[:, None] * d], axis=1)
+    probes = np.clip(probes[np.stack([np.ones_like(first), first], axis=1)], *f.inner_box().T)
+    probes = probes[np.linalg.norm(probes - center, axis=1) <= radius]
+    probes = probes[_first_rows(probes.view(np.int64))]  # by bytes: -0.0 stays apart from 0.0
+    result = probes[np.lexsort(probes.T[::-1])]
     cache[cache_key] = result
     return result
 

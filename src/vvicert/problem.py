@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cone import OrderingCone
-from .errors import VviCertError
+from .errors import ProblemFileError, VviCertError
 from .model import Kernel, PiecewiseVectorFn
 
 __all__ = ["Problem", "FORMAT_VERSION"]
@@ -30,22 +30,28 @@ class Problem:
 
     @classmethod
     def from_dict(cls, spec: dict, name: str = "") -> "Problem":
+        if not isinstance(spec, dict):
+            raise VviCertError(f"a problem is a JSON object, not {type(spec).__name__}")
         version = spec.get("version")
         if version != FORMAT_VERSION:
             raise VviCertError(
                 f"unsupported problem version {version!r} (expected {FORMAT_VERSION!r})"
             )
         f = PiecewiseVectorFn.from_dict(spec)
-        cone = OrderingCone.from_dict(spec.get("cone", {"orthant": f.m}))
+        with ProblemFileError.reading("cone"):
+            cone = OrderingCone.from_dict(spec.get("cone", {"orthant": f.m}))
         if cone.dim != f.m:
             raise VviCertError(
                 f"cone dimension {cone.dim} disagrees with output dimension {f.m}"
             )
-        kernel = Kernel.from_dict(spec.get("kernel", {"kind": "difference"}), f.n)
-        e = np.asarray(spec.get("e", [0.5] * f.m), dtype=float)
-        points = {
-            k: np.asarray(v, dtype=float) for k, v in spec.get("points", {}).items()
-        }
+        with ProblemFileError.reading("kernel"):
+            kernel = Kernel.from_dict(spec.get("kernel", {"kind": "difference"}), f.n)
+        with ProblemFileError.reading("e"):
+            e = np.asarray(spec.get("e", [0.5] * f.m), dtype=float)
+        with ProblemFileError.reading("points"):
+            points = {
+                k: np.asarray(v, dtype=float) for k, v in spec.get("points", {}).items()
+            }
         return cls(f, cone, kernel, e, points, name=name or spec.get("name", ""))
 
     def to_dict(self) -> dict:

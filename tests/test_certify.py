@@ -330,9 +330,10 @@ class TestHullExistsRefine:
         active = patterns[rng.integers(0, len(patterns), size=n_pts)].T
         base = rng.random(n_pts) < 0.3
         depth = int(rng.integers(2, 9))
+        monkeypatch.setattr(certify, "SIMPLEX_GRID_DEPTH", depth)
         many = cone.strictly_contains_many if strict else cone.contains_many
         one = cone.strictly_contains if strict else cone.contains
-        got = _hull_exists_refine(prods, active, many, base, depth)
+        got = _hull_exists_refine(prods, active, many, base)
         want = _hull_exists_reference(prods, active, one, base, depth)
         assert np.array_equal(got, want)
         # the grid decides some points each way beyond the base mask

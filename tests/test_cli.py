@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from vvicert.cli import dispatch, load_problem
-from vvicert.errors import VviCertError
+from vvicert.cli import dispatch, load_problem, main
+from vvicert.errors import ProblemFileError, VviCertError
+from vvicert.problem import Problem
 
 
 def payload_bytes(report: dict) -> str:
@@ -323,6 +324,66 @@ class TestInputErrors:
         assert [(p.ball_sample_count, p.pair_sample_count) for p in plans] == [
             (10_000, 10_000), (2000, 2000), (300, 300)
         ]
+
+
+def _malformed(change):
+    """The example5 problem file with one change applied."""
+    spec = json.loads(json.dumps(load_problem("example5").to_dict()))
+    change(spec)
+    return spec
+
+
+def _five_outputs(spec):
+    spec["m"] = 5
+    for piece in spec["pieces"]:
+        piece["components"] = ["x1"] * 5
+    spec["e"] = [0.5] * 5
+    spec["cone"] = {"normals": np.eye(5).tolist()}
+
+
+MALFORMED_FILES = {
+    "empty cone": ("cone", lambda s: s.update(cone={})),
+    "cone not pointed": ("cone", lambda s: s.update(cone={"normals": [[1, 0], [-1, 0]]})),
+    "normals only at m = 5": ("cone", _five_outputs),
+    "unknown kernel kind": ("kernel", lambda s: s.update(kernel={"kind": "bogus"})),
+    "empty domain box": ("domain", lambda s: s.update(domain=[[1, 1]])),
+    "domain row of three": ("domain", lambda s: s.update(domain=[[-2, 2, 3]])),
+    "domain bound not finite": ("domain", lambda s: s.update(domain=[[float("nan"), 2]])),
+    "no pieces": ("pieces", lambda s: s.update(pieces=[])),
+    "missing n": ("n", lambda s: s.pop("n")),
+    "piece without region": ("pieces", lambda s: s["pieces"][0].pop("region")),
+    "e not numbers": ("e", lambda s: s.update(e=["a", "b"])),
+}
+
+
+class TestMalformedProblemFiles:
+    """A malformed problem file exits 2 with one error line naming the key."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+    def test_exit_two_naming_the_key(self, tmp_path, capsys, case):
+        key, change = MALFORMED_FILES[case]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_malformed(change)), encoding="utf-8")
+        code = main(["check", "critical", "--problem", str(path), "--at", "0"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "Traceback" not in captured.err
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: problem key {key!r}: ")
+
+    def test_top_level_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]", encoding="utf-8")
+        assert main(["check", "critical", "--problem", str(path), "--at", "0"]) == 2
+        assert capsys.readouterr().err == "error: a problem is a JSON object, not list\n"
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+    def test_library_error_keeps_the_cause(self, case):
+        key, change = MALFORMED_FILES[case]
+        with pytest.raises(ProblemFileError) as info:
+            Problem.from_dict(_malformed(change))
+        assert info.value.key == key
+        assert isinstance(info.value.__cause__, (KeyError, TypeError, ValueError))
 
 
 class TestKernelAliases:

@@ -319,12 +319,35 @@ class TestBoundaryProbes:
         for f, start in problems:
             start = np.asarray(start, dtype=float)
             for radius in (0.25, 1.0):
-                got = [root for _, _, root, _ in _chord_roots(f, start, radius)]
+                got = list(_chord_roots(f, start, radius)[2])
                 want = roots_80(f, start, radius)
                 assert len(got) == len(want)
                 assert all(np.array_equal(a, b) for a, b in zip(got, want))
                 found += len(got)
         assert found > 20
+
+    def test_no_scalar_evaluation(self, example5, example23, monkeypatch):
+        # probes and the continuity check at boundary roots run as array passes
+        calls = []
+        evaluate = el.evaluate
+
+        def counting(e, point, y=None):
+            calls.append(e)
+            return evaluate(e, point, y)
+
+        problems = [(example5.f, [0.0]), (example23.f, [0.0])]
+        for i in range(12):
+            spec = audit.RandomInstanceSpec(seed=i, n=1 + i % 3, m=2, piece_count=2 + i % 2,
+                                            degree=1 + i % 3)
+            inst = audit.generate_instance(spec)
+            problems.append((inst.f, inst.point("x0")))
+        monkeypatch.setattr(el, "evaluate", counting)
+        for f, start in problems:
+            fresh = PiecewiseVectorFn(f.n, f.m, f.domain, f.pieces)
+            assert fresh.validate() == []
+            for r in (0.1, 0.25, 1.0):
+                assert len(boundary_probes(fresh, start, r)) > 0
+        assert calls == []
 
     def test_expression_dedupe_keeps_probes_and_validate(self, example5, example23, monkeypatch):
         class KeepRepeats:
@@ -347,7 +370,7 @@ class TestBoundaryProbes:
             return out
 
         def root_count(f, start):
-            return sum(1 for _ in _chord_roots(f, np.asarray(start, dtype=float), 1.0))
+            return len(_chord_roots(f, np.asarray(start, dtype=float), 1.0)[2])
 
         deduped = [(outputs(f, s), root_count(f, s)) for f, s in problems]
         monkeypatch.setattr(model, "dict", KeepRepeats, raising=False)
