@@ -64,6 +64,12 @@ def linprog(*args, **kwargs):
     return highs_linprog(*args, **kwargs)
 
 
+def unit_scale(A: np.ndarray) -> np.ndarray:
+    """A divided by its largest absolute entry; a zero A is returned as is."""
+    peak = float(np.max(np.abs(A)))
+    return A / peak if peak > 0.0 else A
+
+
 def null_basis(A: np.ndarray) -> Optional[np.ndarray]:
     """Orthonormal basis (columns) of the null space of A^T, or None when a
     singular value of A lies between RANK_ZERO and RANK_NONZERO relative to
@@ -147,9 +153,7 @@ def strict_mu(A: np.ndarray, normals: np.ndarray):
 
     # the feasible mu do not depend on the scale of A; HiGHS's absolute
     # tolerances do, so the LP sees a unit-scale copy
-    peak = float(np.max(np.abs(A)))
-    if peak > 0.0:
-        A = A / peak
+    A = unit_scale(A)
     c = np.zeros(m + 1)
     c[-1] = -1.0
     a_ub = np.hstack([-normals, np.ones((h, 1))])
@@ -182,8 +186,7 @@ def _one_column_mu(col: np.ndarray, normals: np.ndarray):
     """
     m = normals.shape[0]
     # s does not depend on the scale of col; a subnormal col would lose it
-    peak = float(np.max(np.abs(col)))
-    b = np.linalg.solve(normals.T, col / peak if peak > 0.0 else col)
+    b = np.linalg.solve(normals.T, unit_scale(col))
     total = float(np.sum(b))
     if total == 0.0:
         w = np.full(m, 1.0 / m)

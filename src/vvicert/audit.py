@@ -37,6 +37,7 @@ from .certify import (
     VVIVariant,
     _invex_violation_mask,
     _quasi_violation_mask,
+    _stampacchia_products,
     _vvi_violation_mask,
     check_invex_class,
     check_quasi_efficient,
@@ -179,19 +180,6 @@ class AuditResult:
 
 
 # ---------------------------------------------------------------------------
-# Point-level condition replays used by the crosschecks
-# ---------------------------------------------------------------------------
-
-def _pair_violates_class(cls, f, cone, kernel, e, x, y) -> bool:
-    return bool(
-        _invex_violation_mask(
-            cls, f, cone, kernel, e,
-            np.asarray(x, float)[None, :], np.asarray(y, float)[None, :],
-        )[0]
-    )
-
-
-# ---------------------------------------------------------------------------
 # Rule evaluation
 # ---------------------------------------------------------------------------
 
@@ -331,7 +319,7 @@ def _audit_forward(rule, problem, xi, plan, hyp, notes, label) -> AuditResult:
     # certified hypotheses + refuted conclusion: replay hypotheses at witness
     x_star = np.asarray(conclusion.witness["x"], dtype=float)
     a, b = (xi, x_star) if rule.negated else (x_star, xi)
-    if _pair_violates_class(rule.invex_class, fn, cone, kernel, e, a, b):
+    if _invex_violation_mask(rule.invex_class, fn, cone, kernel, e, a[None, :], b[None, :])[0]:
         notes.append(
             f"{rule.class_key} hypothesis violated at the conclusion witness pair; "
             f"certification was a sampling artifact"
@@ -402,23 +390,25 @@ def _audit_t41(rule, problem, xi, plan, hyp, notes, label) -> AuditResult:
     if conclusion.refuted:
         return AuditResult(rule.rule_id, label, hyp, conclusion, CONSISTENT, notes)
 
-    # conclusion unexpectedly certified: decide bug vs hypothesis artifact
-    poly = f.clarke_jacobian(xi)
-    for x0 in segment:
-        eta0 = kernel.eval(x0, xi)
-        if np.linalg.norm(eta0) <= ZERO_ETA_TOL:
-            continue
-        premise = any(cone.strictly_contains(-(v @ eta0)) for v in poly.vertices)
-        if not premise:
-            continue
-        if _pair_violates_class(rule.invex_class, fn, cone, kernel, e, x0, xi):
+    # conclusion unexpectedly certified, although both checks above saw the
+    # segment: decide bug vs hypothesis artifact at the first segment point
+    # where -A eta(x, xi) lies in int C for some vertex A at xi and the class
+    # or the conclusion breaks, the class taking precedence at that point
+    eta = kernel.eval_many(segment, xi[None, :])
+    premise = cone.strictly_contains_many(-_stampacchia_products(f, xi, eta)).any(axis=0)
+    rows = segment[premise & (np.linalg.norm(eta, axis=1) > ZERO_ETA_TOL)]
+    if rows.shape[0]:
+        class_broken = _invex_violation_mask(
+            rule.invex_class, fn, cone, kernel, e, rows, _tile(xi, rows.shape[0])
+        )
+        broken = class_broken | _quasi_violation_mask(f, cone, kernel, e, xi, rule.weak, rows)
+        if class_broken[np.argmax(broken)]:
             notes.append(
                 "quasi type II (-f) hypothesis violated on the witness segment; "
                 "certification was a sampling artifact"
             )
             return AuditResult(rule.rule_id, label, hyp, conclusion, NOT_CERTIFIED, notes)
-        viol = _quasi_violation_mask(f, cone, kernel, e, xi, rule.weak, x0[None, :])[0]
-        if viol:
+        if broken.any():
             notes.append(
                 "segment point refutes quasi weak efficiency although the "
                 "conclusion check certified: checker inconsistency"

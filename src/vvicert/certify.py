@@ -307,6 +307,13 @@ def _vertex_products_at(
     return prods, active
 
 
+def _stampacchia_products(f: PiecewiseVectorFn, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """(vertices, N, m) products A @ eta for every vertex A of the Jacobian
+    at xi; every vertex applies at every row of eta."""
+    poly = f.clarke_jacobian(xi)
+    return np.stack([eta @ v.T for v in poly.vertices], axis=0)
+
+
 def _forall_active(cond: np.ndarray, active: np.ndarray) -> np.ndarray:
     return np.all(np.where(active, cond, True), axis=0)
 
@@ -372,9 +379,7 @@ def _vvi_violation_mask(
     if variant.minty:
         prods, active = _vertex_products_at(f, x, eta)
     else:
-        # every vertex of the Jacobian at xi applies at every point
-        poly = f.clarke_jacobian(xi)
-        prods = np.stack([eta @ v.T for v in poly.vertices], axis=0)  # (k, N, m)
+        prods = _stampacchia_products(f, xi, eta)
         active = np.ones(prods.shape[:2], dtype=bool)
     cond = _holds(prods)
     if quantifier == "forall":
@@ -585,9 +590,7 @@ def gordan_alternative(A, cone: Optional[OrderingCone] = None) -> GordanCertific
     # both branches are invariant under A -> cA (c > 0); on a unit-scale copy
     # the absolute thresholds of the re-verification mean the same for every
     # scale of A
-    peak = float(np.max(np.abs(A)))
-    if peak > 0.0:
-        A = A / peak
+    A = _alt.unit_scale(A)
     if cone is None:
         cone = OrderingCone.orthant(A.shape[0])
     return _alt.gordan(A, cone)

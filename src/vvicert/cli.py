@@ -412,7 +412,15 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     code, report = dispatch(argv)
     if report:
-        print(json.dumps(report, sort_keys=True, indent=2))
+        try:
+            print(json.dumps(report, sort_keys=True, indent=2), flush=True)
+        except BrokenPipeError:
+            # the reader stopped early (as `| head` does); the exit code still
+            # carries the verdict, and the rest of the report goes to devnull
+            # so that the flush at interpreter exit cannot fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     return code
 
 

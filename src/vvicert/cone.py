@@ -232,19 +232,6 @@ class OrderingCone:
     def is_orthant(self) -> bool:
         return self._is_orthant
 
-    def generator_residual(self, v) -> float:
-        """Distance of v to the generator cone, via nonnegative least squares.
-
-        Near-zero residual certifies membership in the generator representation;
-        used to audit consistency of the two stored representations.
-        """
-        from scipy.optimize import nnls
-
-        v = np.asarray(v, dtype=float)
-        self._check_dim(v)
-        _, res = nnls(self.generators, v)
-        return float(res)
-
     def __repr__(self) -> str:
         kind = "orthant" if self._is_orthant else "polyhedral"
         return f"OrderingCone({kind}, dim={self.dim}, facets={self.normals.shape[0]})"

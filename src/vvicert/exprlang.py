@@ -575,10 +575,10 @@ def parse_predicate(text: str, dim: int, context: str = "function") -> Predicate
 # ---------------------------------------------------------------------------
 
 def evaluate(e: Expr, point, y: Optional[np.ndarray] = None) -> float:
-    """Evaluate at a single point (1-d array of length dim)."""
-    x = np.asarray(point, dtype=float)
-    yv = None if y is None else np.asarray(y, dtype=float)
-    return float(e.ev(x, yv))
+    """Evaluate at a single point (1-d array of length dim), as the one row
+    of an ``evaluate_many`` call, so both give the same bits."""
+    yv = None if y is None else np.asarray(y, dtype=float)[None]
+    return float(evaluate_many(e, np.asarray(point, dtype=float)[None], yv)[0])
 
 
 def evaluate_many(e: Expr, x: np.ndarray, y: Optional[np.ndarray] = None) -> np.ndarray:
@@ -602,8 +602,8 @@ def to_string(e: Expr) -> str:
 
 
 def predicate_holds(p: Predicate, point, slack: float = 0.0) -> bool:
-    x = np.asarray(point, dtype=float)
-    return bool(p.holds(x, slack))
+    """Test at a single point, as the one row of a ``predicate_holds_many`` call."""
+    return bool(predicate_holds_many(p, np.asarray(point, dtype=float)[None], slack)[0])
 
 
 def predicate_holds_many(p: Predicate, x: np.ndarray, slack: float = 0.0) -> np.ndarray:

@@ -228,9 +228,6 @@ class PiecewiseVectorFn:
 
     # -- Jacobians --------------------------------------------------------------
 
-    def piece_jacobian(self, j: int, x) -> np.ndarray:
-        return self.piece_jacobians_many(j, np.asarray(x, dtype=float)[None, :])[0]
-
     def piece_jacobians_many(self, j: int, x: np.ndarray) -> np.ndarray:
         """(points, m, n) analytic Jacobians of piece j, vectorized."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -253,7 +250,7 @@ class PiecewiseVectorFn:
         vertices = []
         kept = []
         for j in active:
-            jac = self.piece_jacobian(j, x)
+            jac = self.piece_jacobians_many(j, x[None, :])[0]
             if any(np.max(np.abs(jac - v)) <= VERTEX_MERGE_TOL for v in vertices):
                 continue
             vertices.append(jac)
@@ -334,16 +331,22 @@ def _first_rows(a: np.ndarray) -> np.ndarray:
 def _bisect(g, start, d, lo, hi, flo) -> np.ndarray:
     """Roots of g on the chord segments start + [lo, hi] * d, where g is flo
     at lo and of the other sign at hi, all bisected together."""
-    # A fixed 80 steps: a lane that hit an exact zero (lo = hi) or whose ends
-    # are adjacent floats is at a fixed point of this update, so running on
-    # leaves its root's bits as stopping there would.
+    # At most 80 steps, and no more once a step leaves every lane's bits as
+    # they were: the update is a function of (lo, hi, flo) alone, so a state
+    # it does not change never changes again. A lane that hit an exact zero
+    # (lo = hi) or whose ends are adjacent floats is at such a fixed point.
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         fm = el.evaluate_many(g, start + mid[:, None] * d)
         left = flo * fm < 0.0
-        hi = np.where(left | (fm == 0.0), mid, hi)
-        lo = np.where(left, lo, mid)
-        flo = np.where(left, flo, fm)
+        step = (
+            np.where(left, lo, mid),
+            np.where(left | (fm == 0.0), mid, hi),
+            np.where(left, flo, fm),
+        )
+        if all(a.tobytes() == b.tobytes() for a, b in zip(step, (lo, hi, flo))):
+            break
+        lo, hi, flo = step
     return 0.5 * (lo + hi)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vvicert import audit
 from vvicert.certify import SamplingPlan
 from vvicert.cli import load_problem
 
@@ -41,6 +42,24 @@ def linear_problem():
         },
         name="linear",
     )
+
+
+def criterion_10_instances(example5, example23) -> list:
+    """(problem, point) pairs of the criterion-10 audit: both fixtures and
+    100 generated instances in a rotation of shapes and kernels."""
+    instances = [(example5, "xi"), (example23, "x0")]
+    for i in range(100):
+        spec = audit.RandomInstanceSpec(
+            seed=i,
+            n=1 + i % 3,
+            m=2 + i % 2,
+            piece_count=1 + i % 3,
+            degree=1 + i % 3,
+            kernel_kind=["difference", "negNormDifference"][i % 2],
+        )
+        inst = audit.generate_instance(spec)
+        instances.append((inst, inst.point("x0")))
+    return instances
 
 
 def random_smooth_expr(rng: np.random.Generator, dim: int, depth: int = 3):

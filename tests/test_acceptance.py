@@ -23,7 +23,7 @@ from vvicert.cli import dispatch
 from vvicert.cone import OrderingCone
 from vvicert.errors import DegenerateError
 
-from conftest import random_smooth_expr
+from conftest import criterion_10_instances, random_smooth_expr
 
 
 CRITERION_10_SHA256 = "a0501d070118a4cc5065d1c3b4ccbb0d8f956db1cd61a1a0f1c7e66a5dc6415b"
@@ -227,18 +227,7 @@ def test_criterion_09_vertex_reduction_soundness():
 
 def test_criterion_10_theorem_audit(example5, example23):
     start = time.perf_counter()
-    instances = [(example5, "xi"), (example23, "x0")]
-    for i in range(100):
-        spec = audit.RandomInstanceSpec(
-            seed=i,
-            n=1 + i % 3,
-            m=2 + i % 2,
-            piece_count=1 + i % 3,
-            degree=1 + i % 3,
-            kernel_kind=["difference", "negNormDifference"][i % 2],
-        )
-        inst = audit.generate_instance(spec)
-        instances.append((inst, inst.point("x0")))
+    instances = criterion_10_instances(example5, example23)
     plan = SamplingPlan(ball_sample_count=1000, pair_sample_count=1000)
     summary = audit.run_matrix(sorted(audit.RULES), instances, plan)
     elapsed = time.perf_counter() - start

@@ -13,6 +13,7 @@ from vvicert.certify import (
     Verdict,
     VVIVariant,
     _invex_violation_mask,
+    _quasi_violation_mask,
     _vvi_violation_mask,
 )
 from vvicert.cli import load_problem
@@ -213,6 +214,120 @@ class TestWitnessCrosscheck:
         assert res.outcome == "HypothesisNotCertified"
         assert len(res.notes) == 1 and res.notes[0].startswith(note)
         assert res.notes[0].endswith("certification was a sampling artifact")
+
+
+_CLASS_NOTE = (
+    "quasi type II (-f) hypothesis violated on the witness segment; "
+    "certification was a sampling artifact"
+)
+_QUASI_NOTE = (
+    "segment point refutes quasi weak efficiency although the "
+    "conclusion check certified: checker inconsistency"
+)
+_NO_PREMISE_NOTE = (
+    "kernel affinity did not transport the WSVVI witness into the ball; "
+    "contrapositive premise could not be propagated"
+)
+
+
+def _t41_loop_reference(problem, point, plan, x_hat):
+    """The former T4.1 replay: (outcome, note) from one segment point at a
+    time, the class checked before the conclusion at each point."""
+    f, cone, kernel, e = problem.f, problem.cone, problem.kernel, problem.e
+    xi = problem.point(point)
+    cls = audit.RULES["T4.1"].invex_class
+    poly = f.clarke_jacobian(xi)
+    for x0 in audit._segment_points(xi, np.asarray(x_hat, dtype=float), plan.radius):
+        eta0 = kernel.eval(x0, xi)
+        if np.linalg.norm(eta0) <= ZERO_ETA_TOL:
+            continue
+        if not any(cone.strictly_contains(-(v @ eta0)) for v in poly.vertices):
+            continue
+        if _invex_violation_mask(cls, f.negated(), cone, kernel, e, x0[None, :], xi[None, :])[0]:
+            return "HypothesisNotCertified", _CLASS_NOTE
+        if _quasi_violation_mask(f, cone, kernel, e, xi, True, x0[None, :])[0]:
+            return "VIOLATION", _QUASI_NOTE
+    return "HypothesisNotCertified", _NO_PREMISE_NOTE
+
+
+def _t41_instances():
+    """(problem, point, WSVVI witness): generated difference-kernel
+    instances with n = 1, 2 and 3, and one-piece quadratics."""
+    rng = np.random.default_rng(41)
+    out = []
+    for seed in range(0, 12, 2):
+        inst = audit.generate_instance(audit.RandomInstanceSpec(
+            seed=seed, n=1 + seed % 3, m=2 + seed % 4 // 2, piece_count=1 + seed % 3,
+            degree=1 + seed % 3,
+        ))
+        for _ in range(3):
+            out.append((inst, "x0", rng.uniform(-0.9, 0.9, inst.f.n).round(3).tolist()))
+    for a, b in rng.uniform(-4.0, 4.0, size=(8, 2)).round(2):
+        problem = _one_piece("quadratic", [f"x1 + {a}*x1^2", f"0.5*x1 + {b}*x1^2"])
+        out += [(problem, "xi", [-0.2]), (problem, "xi", [0.2])]
+    return out
+
+
+class TestT41Replay:
+    """When the T4.1 conclusion certifies, the witness segment is replayed in
+    one pass of the checkers' own masks: the first segment point where the
+    premise holds and the class or the conclusion breaks decides, the class
+    first at that point."""
+
+    @staticmethod
+    def _replay(monkeypatch, problem, point, plan, x_hat):
+        refuted = Verdict("Refuted", "faked", witness={"x": list(x_hat)})
+        certified = Verdict("CertifiedUpToSampling", "faked")
+        monkeypatch.setattr(audit, "check_vvi", lambda *a, **k: refuted)
+        monkeypatch.setattr(audit, "check_invex_class", lambda *a, **k: certified)
+        monkeypatch.setattr(audit, "check_quasi_efficient", lambda *a, **k: certified)
+        res = audit.audit_rule("T4.1", problem, point, plan)
+        assert len(res.notes) == 1
+        return res.outcome, res.notes[0]
+
+    @pytest.mark.parametrize(
+        "components, x_hat, want",
+        [
+            # f(x) >= f(0) at the far end of the segment: -f is not quasi2
+            (["x1 + 10*x1^2", "x1 + 10*x1^2"], [-0.2], ("HypothesisNotCertified", _CLASS_NOTE)),
+            # f(x) < f(0) - 0.1|x|: the segment refutes quasi weak efficiency
+            (["x1", "x1"], [-0.2], ("VIOLATION", _QUASI_NOTE)),
+            # the same near xi, where the segment starts; the class breaks
+            # only at its far end
+            (["-x1 + 10*x1^2", "-x1 + 10*x1^2"], [0.2], ("VIOLATION", _QUASI_NOTE)),
+            # -A eta lies in int C at no segment point
+            (["x1 + 10*x1^2", "x1 + 10*x1^2"], [0.2],
+             ("HypothesisNotCertified", _NO_PREMISE_NOTE)),
+        ],
+    )
+    def test_hand_instances(self, monkeypatch, plan, components, x_hat, want):
+        problem = _one_piece("replay", components)
+        assert self._replay(monkeypatch, problem, "xi", plan, x_hat) == want
+        assert _t41_loop_reference(problem, "xi", plan, x_hat) == want
+
+    def test_matches_the_point_loop(self, monkeypatch, plan):
+        seen = set()
+        for problem, point, x_hat in _t41_instances():
+            want = _t41_loop_reference(problem, point, plan, x_hat)
+            assert self._replay(monkeypatch, problem, point, plan, x_hat) == want
+            seen.add(want[1])
+        assert seen == {_CLASS_NOTE, _QUASI_NOTE, _NO_PREMISE_NOTE}
+
+    @pytest.mark.parametrize(
+        "name, mutate",
+        [
+            ("_invex_violation_mask", lambda mask: lambda *a: ~mask(*a)),
+            ("_quasi_violation_mask", lambda mask: lambda *a: ~mask(*a)),
+            ("_stampacchia_products", lambda prods: lambda *a: -prods(*a)),
+        ],
+    )
+    def test_mutated_mask_disagrees(self, monkeypatch, plan, name, mutate):
+        monkeypatch.setattr(audit, name, mutate(getattr(audit, name)))
+        disagree = 0
+        for problem, point, x_hat in _t41_instances():
+            want = _t41_loop_reference(problem, point, plan, x_hat)
+            disagree += self._replay(monkeypatch, problem, point, plan, x_hat) != want
+        assert disagree
 
 
 class TestVviReplay:

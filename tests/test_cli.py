@@ -254,6 +254,38 @@ class TestDispatch:
         assert code == 2 and report == {}
         assert "error: rejection sampling" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["check", "critical", "--problem", "example5", "--at", "0"], 0),
+            (["check", "invex", "--class", "invex", "--problem", "example23", "--at", "0",
+              "--e", "0.5,0.5", "--kernel", "difference", "--samples", "200"], 1),
+        ],
+    )
+    def test_closed_pipe_keeps_the_exit_code(self, argv, code):
+        # `vvicert ... | head` closes the pipe before the report is written:
+        # the command ends quietly with its own exit code
+        import os
+        import subprocess
+        import sys
+
+        import vvicert
+
+        src = os.path.dirname(os.path.dirname(vvicert.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        try:
+            res = subprocess.run(
+                [sys.executable, "-m", "vvicert.cli", *argv], stdout=write_end,
+                stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert res.returncode == code
+        assert res.stderr == ""
+
 
 class TestInputErrors:
     """Malformed command-line input exits 2 (exit 1 means refuted)."""

@@ -171,6 +171,31 @@ class TestProperties:
         assert len(vals) == 1
 
 
+class TestScalarIsOneBatchRow:
+    """numpy takes different power routines for a scalar and for an array,
+    which disagree in the last bit on a few percent of these draws; a single
+    point must get the bits of its one-row batch."""
+
+    @pytest.mark.parametrize(
+        "text, predicate",
+        [
+            # each holds or not by the last bit of the power
+            ("(x1 + 0.1)^3", "(x1 + 0.1)^3 < (x1 + 0.1)*(x1 + 0.1)*(x1 + 0.1)"),
+            ("(x1 + 0.1)^-2", "(x1 + 0.1)^-2*((x1 + 0.1)*(x1 + 0.1)) < 1"),
+        ],
+    )
+    def test_power_draws(self, text, predicate):
+        e = el.parse(text, 1)
+        p = el.parse_predicate(predicate, 1)
+        pts = np.random.default_rng(5).uniform(-3.0, 3.0, size=(100_000, 1))
+        got = np.array([el.evaluate(e, x) for x in pts])
+        want = np.array([el.evaluate_many(e, x[None])[0] for x in pts])
+        assert got.tobytes() == want.tobytes()
+        got = np.array([el.predicate_holds(p, x) for x in pts])
+        want = np.array([el.predicate_holds_many(p, x[None])[0] for x in pts])
+        assert np.array_equal(got, want)
+
+
 class TestPredicates:
     def test_equality_tolerance(self):
         p = el.parse_predicate("x1 = 0", 1)

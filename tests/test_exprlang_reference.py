@@ -162,13 +162,13 @@ def _boundary_expressions_reference(p):
     raise TypeError(f"unknown predicate {type(p).__name__}")
 
 
-# the public wrappers, as they stood around the references
+# the public wrappers around the references; a single point is evaluated
+# as the one row of a batch
 
 
 def _evaluate_reference(e, point, y=None):
-    x = np.asarray(point, dtype=float)
-    yv = None if y is None else np.asarray(y, dtype=float)
-    return float(_eval_reference(e, x, yv))
+    yv = None if y is None else np.asarray(y, dtype=float)[None]
+    return float(_evaluate_many_reference(e, np.asarray(point, dtype=float)[None], yv)[0])
 
 
 def _evaluate_many_reference(e, x, y=None):
@@ -233,7 +233,7 @@ def _assert_same_predicate(p, x, slack):
     _assert_same_outcome(el.predicate_holds_many, _predicate_holds_many_reference, p, x, slack)
     _assert_same_outcome(_node_holds, _pred_eval_reference, p, x, slack)
     for row in x:
-        want = bool(_pred_eval_reference(p, row, slack))
+        want = bool(_predicate_holds_many_reference(p, row[None], slack)[0])
         assert el.predicate_holds(p, row, slack) is want
     assert el.boundary_expressions(p) == _boundary_expressions_reference(p)
 
