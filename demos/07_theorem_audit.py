@@ -10,7 +10,8 @@ replays hypotheses at any conclusion witness, so sampling artifacts are
 downgraded instead of reported as violations.
 """
 
-from vvicert import RULES, RandomInstanceSpec, SamplingPlan, generate_instance, run_matrix
+from vvicert import RULES, SamplingPlan, run_matrix
+from vvicert.audit import generated_instances
 from vvicert.cli import load_problem
 
 plan = SamplingPlan(ball_sample_count=2000, pair_sample_count=2000)
@@ -18,24 +19,14 @@ plan = SamplingPlan(ball_sample_count=2000, pair_sample_count=2000)
 for rule_id, rule in sorted(RULES.items()):
     print(f"{rule_id}: {rule.description}")
 
-# The two bundled fixtures plus a handful of generated instances. Generated
-# objectives are continuous piecewise polynomials glued along hyperplanes,
-# audited at a point on the gluing plane.
+# The two bundled fixtures plus the eight generated instances of
+# `vvicert audit --generated 8 --seed 0`. Generated objectives are continuous
+# piecewise polynomials glued along hyperplanes, audited at a point on the
+# gluing plane.
 instances = [
     (load_problem("example5"), "xi"),
     (load_problem("example23"), "x0"),
-]
-for seed in range(8):
-    spec = RandomInstanceSpec(
-        seed=seed,
-        n=1 + seed % 3,
-        m=2 + seed % 2,
-        piece_count=1 + seed % 3,
-        degree=1 + seed % 3,
-        kernel_kind=["difference", "negNormDifference"][seed % 2],
-    )
-    inst = generate_instance(spec)
-    instances.append((inst, inst.point("x0")))
+] + generated_instances(8, seed=0)
 
 summary = run_matrix(sorted(RULES), instances, plan)
 print()

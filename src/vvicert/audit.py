@@ -55,6 +55,7 @@ __all__ = [
     "RULES",
     "audit_rule",
     "generate_instance",
+    "generated_instances",
     "run_matrix",
 ]
 
@@ -242,8 +243,7 @@ def audit_rule(
     f, kernel = problem.f, problem.kernel
     xi = problem.point(point)
     label = f"{problem.name or 'problem'}@{np.asarray(xi).tolist()}"
-    hyp: dict = {}
-    notes: list = []
+    hyp: dict = {}  # filled by the rule, so an error row keeps what was decided
 
     flags = kernel.flags(f.inner_box(), seed=plan.seed)
     for name in rule.required_flags:
@@ -255,16 +255,15 @@ def audit_rule(
                 [f"kernel flag {name} not established"],
             )
 
+    decide = _audit_t41 if rule.contrapositive else _audit_forward
     try:
-        if rule.contrapositive:
-            return _audit_t41(rule, problem, xi, plan, hyp, notes, label)
-        return _audit_forward(rule, problem, xi, plan, hyp, notes, label)
+        outcome, conclusion, note = decide(rule, problem, xi, plan, hyp)
     except VviCertError as exc:
         hyp["error"] = Verdict(INAPPLICABLE, str(exc))
-        return AuditResult(
-            rule.rule_id, label, hyp, None, NOT_CERTIFIED,
-            notes + [f"checker error treated as inapplicable: {exc}"],
-        )
+        outcome, conclusion = NOT_CERTIFIED, None
+        note = f"checker error treated as inapplicable: {exc}"
+    notes = [] if note is None else [note]
+    return AuditResult(rule.rule_id, label, hyp, conclusion, outcome, notes)
 
 
 def _inputs_digest(problem: Problem, xi: np.ndarray, plan: SamplingPlan) -> bytes:
@@ -276,7 +275,9 @@ def _inputs_digest(problem: Problem, xi: np.ndarray, plan: SamplingPlan) -> byte
     )
 
 
-def _audit_forward(rule, problem, xi, plan, hyp, notes, label) -> AuditResult:
+def _audit_forward(rule, problem, xi, plan, hyp) -> tuple:
+    """(outcome, conclusion verdict or None, note or None) of a forward rule;
+    the hypothesis verdicts go into hyp as they are decided."""
     f, cone, kernel, e = problem.f, problem.cone, problem.kernel, problem.e
     r = plan.radius
     inputs = _inputs_digest(problem, xi, plan)
@@ -304,38 +305,32 @@ def _audit_forward(rule, problem, xi, plan, hyp, notes, label) -> AuditResult:
         k for k, v in hyp.items() if isinstance(v, Verdict) and not v.certified
     ]
     if not_certified:
-        return AuditResult(
-            rule.rule_id, label, hyp, None, NOT_CERTIFIED,
-            notes + [f"hypotheses not certified: {', '.join(not_certified)}"],
-        )
+        return NOT_CERTIFIED, None, f"hypotheses not certified: {', '.join(not_certified)}"
 
     conclusion = _checked(
         problem, (inputs, rule.weak), check_quasi_efficient,
         f, cone, kernel, e, xi, r, weak=rule.weak, plan=plan,
     )
     if not conclusion.refuted:
-        return AuditResult(rule.rule_id, label, hyp, conclusion, CONSISTENT, notes)
+        return CONSISTENT, conclusion, None
 
     # certified hypotheses + refuted conclusion: replay hypotheses at witness
     x_star = np.asarray(conclusion.witness["x"], dtype=float)
     a, b = (xi, x_star) if rule.negated else (x_star, xi)
     if _invex_violation_mask(rule.invex_class, fn, cone, kernel, e, a[None, :], b[None, :])[0]:
-        notes.append(
+        return NOT_CERTIFIED, conclusion, (
             f"{rule.class_key} hypothesis violated at the conclusion witness pair; "
             f"certification was a sampling artifact"
         )
-        return AuditResult(rule.rule_id, label, hyp, conclusion, NOT_CERTIFIED, notes)
     # the forall reading that check_vvi certified; a zero-eta x decides nothing
     if rule.variant is not None and _vvi_violation_mask(
         rule.variant, f, cone, kernel, xi, x_star[None, :], "forall"
     )[0][0]:
-        notes.append(
+        return NOT_CERTIFIED, conclusion, (
             f"{rule.variant.value} hypothesis violated at the conclusion witness; "
             f"certification was a sampling artifact"
         )
-        return AuditResult(rule.rule_id, label, hyp, conclusion, NOT_CERTIFIED, notes)
-    notes.append("conclusion witness replays while every hypothesis holds at it")
-    return AuditResult(rule.rule_id, label, hyp, conclusion, VIOLATION, notes)
+    return VIOLATION, conclusion, "conclusion witness replays while every hypothesis holds at it"
 
 
 def _segment_points(xi: np.ndarray, x_hat: np.ndarray, r: float) -> np.ndarray:
@@ -351,7 +346,9 @@ def _segment_points(xi: np.ndarray, x_hat: np.ndarray, r: float) -> np.ndarray:
     return pts[order]
 
 
-def _audit_t41(rule, problem, xi, plan, hyp, notes, label) -> AuditResult:
+def _audit_t41(rule, problem, xi, plan, hyp) -> tuple:
+    """(outcome, conclusion verdict or None, note or None) of the
+    contrapositive rule, filling hyp as _audit_forward does."""
     f, cone, kernel, e = problem.f, problem.cone, problem.kernel, problem.e
     r = plan.radius
     fn = f.negated() if rule.negated else f
@@ -364,10 +361,7 @@ def _audit_t41(rule, problem, xi, plan, hyp, notes, label) -> AuditResult:
     )
     hyp[f"{rule.variant.value}-refuted"] = vvi
     if not vvi.refuted:
-        return AuditResult(
-            rule.rule_id, label, hyp, None, NOT_CERTIFIED,
-            notes + ["contrapositive premise empty: WSVVI was not refuted"],
-        )
+        return NOT_CERTIFIED, None, "contrapositive premise empty: WSVVI was not refuted"
     x_hat = np.asarray(vvi.witness["x"], dtype=float)
     segment = _segment_points(xi, x_hat, r)
 
@@ -378,17 +372,14 @@ def _audit_t41(rule, problem, xi, plan, hyp, notes, label) -> AuditResult:
         rule.invex_class, fn, cone, kernel, e, xi, r, plan, extra_pairs=pairs,
     )
     if not hyp[rule.class_key].certified:
-        return AuditResult(
-            rule.rule_id, label, hyp, None, NOT_CERTIFIED,
-            notes + ["quasi type II hypothesis on -f not certified"],
-        )
+        return NOT_CERTIFIED, None, "quasi type II hypothesis on -f not certified"
 
     conclusion = _checked(
         problem, (inputs, rule.weak, _digest(segment)), check_quasi_efficient,
         f, cone, kernel, e, xi, r, weak=rule.weak, plan=plan, extra_points=segment,
     )
     if conclusion.refuted:
-        return AuditResult(rule.rule_id, label, hyp, conclusion, CONSISTENT, notes)
+        return CONSISTENT, conclusion, None
 
     # conclusion unexpectedly certified, although both checks above saw the
     # segment: decide bug vs hypothesis artifact at the first segment point
@@ -403,35 +394,34 @@ def _audit_t41(rule, problem, xi, plan, hyp, notes, label) -> AuditResult:
         )
         broken = class_broken | _quasi_violation_mask(f, cone, kernel, e, xi, rule.weak, rows)
         if class_broken[np.argmax(broken)]:
-            notes.append(
+            return NOT_CERTIFIED, conclusion, (
                 "quasi type II (-f) hypothesis violated on the witness segment; "
                 "certification was a sampling artifact"
             )
-            return AuditResult(rule.rule_id, label, hyp, conclusion, NOT_CERTIFIED, notes)
         if broken.any():
-            notes.append(
+            return VIOLATION, conclusion, (
                 "segment point refutes quasi weak efficiency although the "
                 "conclusion check certified: checker inconsistency"
             )
-            return AuditResult(rule.rule_id, label, hyp, conclusion, VIOLATION, notes)
-    notes.append(
+    return NOT_CERTIFIED, conclusion, (
         "kernel affinity did not transport the WSVVI witness into the ball; "
         "contrapositive premise could not be propagated"
     )
-    return AuditResult(rule.rule_id, label, hyp, conclusion, NOT_CERTIFIED, notes)
 
 
 # ---------------------------------------------------------------------------
 # Random instances
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class RandomInstanceSpec:
     """Recipe for a generated continuous piecewise-polynomial instance.
 
     Pieces are glued along hyperplanes by construction (each side adds a
     multiple of the gluing form to a common base polynomial), so continuity
     holds exactly and the Jacobian jump across the boundary is genuine.
+    Every field is checked once, at construction; the spec is frozen so the
+    check still holds when the instance is generated.
     """
 
     seed: int
@@ -446,6 +436,8 @@ class RandomInstanceSpec:
             raise GenerationFailedError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.n <= 3 or not 1 <= self.m <= 3:
             raise GenerationFailedError("dimensions must satisfy 1 <= n, m <= 3")
+        if not 1 <= self.piece_count <= 3:
+            raise GenerationFailedError("piece count must be between 1 and 3")
         if not 1 <= self.degree <= 3:
             raise GenerationFailedError("degree must be between 1 and 3")
 
@@ -481,10 +473,6 @@ def generate_instance(spec: RandomInstanceSpec) -> Problem:
     """Deterministic per seed; the result passes the model's sampled coverage
     and continuity validation. Raises GenerationFailedError when the spec is
     degenerate or retries are exhausted."""
-    if spec.piece_count < 1:
-        raise GenerationFailedError("piece count must be >= 1")
-    if spec.piece_count > 3:
-        raise GenerationFailedError("piece count must be <= 3")
     last_error = "no attempt"
     for attempt in range(20):
         rng = np.random.default_rng(np.random.SeedSequence([spec.seed, attempt]))
@@ -514,49 +502,32 @@ def _generate_once(spec: RandomInstanceSpec, rng: np.random.Generator) -> Proble
         q = _poly_text(rng, n, qdeg, terms=2)
         return f"({c})*(({form_text}) - ({offset}))*({q})"
 
-    pieces = []
+    # each side is (region, offset of its bump, or None for the bare base)
+    sides = [("0 <= 1", None)]
     xi = np.zeros(n)
-    if spec.piece_count == 1:
-        pieces.append({"region": "0 <= 1", "components": list(base)})
-    else:
+    if spec.piece_count > 1:
         form, a = _linear_form(rng, n)
         if spec.piece_count == 2:
             b = round(float(rng.uniform(-0.4, 0.4)), 2)
-            pieces.append(
-                {
-                    "region": f"{form} >= {b}",
-                    "components": [f"({g}) + {bump(form, b)}" for g in base],
-                }
-            )
-            pieces.append(
-                {
-                    "region": f"{form} <= {b}",
-                    "components": [f"({g}) + {bump(form, b)}" for g in base],
-                }
-            )
-            xi = (b / float(a @ a)) * a
+            sides = [(f"{form} >= {b}", b), (f"{form} <= {b}", b)]
         else:
-            b1 = round(float(rng.uniform(-0.6, -0.1)), 2)
+            b = round(float(rng.uniform(-0.6, -0.1)), 2)
             b2 = round(float(rng.uniform(0.1, 0.6)), 2)
-            pieces.append(
-                {
-                    "region": f"{form} <= {b1}",
-                    "components": [f"({g}) + {bump(form, b1)}" for g in base],
-                }
-            )
-            pieces.append(
-                {
-                    "region": f"{form} >= {b1} and {form} <= {b2}",
-                    "components": list(base),
-                }
-            )
-            pieces.append(
-                {
-                    "region": f"{form} >= {b2}",
-                    "components": [f"({g}) + {bump(form, b2)}" for g in base],
-                }
-            )
-            xi = (b1 / float(a @ a)) * a
+            sides = [
+                (f"{form} <= {b}", b),
+                (f"{form} >= {b} and {form} <= {b2}", None),
+                (f"{form} >= {b2}", b2),
+            ]
+        xi = (b / float(a @ a)) * a  # on the first gluing plane
+    pieces = [
+        {
+            "region": region,
+            "components": [
+                g if offset is None else f"({g}) + {bump(form, offset)}" for g in base
+            ],
+        }
+        for region, offset in sides
+    ]
     e = np.round(rng.uniform(*_E_RANGE, size=m), 3)
     spec_dict = {
         "version": "vvicert/1",
@@ -571,6 +542,21 @@ def _generate_once(spec: RandomInstanceSpec, rng: np.random.Generator) -> Proble
         "points": {"x0": xi.tolist()},
     }
     return Problem.from_dict(spec_dict, name=spec_dict["name"])
+
+
+def generated_instances(count: int, seed: int = 0) -> list:
+    """The generated (problem, point) pairs of `vvicert audit --generated
+    COUNT --seed SEED`, each at its point x0. Instance i has seed SEED + i;
+    n, the piece count and the degree rotate through 1..3, m through 2..3,
+    and the kernel alternates between difference and negNormDifference."""
+    instances = []
+    for i in range(count):
+        problem = generate_instance(RandomInstanceSpec(
+            seed=seed + i, n=1 + i % 3, m=2 + i % 2, piece_count=1 + i % 3,
+            degree=1 + i % 3, kernel_kind=("difference", "negNormDifference")[i % 2],
+        ))
+        instances.append((problem, problem.point("x0")))
+    return instances
 
 
 # ---------------------------------------------------------------------------

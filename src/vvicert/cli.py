@@ -208,18 +208,7 @@ def _cmd_audit(args):
         if unknown:
             raise VviCertError(f"unknown rules: {', '.join(unknown)}")
     at = _parse_point(problem, args.at)
-    instances = [(problem, at)]
-    for i in range(args.generated):
-        spec = audit.RandomInstanceSpec(
-            seed=plan.seed + i,
-            n=1 + i % 3,
-            m=2 + i % 2,
-            piece_count=1 + i % 3,
-            degree=1 + i % 3,
-            kernel_kind=["difference", "negNormDifference"][i % 2],
-        )
-        inst = audit.generate_instance(spec)
-        instances.append((inst, inst.point("x0")))
+    instances = [(problem, at)] + audit.generated_instances(args.generated, plan.seed)
     summary = audit.run_matrix(rules, instances, plan)
     print(summary.table(), file=sys.stderr)
     payload = {"operation": "audit", "summary": summary.to_payload()}

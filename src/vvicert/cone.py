@@ -27,6 +27,8 @@ __all__ = ["OrderingCone"]
 _CONVERT_MAX_DIM = 4
 # absolute tolerance of the closed-cone test N v >= -CONE_TOL
 CONE_TOL = 1e-9
+# relative margin of the open-cone test N v > margin * ||v||
+DEFAULT_MARGIN = 1e-9
 
 
 def _unit_rows(a: np.ndarray) -> np.ndarray:
@@ -88,7 +90,7 @@ class OrderingCone:
         self,
         normals: Optional[np.ndarray] = None,
         generators: Optional[np.ndarray] = None,
-        margin: float = 1e-9,
+        margin: float = DEFAULT_MARGIN,
     ):
         if normals is None and generators is None:
             raise ValueError("supply normals (rows) and/or generators (columns)")
@@ -141,7 +143,7 @@ class OrderingCone:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def orthant(cls, m: int, margin: float = 1e-9) -> "OrderingCone":
+    def orthant(cls, m: int, margin: float = DEFAULT_MARGIN) -> "OrderingCone":
         """The nonnegative orthant of dimension m, the default ordering cone."""
         return cls(np.eye(m), np.eye(m), margin)
 
@@ -150,19 +152,23 @@ class OrderingCone:
         """Problem-file cone block: {"orthant": m} or row arrays, one ray or
         inward facet normal per row."""
         if "orthant" in spec:
-            return cls.orthant(int(spec["orthant"]), margin=spec.get("margin", 1e-9))
+            return cls.orthant(int(spec["orthant"]), margin=spec.get("margin", DEFAULT_MARGIN))
         gens = spec.get("generators")
         if gens is not None:
             gens = np.atleast_2d(np.asarray(gens, dtype=float)).T  # rows -> columns
         return cls(
             normals=spec.get("normals"),
             generators=gens,
-            margin=spec.get("margin", 1e-9),
+            margin=spec.get("margin", DEFAULT_MARGIN),
         )
 
     def to_dict(self) -> dict:
         if self._is_orthant:
-            return {"orthant": self.dim}
+            # the margin only when it is not the default, so the usual orthant
+            # stays the bare {"orthant": m}
+            if self.margin == DEFAULT_MARGIN:
+                return {"orthant": self.dim}
+            return {"orthant": self.dim, "margin": self.margin}
         return {
             "normals": self.normals.tolist(),
             "generators": self.generators.T.tolist(),

@@ -177,7 +177,7 @@ class Div(_Binary):
     def ev(self, x, y):
         num = self.left.ev(x, y)
         den = self.right.ev(x, y)
-        if np.any(np.asarray(den) == 0.0):
+        if (np.asarray(den) == 0.0).any():
             raise DivisionByZeroError(self.text())
         return num / den
 
@@ -193,7 +193,7 @@ class Pow(Expr):
 
     def ev(self, x, y):
         base = self.base.ev(x, y)
-        if self.exponent < 0 and np.any(np.asarray(base) == 0.0):
+        if self.exponent < 0 and (np.asarray(base) == 0.0).any():
             raise DivisionByZeroError(self.text())
         return base ** self.exponent
 

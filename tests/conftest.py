@@ -46,20 +46,27 @@ def linear_problem():
 
 def criterion_10_instances(example5, example23) -> list:
     """(problem, point) pairs of the criterion-10 audit: both fixtures and
-    100 generated instances in a rotation of shapes and kernels."""
-    instances = [(example5, "xi"), (example23, "x0")]
-    for i in range(100):
-        spec = audit.RandomInstanceSpec(
-            seed=i,
-            n=1 + i % 3,
-            m=2 + i % 2,
-            piece_count=1 + i % 3,
-            degree=1 + i % 3,
-            kernel_kind=["difference", "negNormDifference"][i % 2],
-        )
-        inst = audit.generate_instance(spec)
-        instances.append((inst, inst.point("x0")))
-    return instances
+    the 100 generated instances of `vvicert audit --generated 100 --seed 0`."""
+    return [(example5, "xi"), (example23, "x0")] + audit.generated_instances(100, 0)
+
+
+# the payload-producing commands of acceptance criterion 11
+CRITERION_11_COMMANDS = [
+    ["jacobian", "--problem", "example5", "--at", "0"],
+    ["check", "vvi", "--variant", "svvi", "--problem", "example5", "--at", "0",
+     "--samples", "2000"],
+    ["check", "efficiency", "--problem", "example5", "--at", "0",
+     "--e", "0.5,0.5", "--r", "0.25", "--samples", "2000"],
+    ["check", "invex", "--class", "pseudo2", "--problem", "example5",
+     "--at", "0", "--r", "0.5", "--e", "0.5,0.5", "--samples", "2000"],
+    ["check", "invex", "--class", "invex", "--problem", "example23",
+     "--at", "0", "--e", "0.5,0.5", "--r", "0.25", "--kernel", "difference",
+     "--samples", "2000"],
+    ["check", "critical", "--problem", "example5", "--at", "0"],
+    ["audit", "--rules", "all", "--problem", "example5", "--at", "0",
+     "--samples", "800"],
+    ["gen", "--seed", "5"],
+]
 
 
 def random_smooth_expr(rng: np.random.Generator, dim: int, depth: int = 3):

@@ -23,7 +23,7 @@ from vvicert.cli import dispatch
 from vvicert.cone import OrderingCone
 from vvicert.errors import DegenerateError
 
-from conftest import criterion_10_instances, random_smooth_expr
+from conftest import CRITERION_11_COMMANDS, criterion_10_instances, random_smooth_expr
 
 
 CRITERION_10_SHA256 = "a0501d070118a4cc5065d1c3b4ccbb0d8f956db1cd61a1a0f1c7e66a5dc6415b"
@@ -247,24 +247,8 @@ def test_criterion_10_theorem_audit(example5, example23):
 def test_criterion_11_determinism(example5, example23, linear_problem):
     """Re-run the payload-producing criteria with identical seeds and compare
     canonical payload bytes."""
-    commands = [
-        ["jacobian", "--problem", "example5", "--at", "0"],
-        ["check", "vvi", "--variant", "svvi", "--problem", "example5", "--at", "0",
-         "--samples", "2000"],
-        ["check", "efficiency", "--problem", "example5", "--at", "0",
-         "--e", "0.5,0.5", "--r", "0.25", "--samples", "2000"],
-        ["check", "invex", "--class", "pseudo2", "--problem", "example5",
-         "--at", "0", "--r", "0.5", "--e", "0.5,0.5", "--samples", "2000"],
-        ["check", "invex", "--class", "invex", "--problem", "example23",
-         "--at", "0", "--e", "0.5,0.5", "--r", "0.25", "--kernel", "difference",
-         "--samples", "2000"],
-        ["check", "critical", "--problem", "example5", "--at", "0"],
-        ["audit", "--rules", "all", "--problem", "example5", "--at", "0",
-         "--samples", "800"],
-        ["gen", "--seed", "5"],
-    ]
     mismatched = []
-    for argv in commands:
+    for argv in CRITERION_11_COMMANDS:
         _, first = dispatch(argv)
         _, second = dispatch(argv)
         if _canon(first["payload"]) != _canon(second["payload"]):

@@ -419,6 +419,11 @@ class TestGenerateInstance:
         with pytest.raises(GenerationFailedError):
             audit.RandomInstanceSpec(seed=-1)
 
+    @pytest.mark.parametrize("piece_count", [0, 4])
+    def test_spec_rejects_piece_count_without_recipe(self, piece_count):
+        with pytest.raises(GenerationFailedError, match="piece count"):
+            audit.RandomInstanceSpec(seed=1, piece_count=piece_count)
+
     def test_generated_point_inside_domain(self):
         for seed in range(5):
             p = audit.generate_instance(

@@ -8,8 +8,10 @@ from scipy.linalg import null_space
 
 import vvicert
 from vvicert import _alt
+from vvicert.cli import load_problem
 from vvicert.cone import CONE_TOL, OrderingCone, _dedupe_rays, _extreme_rays
 from vvicert.errors import DimensionMismatchError
+from vvicert.problem import Problem
 
 
 @pytest.fixture(scope="module")
@@ -156,7 +158,8 @@ class TestConstruction:
         for m in (1, 2, 3, 4):
             cone = OrderingCone.orthant(m, margin=1e-8)
             assert cone.dim == m and cone.margin == 1e-8 and cone.tol == CONE_TOL
-            assert cone.is_orthant and cone.to_dict() == {"orthant": m}
+            assert cone.is_orthant and cone.to_dict() == {"orthant": m, "margin": 1e-8}
+            assert OrderingCone.orthant(m).to_dict() == {"orthant": m}
             assert np.array_equal(cone.normals, np.eye(m))
             assert np.array_equal(cone.generators, np.eye(m))
             assert np.array_equal(
@@ -181,6 +184,18 @@ class TestConstruction:
         poly = OrderingCone(generators=np.array([[1.0, 1.0], [0.0, 1.0]]))
         again = OrderingCone.from_dict(poly.to_dict())
         assert np.allclose(again.normals, poly.normals)
+
+    def test_orthant_margin_survives_problem_roundtrip(self):
+        spec = load_problem("example5").to_dict()
+        default = Problem.from_dict(spec)
+        assert default.to_dict()["cone"] == {"orthant": 2}
+        spec["cone"] = {"orthant": 2, "margin": 1e-3}
+        tight = Problem.from_dict(spec)
+        again = Problem.from_dict(tight.to_dict())
+        assert again.cone.margin == 1e-3
+        assert again.to_dict()["cone"] == {"orthant": 2, "margin": 1e-3}
+        # the margin changes which vectors are interior, so it changes the hash
+        assert again.content_hash() == tight.content_hash() != default.content_hash()
 
 
 class TestOrderProperties:
