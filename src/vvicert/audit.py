@@ -269,10 +269,7 @@ def audit_rule(
 def _inputs_digest(problem: Problem, xi: np.ndarray, plan: SamplingPlan) -> bytes:
     """The inputs every checker call of one audit reads, besides the rule's
     own choices and injected samples."""
-    return _digest(
-        problem.f.to_dict(), problem.kernel.to_dict(), problem.cone.normals,
-        problem.cone.margin, problem.e, xi, plan.to_dict(),
-    )
+    return _digest(problem.to_dict(), xi, plan.to_dict())
 
 
 def _audit_forward(rule, problem, xi, plan, hyp) -> tuple:

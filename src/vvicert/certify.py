@@ -17,6 +17,7 @@ deterministic simplex grid of convex combinations.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
@@ -69,21 +70,13 @@ class InvexClass(str, Enum):
 
     @classmethod
     def parse(cls, name: str) -> "InvexClass":
-        key = name.strip().lower().replace("-", "").replace("_", "").replace(" ", "")
-        aliases = {
-            "invex": cls.INVEX,
-            "pseudo1": cls.PSEUDO_I,
-            "pseudoi": cls.PSEUDO_I,
-            "pseudo2": cls.PSEUDO_II,
-            "pseudoii": cls.PSEUDO_II,
-            "quasi1": cls.QUASI_I,
-            "quasii": cls.QUASI_I,
-            "quasi2": cls.QUASI_II,
-            "quasiii": cls.QUASI_II,
-        }
-        if key not in aliases:
-            raise ValueError(f"unknown invexity class {name!r}")
-        return aliases[key]
+        """Any case, without '-', '_' or spaces, with type I/II as 1/2."""
+        key = re.sub(r"[-_ ]", "", name.strip().lower())
+        key = re.sub(r"^(pseudo|quasi)(i{1,2})$", lambda m: f"{m[1]}{len(m[2])}", key)
+        try:
+            return cls(key)
+        except ValueError:
+            raise ValueError(f"unknown invexity class {name!r}") from None
 
 
 class VVIVariant(str, Enum):
@@ -241,8 +234,7 @@ def check_quasi_efficient(
     e = np.asarray(e, dtype=float)
     if not cone.validate_e(e):
         raise InvalidEError(f"e = {e.tolist()} is not strictly interior to the cone")
-    xi = np.asarray(xi, dtype=float)
-    f.require_inside(xi, "xi")
+    xi = f.require_inside(xi, "xi")
     f.require_ball_inside(xi, r)
 
     probes = boundary_probes(f, xi, r)
@@ -416,8 +408,7 @@ def check_vvi(
     if quantifier not in ("forall", "exists"):
         raise ValueError("quantifier must be 'forall' or 'exists'")
     plan = plan or SamplingPlan()
-    xi = np.asarray(xi, dtype=float)
-    f.require_inside(xi, "xi")
+    xi = f.require_inside(xi, "xi")
 
     inner = f.inner_box()
     box = np.stack(
@@ -528,8 +519,7 @@ def check_invex_class(
     e = np.asarray(e, dtype=float)
     if not cone.validate_e(e):
         raise InvalidEError(f"e = {e.tolist()} is not strictly interior to the cone")
-    x0 = np.asarray(x0, dtype=float)
-    f.require_inside(x0, "x0")
+    x0 = f.require_inside(x0, "x0")
     f.require_ball_inside(x0, r)
 
     px, py = _probe_pairs(x0, boundary_probes(f, x0, r))
@@ -616,8 +606,7 @@ def check_vector_critical(
     lambda; a critical mixture between grid points is not ruled out.
     """
     plan = plan or SamplingPlan()
-    xi = np.asarray(xi, dtype=float)
-    f.require_inside(xi, "xi")
+    xi = f.require_inside(xi, "xi")
     poly = f.clarke_jacobian(xi)
     verts = poly.as_array()  # (k, m, n)
     lambdas = sampling.simplex_weights(len(poly), SIMPLEX_GRID_DEPTH)

@@ -73,18 +73,19 @@ def load_problem(path_or_name: str, strict: bool = False) -> Problem:
     return problem
 
 
-def _parse_point(problem: Problem, text: str) -> np.ndarray:
-    try:
-        return np.array([float(tok) for tok in text.split(",")])
-    except ValueError:
-        return problem.point(text)
-
-
 def _parse_vector(text: str) -> np.ndarray:
     try:
         return np.array([float(tok) for tok in text.split(",")])
     except ValueError:
         raise VviCertError(f"not a vector of numbers 'a,b,...': {text!r}") from None
+
+
+def _parse_point(problem: Problem, text: str) -> np.ndarray:
+    """Coordinates 'a,b,...', else a named point of the problem."""
+    try:
+        return _parse_vector(text)
+    except VviCertError:
+        return problem.point(text)
 
 
 def _kernel_kind(name: str) -> str:
@@ -129,15 +130,18 @@ def _plan_from_args(args) -> SamplingPlan:
     return SamplingPlan(seed=_resolve_seed(args), **options)
 
 
-def _positive(kind):
-    """argparse type: a finite value of ``kind`` (int or float) above 0."""
+def _positive(kind, zero_ok=False):
+    """argparse type: a finite value of ``kind`` (int or float) above 0, or
+    at least 0 when ``zero_ok``."""
+    bound = ">= 0" if zero_ok else "> 0"
+
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
             value = None
-        if value is None or not (np.isfinite(value) and value > 0):
-            raise argparse.ArgumentTypeError(f"not a finite {kind.__name__} > 0: {text!r}")
+        if value is None or not (np.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
+            raise argparse.ArgumentTypeError(f"not a finite {kind.__name__} {bound}: {text!r}")
         return value
     return parse
 
@@ -175,24 +179,7 @@ def _cmd_check(args):
     kernel = _resolve_kernel(problem, getattr(args, "kernel", None))
     e = problem.e if getattr(args, "e", None) is None else _parse_vector(args.e)
     at = _parse_point(problem, args.at)
-    f, cone = problem.f, problem.cone
-
-    if args.check_kind == "efficiency":
-        verdict = check_quasi_efficient(
-            f, cone, kernel, e, at, plan.radius, weak=args.weak, plan=plan
-        )
-    elif args.check_kind == "vvi":
-        verdict = check_vvi(
-            args.variant, f, cone, kernel, at, plan, quantifier=args.quantifier
-        )
-    elif args.check_kind == "invex":
-        verdict = check_invex_class(
-            args.invex_class, f, cone, kernel, e, at, plan.radius, plan
-        )
-    elif args.check_kind == "critical":
-        verdict = check_vector_critical(f, cone, at, plan)
-    else:  # pragma: no cover - argparse enforces choices
-        raise VviCertError(f"unknown check {args.check_kind!r}")
+    verdict = args.run(args, problem.f, problem.cone, kernel, e, at, plan)
     payload = {"operation": f"check {args.check_kind}", "verdict": verdict.to_payload()}
     return _verdict_exit(verdict), payload, problem
 
@@ -316,33 +303,40 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="run a semi-decision checker")
     check_sub = check.add_subparsers(dest="check_kind", required=True)
 
+    # each check binds its checker call, run(args, f, cone, kernel, e, at, plan)
     p = check_sub.add_parser("efficiency", help="local quasi (weak) efficiency")
     _add_common(p)
     p.add_argument("--weak", action="store_true", help="check the weak (strict order) form")
-    p.set_defaults(handler=_cmd_check)
+    p.set_defaults(handler=_cmd_check, run=lambda a, f, cone, kernel, e, at, plan:
+                   check_quasi_efficient(f, cone, kernel, e, at, plan.radius,
+                                         weak=a.weak, plan=plan))
 
     p = check_sub.add_parser("vvi", help="vector variational inequalities")
     _add_common(p)
     p.add_argument("--variant", required=True, choices=["svvi", "mvvi", "wsvvi", "wmvvi"])
     p.add_argument("--quantifier", choices=["forall", "exists"], default="forall",
                    help="reading of the 'for all Jacobian elements' quantifier")
-    p.set_defaults(handler=_cmd_check)
+    p.set_defaults(handler=_cmd_check, run=lambda a, f, cone, kernel, e, at, plan:
+                   check_vvi(a.variant, f, cone, kernel, at, plan, quantifier=a.quantifier))
 
     p = check_sub.add_parser("invex", help="generalized invexity classes")
     _add_common(p)
     p.add_argument("--class", dest="invex_class", required=True,
                    choices=["invex", "pseudo1", "pseudo2", "quasi1", "quasi2"])
-    p.set_defaults(handler=_cmd_check)
+    p.set_defaults(handler=_cmd_check, run=lambda a, f, cone, kernel, e, at, plan:
+                   check_invex_class(a.invex_class, f, cone, kernel, e, at,
+                                     plan.radius, plan))
 
     p = check_sub.add_parser("critical", help="vector criticality")
     _add_common(p, with_e=False, with_kernel=False)
-    p.set_defaults(handler=_cmd_check)
+    p.set_defaults(handler=_cmd_check, run=lambda a, f, cone, kernel, e, at, plan:
+                   check_vector_critical(f, cone, at, plan))
 
     p = sub.add_parser("audit", help="stress-test the optimality theorems")
     _add_common(p, with_e=False, with_kernel=False)
     p.add_argument("--rules", default="all", help="'all' or comma-separated rule ids")
-    p.add_argument("--generated", type=int, default=0,
-                   help="additionally audit this many generated instances")
+    p.add_argument("--generated", type=_positive(int, zero_ok=True), default=0,
+                   help="additionally audit this many generated instances (N >= 0)")
     p.set_defaults(handler=_cmd_audit)
 
     p = sub.add_parser("repro", help="reproduce the bundled fixture results")

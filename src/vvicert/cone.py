@@ -101,18 +101,12 @@ class OrderingCone:
             generators = np.atleast_2d(np.asarray(generators, dtype=float))
             m = generators.shape[0]
             generators = _unit_rows(generators.T).T
+        if (normals is None or generators is None) and m > _CONVERT_MAX_DIM:
+            raise ValueError(f"dimension {m} > {_CONVERT_MAX_DIM}: supply both representations")
         if normals is None:
-            if m > _CONVERT_MAX_DIM:
-                raise ValueError(
-                    f"dimension {m} > {_CONVERT_MAX_DIM}: supply both representations"
-                )
             # facet normals of C = extreme rays of the dual cone {y : G^T y >= 0}
             normals = _unit_rows(_extreme_rays(generators.T))
         if generators is None:
-            if m > _CONVERT_MAX_DIM:
-                raise ValueError(
-                    f"dimension {m} > {_CONVERT_MAX_DIM}: supply both representations"
-                )
             generators = _unit_rows(_extreme_rays(normals)).T
 
         if normals.shape[1] != m or generators.shape[0] != m:
@@ -134,10 +128,11 @@ class OrderingCone:
         if n.shape != (self.dim, self.dim):
             return False
         rounded = np.where(np.abs(n) < 1e-12, 0.0, n)
+        one = np.abs(rounded - 1.0) < 1e-12
         return bool(
-            np.all((np.abs(rounded - 1.0) < 1e-12) | (np.abs(rounded) < 1e-12))
-            and np.all(np.sum(np.abs(rounded - 1.0) < 1e-12, axis=0) == 1)
-            and np.all(np.sum(np.abs(rounded - 1.0) < 1e-12, axis=1) == 1)
+            np.all(one | (np.abs(rounded) < 1e-12))
+            and np.all(one.sum(axis=0) == 1)
+            and np.all(one.sum(axis=1) == 1)
         )
 
     # -- construction helpers -------------------------------------------------
@@ -204,21 +199,22 @@ class OrderingCone:
 
     # -- induced orders ---------------------------------------------------------
 
-    def leq(self, x, y) -> bool:
-        """x <=_C y, i.e. y - x in C."""
+    @staticmethod
+    def _difference(x, y) -> np.ndarray:
+        """y - x, for two vectors of the same shape."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if x.shape != y.shape:
             raise DimensionMismatchError("order comparison of different dimensions")
-        return self.contains(y - x)
+        return y - x
+
+    def leq(self, x, y) -> bool:
+        """x <=_C y, i.e. y - x in C."""
+        return self.contains(self._difference(x, y))
 
     def lt(self, x, y) -> bool:
         """x <_C y, i.e. y - x in int C."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.shape != y.shape:
-            raise DimensionMismatchError("order comparison of different dimensions")
-        return self.strictly_contains(y - x)
+        return self.strictly_contains(self._difference(x, y))
 
     def validate_e(self, e) -> bool:
         """True iff e >_C 0, the admissibility requirement on the e vector."""

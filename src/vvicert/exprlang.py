@@ -397,6 +397,10 @@ def _tokenize(text: str):
 # Parser
 # ---------------------------------------------------------------------------
 
+# binary operator -> (node class, whose prec is its binding; smart constructor)
+_BINARY = {"+": (Add, _add), "-": (Sub, _sub), "*": (Mul, _mul), "/": (Div, _div)}
+
+
 class _Parser:
     def __init__(self, tokens, dim: int, context: str, allow_abs: bool):
         self.tokens = tokens
@@ -421,27 +425,17 @@ class _Parser:
 
     # expression grammar -----------------------------------------------------
 
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in ("+", "-"):
-                self.advance()
-                rhs = self.parse_term()
-                node = _add(node, rhs) if value == "+" else _sub(node, rhs)
-            else:
-                return node
-
-    def parse_term(self) -> Expr:
+    def parse_expr(self, min_prec: int = 1) -> Expr:
+        """Precedence climbing over _BINARY: each operator binds as tightly
+        as its node class's ``prec`` (the printer's binding), left to right."""
         node = self.parse_unary()
         while True:
             kind, value, _ = self.peek()
-            if kind == "op" and value in ("*", "/"):
-                self.advance()
-                rhs = self.parse_unary()
-                node = _mul(node, rhs) if value == "*" else _div(node, rhs)
-            else:
+            if kind != "op" or value not in _BINARY or _BINARY[value][0].prec < min_prec:
                 return node
+            self.advance()
+            node_class, build = _BINARY[value]
+            node = build(node, self.parse_expr(node_class.prec + 1))
 
     def parse_unary(self) -> Expr:
         kind, value, _ = self.peek()

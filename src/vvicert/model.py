@@ -161,13 +161,16 @@ class PiecewiseVectorFn:
         box = self.inner_box()
         return bool(np.all(x >= box[:, 0]) and np.all(x <= box[:, 1]))
 
-    def require_inside(self, x, what: str = "point"):
-        if np.asarray(x).shape[-1] != self.n:
+    def require_inside(self, x, what: str = "point") -> np.ndarray:
+        """x as a float array, checked to be a point of the open domain."""
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1] != self.n:
             raise DimensionMismatchError(
-                f"{what} has dimension {np.asarray(x).shape[-1]}, function expects {self.n}"
+                f"{what} has dimension {x.shape[-1]}, function expects {self.n}"
             )
         if not self.in_domain(x):
-            raise OutOfDomainError(f"{what} {np.asarray(x).tolist()} outside the open domain box")
+            raise OutOfDomainError(f"{what} {x.tolist()} outside the open domain box")
+        return x
 
     def require_ball_inside(self, center, radius: float):
         center = np.asarray(center, dtype=float)
@@ -223,8 +226,7 @@ class PiecewiseVectorFn:
 
     def value(self, x) -> np.ndarray:
         """f(x) at a single point strictly inside the domain."""
-        self.require_inside(x)
-        return self.values(np.atleast_2d(np.asarray(x, dtype=float)))[0]
+        return self.values(np.atleast_2d(self.require_inside(x)))[0]
 
     # -- Jacobians --------------------------------------------------------------
 
@@ -241,8 +243,7 @@ class PiecewiseVectorFn:
     def clarke_jacobian(self, x) -> JacobianPolytope:
         """Vertex polytope of the generalized Jacobian at x: the analytic
         Jacobians of every piece active within TOL_ACTIVE, duplicates merged."""
-        self.require_inside(x)
-        x = np.asarray(x, dtype=float)
+        x = self.require_inside(x)
         mask = self.active_mask(x[None, :], TOL_ACTIVE)[:, 0]
         active = [j for j in range(len(self.pieces)) if mask[j]]
         if not active:

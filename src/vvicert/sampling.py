@@ -125,16 +125,10 @@ def simplex_weights(k: int, depth: int) -> np.ndarray:
     Pure vertices come first (so vertex certificates are found before mixtures);
     the remaining grid points follow in lexicographic order.
     """
-    if k == 1:
-        return np.ones((1, 1))
     depth = max(1, int(depth))
-    vertices = np.eye(k)
-    rows = []
+    rows = [np.eye(k)]
     for combo in combinations_with_replacement(range(k), depth):
         lam = np.bincount(combo, minlength=k) / depth
-        if np.max(lam) == 1.0:
-            continue  # pure vertex already listed
-        rows.append(lam)
-    if rows:
-        return np.vstack([vertices, np.array(rows)])
-    return vertices
+        if np.max(lam) < 1.0:  # pure vertices are the rows of eye(k)
+            rows.append(lam[None])
+    return np.vstack(rows)

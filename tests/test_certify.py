@@ -201,6 +201,34 @@ class TestInvexClasses:
         with pytest.raises(ValueError):
             InvexClass.parse("convex")
 
+    # the nine names the class table once listed, as (stem, type suffix, class)
+    ALIASES = [
+        ("invex", "", "invex"),
+        ("pseudo", "1", "pseudo1"), ("pseudo", "i", "pseudo1"),
+        ("pseudo", "2", "pseudo2"), ("pseudo", "ii", "pseudo2"),
+        ("quasi", "1", "quasi1"), ("quasi", "i", "quasi1"),
+        ("quasi", "2", "quasi2"), ("quasi", "ii", "quasi2"),
+    ]
+
+    @pytest.mark.parametrize("stem, suffix, value", ALIASES)
+    def test_every_alias_in_any_case_and_separator(self, stem, suffix, value):
+        for sep in ("", "-", "_", " "):
+            name = stem + sep + suffix
+            for spelled in (name, name.upper(), name.capitalize(), f"  {name} "):
+                assert InvexClass.parse(spelled) is InvexClass(value), spelled
+
+    @pytest.mark.parametrize("name, value", [
+        ("Pseudo-II", "pseudo2"), ("quasi_i", "quasi1"), ("QUASI 2", "quasi2"),
+        ("Quasi-iI", "quasi2"), ("in-vex", "invex"),
+    ])
+    def test_mixed_spellings(self, name, value):
+        assert InvexClass.parse(name) is InvexClass(value)
+
+    @pytest.mark.parametrize("name", ["convex", "quasi", "pseudo3", "pseudoiii", "quasi0", ""])
+    def test_unknown_names_raise(self, name):
+        with pytest.raises(ValueError, match=f"^unknown invexity class {name!r}$"):
+            InvexClass.parse(name)
+
     def test_witness_replays(self, example23, light_plan):
         diff = Kernel("difference", 1)
         v = check_invex_class(

@@ -339,6 +339,19 @@ class TestInputErrors:
         assert code == 2 and report == {}
         assert "error: not a vector" in capsys.readouterr().err
 
+    AUDIT_T46 = ["audit", "--rules", "T4.6", "--problem", "example5", "--at", "0",
+                 "--samples", "100"]
+
+    @pytest.mark.parametrize("count", ["-3", "-1", "1.5", "abc"])
+    def test_bad_generated_count_exit_two(self, capsys, count):
+        assert dispatch(self.AUDIT_T46 + ["--generated", count]) == (2, {})
+        assert "argument --generated: not a finite int >= 0" in capsys.readouterr().err
+
+    def test_generated_zero_is_no_generated(self):
+        code, report = dispatch(self.AUDIT_T46 + ["--generated", "0"])
+        assert code == 0
+        assert payload_bytes(report) == payload_bytes(dispatch(self.AUDIT_T46)[1])
+
     def test_audit_generated_default_samples(self, monkeypatch):
         from vvicert import audit
 

@@ -1,11 +1,17 @@
 """The expression nodes evaluate, differentiate and print exactly as the
-type-switch functions they replaced. Those functions are kept below as
-private references, and every comparison is exact: same values, same dtype,
-same derivative trees, same text, same exceptions and messages."""
+type-switch functions they replaced, and the precedence-climbing parser
+builds the trees of the two-level parser it replaced. Those functions are
+kept below as private references, and every comparison is exact: same
+values, same dtype, same derivative trees, same text, same exceptions and
+messages."""
+
+import json
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from vvicert import audit
 from vvicert import exprlang as el
 from vvicert.errors import (
     DimensionMismatchError,
@@ -187,6 +193,40 @@ def _predicate_holds_many_reference(p, x, slack=0.0):
     return np.asarray(out, dtype=bool)
 
 
+class _TwoLevelParser(el._Parser):
+    """The parser with one method per precedence level: sums of terms, terms
+    of unary factors, both folded left."""
+
+    def parse_expr(self):
+        node = self.parse_term()
+        while True:
+            kind, value, _ = self.peek()
+            if kind == "op" and value in ("+", "-"):
+                self.advance()
+                rhs = self.parse_term()
+                node = el._add(node, rhs) if value == "+" else el._sub(node, rhs)
+            else:
+                return node
+
+    def parse_term(self):
+        node = self.parse_unary()
+        while True:
+            kind, value, _ = self.peek()
+            if kind == "op" and value in ("*", "/"):
+                self.advance()
+                rhs = self.parse_unary()
+                node = el._mul(node, rhs) if value == "*" else el._div(node, rhs)
+            else:
+                return node
+
+
+def _parse_reference(text, dim, context="function", predicate=False):
+    parser = _TwoLevelParser(el._tokenize(text), dim, context, allow_abs=predicate)
+    node = parser.parse_predicate() if predicate else parser.parse_expr()
+    assert parser.peek()[0] == "end"
+    return node
+
+
 # ---------------------------------------------------------------------------
 # Comparisons
 # ---------------------------------------------------------------------------
@@ -350,3 +390,41 @@ class TestHandCases:
     def test_constant_predicate(self):
         p = el.parse_predicate("0 <= 1 and 2 > 3 or 1 = 1", 1)
         _assert_same_predicate(p, np.zeros((3, 1)), 0.0)
+
+
+def _problem_texts(spec: dict):
+    """(component texts, region texts, dim) of a problem-file dict."""
+    pieces = spec["pieces"]
+    components = [c for piece in pieces for c in piece["components"]]
+    return components, [piece["region"] for piece in pieces], spec["n"]
+
+
+class TestParserTrees:
+    HAND_CHAINS = (
+        "x1 - x2 + x3", "x1/x2/x3", "x1 - x2*x3/x4 + 2", "-x1^2", "2 - -x1",
+        "x1 - (x2 - x3)", "(x1 + 1)^-2", "x1*x2 - x3/x4*x1 + -x2 - 3/4/x1",
+    )
+
+    def _assert_same_trees(self, components, regions, dim):
+        for text in components:
+            assert el.parse(text, dim) == _parse_reference(text, dim), text
+        for text in regions:
+            assert el.parse_predicate(text, dim) == _parse_reference(text, dim, predicate=True)
+
+    @pytest.mark.parametrize("name", ["example5", "example23"])
+    def test_fixture_texts(self, name):
+        text = resources.files("vvicert").joinpath(f"fixtures/{name}.json").read_text()
+        self._assert_same_trees(*_problem_texts(json.loads(text)))
+
+    def test_generated_instance_texts(self):
+        for problem, _ in audit.generated_instances(100, 0):
+            self._assert_same_trees(*_problem_texts(problem.to_dict()))
+
+    @pytest.mark.parametrize("text", HAND_CHAINS)
+    def test_hand_chains(self, text):
+        assert el.parse(text, 4) == _parse_reference(text, 4)
+        assert el.parse(el.to_string(el.parse(text, 4)), 4) == el.parse(text, 4)
+
+    def test_kernel_context(self):
+        text = "x1 - y1*x2/y2 - (y1 - x1)"
+        assert el.parse(text, 2, "kernel") == _parse_reference(text, 2, "kernel")
