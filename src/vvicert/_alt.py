@@ -95,22 +95,27 @@ def check_matrix(A: np.ndarray, m: int) -> None:
         raise DegenerateError("matrix has a non-finite entry")
 
 
+def _max_slack(B: np.ndarray):
+    """The LP max s over (v, s) subject to B v >= s, |v|_inf <= 1, 0 <= s <= 1."""
+    h, m = B.shape
+    c = np.zeros(m + 1)
+    c[-1] = -1.0
+    a_ub = np.hstack([-B, np.ones((h, 1))])
+    bounds = [(-1.0, 1.0)] * m + [(0.0, 1.0)]
+    return linprog(c, A_ub=a_ub, b_ub=np.zeros(h), bounds=bounds, method="highs")
+
+
 def interior_witness(normals: np.ndarray, margin: float) -> np.ndarray:
     """Unit vector w with N w > margin for the cone {v : N v >= 0}.
 
     A simplicial cone (square N) takes N^-1 1, which has equal slack on every
-    facet; otherwise the LP max s subject to N v >= s, -1 <= v <= 1,
-    0 <= s <= 1 decides.
+    facet; otherwise the LP ``_max_slack(N)`` decides.
     """
     h, m = normals.shape
     if h == m:
         w = np.linalg.solve(normals, np.ones(m))
     else:
-        c = np.zeros(m + 1)
-        c[-1] = -1.0
-        a_ub = np.hstack([-normals, np.ones((h, 1))])
-        bounds = [(-1.0, 1.0)] * m + [(0.0, 1.0)]
-        res = linprog(c, A_ub=a_ub, b_ub=np.zeros(h), bounds=bounds, method="highs")
+        res = _max_slack(normals)
         if not res.success or -res.fun <= 2.0 * margin:
             raise ValueError("cone has empty interior (no strictly interior witness)")
         w = res.x[:m]
@@ -323,11 +328,7 @@ def gordan(A: np.ndarray, cone) -> GordanCertificate:
             return cert
 
     # LP1: max t subject to M x + t <= 0, |x| <= 1, 0 <= t <= 1
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    a_ub = np.hstack([M, np.ones((h, 1))])
-    bounds = [(-1.0, 1.0)] * n + [(0.0, 1.0)]
-    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(h), bounds=bounds, method="highs")
+    res = _max_slack(-M)
     if not res.success:
         raise DegenerateError(f"alternative-1 LP failed: {res.message}")
     t_star = float(res.x[-1])

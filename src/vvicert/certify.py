@@ -171,6 +171,29 @@ def _base_stats(plan: SamplingPlan, cone: OrderingCone, **extra) -> dict:
     return stats
 
 
+def _interior_e(cone: OrderingCone, e) -> np.ndarray:
+    """e as a float array; InvalidEError unless strictly interior to the cone."""
+    e = np.asarray(e, dtype=float)
+    if not cone.validate_e(e):
+        raise InvalidEError(f"e = {e.tolist()} is not strictly interior to the cone")
+    return e
+
+
+def _order(cone: OrderingCone, strict: bool):
+    """The cone's batched test of v >=_C 0, or of v >_C 0 when strict."""
+    return cone.strictly_contains_many if strict else cone.contains_many
+
+
+def _sampled_verdict(viol: np.ndarray, rows: tuple, refute, certified: str, stats: dict) -> Verdict:
+    """Refuted at the first violating sample, else Certified; ``refute`` maps that
+    sample's ``rows`` (the points, or both sides of the pairs) to (reason, witness)."""
+    if not viol.any():
+        return Verdict(CERTIFIED, certified, stats=stats)
+    idx = int(np.argmax(viol))
+    reason, witness = refute(*(r[idx] for r in rows))
+    return Verdict(REFUTED, reason, witness=witness, stats=stats)
+
+
 # ---------------------------------------------------------------------------
 # Point assembly
 # ---------------------------------------------------------------------------
@@ -183,16 +206,15 @@ def _stack_points(parts: Sequence[np.ndarray], n: int) -> np.ndarray:
 
 
 def _probe_pairs(x0: np.ndarray, probes: np.ndarray):
-    """Ordered pairs over {center} + the first 12 boundary probes; the
-    structured prefix of every pair stream. Pairs are enumerated with the
-    center first and probes in lexicographic order, so witnesses are
-    plan-deterministic."""
+    """Ordered pairs of distinct points of {center} + the first 12 boundary
+    probes, the structured prefix of every pair stream. A probe within 1e-15
+    of a kept point is dropped. Pairs run center first, then the probes in
+    lexicographic order, so witnesses are plan-deterministic."""
     pts = np.asarray(x0, dtype=float)[None, :]
     for p in probes[:12]:
         if not np.any(np.max(np.abs(pts - p), axis=1) <= 1e-15):
             pts = np.vstack([pts, p])
-    close = np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=2) <= 1e-15
-    first, second = np.nonzero(~close)
+    first, second = np.nonzero(~np.eye(len(pts), dtype=bool))
     return pts[first], pts[second]
 
 
@@ -213,8 +235,7 @@ def _quasi_violation_mask(
     eta_norm = np.linalg.norm(eta, axis=1)
     shifted = f.values(x) + eta_norm[:, None] * e[None, :]
     diff = f.value(xi)[None, :] - shifted
-    mask = cone.strictly_contains_many(diff) if weak else cone.contains_many(diff)
-    return mask & (eta_norm > ZERO_ETA_TOL)
+    return _order(cone, weak)(diff) & (eta_norm > ZERO_ETA_TOL)
 
 
 def check_quasi_efficient(
@@ -231,9 +252,7 @@ def check_quasi_efficient(
     """Search B(xi, r) for x with f(x) + e*||eta(x, xi)|| <=_C f(xi) (<_C when
     weak); such an x refutes local quasi (weak) efficiency at xi."""
     plan = plan or SamplingPlan()
-    e = np.asarray(e, dtype=float)
-    if not cone.validate_e(e):
-        raise InvalidEError(f"e = {e.tolist()} is not strictly interior to the cone")
+    e = _interior_e(cone, e)
     xi = f.require_inside(xi, "xi")
     f.require_ball_inside(xi, r)
 
@@ -253,26 +272,17 @@ def check_quasi_efficient(
         e=_listify(e),
         xi=_listify(xi),
     )
-    if viol.any():
-        idx = int(np.argmax(viol))
-        x = pts[idx]
-        eta = kernel.eval(x, xi)
-        return Verdict(
-            REFUTED,
-            f"x = {x.tolist()} violates local ({kind}) optimality at xi",
-            witness={
-                "x": x.tolist(),
-                "fx": _listify(f.value(x)),
-                "fxi": _listify(f.value(xi)),
-                "eta": _listify(eta),
-            },
-            stats=stats,
-        )
-    return Verdict(
-        CERTIFIED,
-        f"no violation of {kind} found in B(xi, r) at the recorded sampling effort",
-        stats=stats,
-    )
+
+    def refute(x):
+        return f"x = {x.tolist()} violates local ({kind}) optimality at xi", {
+            "x": x.tolist(),
+            "fx": _listify(f.value(x)),
+            "fxi": _listify(f.value(xi)),
+            "eta": _listify(kernel.eval(x, xi)),
+        }
+
+    certified = f"no violation of {kind} found in B(xi, r) at the recorded sampling effort"
+    return _sampled_verdict(viol, (pts,), refute, certified, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +372,7 @@ def _vvi_violation_mask(
 
     def _holds(values: np.ndarray) -> np.ndarray:
         # values: (..., m) products A @ eta
-        return (
-            cone.strictly_contains_many(-values)
-            if variant.weak
-            else cone.contains_many(-values)
-        )
+        return _order(cone, variant.weak)(-values)
 
     if variant.minty:
         prods, active = _vertex_products_at(f, x, eta)
@@ -432,22 +438,17 @@ def check_vvi(
         maxVertexCount=vertex_count,
         xi=_listify(xi),
     )
-    if viol.any():
-        idx = int(np.argmax(viol))
-        x = pts[idx]
-        where = "x" if variant.minty else "xi"
-        return Verdict(
-            REFUTED,
-            f"x = {x.tolist()} satisfies the {variant.value.upper()} inequality "
-            f"system (Jacobian taken at {where}); xi does not solve the VVI",
-            witness={"x": x.tolist(), "eta": _listify(kernel.eval(x, xi))},
-            stats=stats,
+    name, where = variant.value.upper(), "x" if variant.minty else "xi"
+
+    def refute(x):
+        return (
+            f"x = {x.tolist()} satisfies the {name} inequality system "
+            f"(Jacobian taken at {where}); xi does not solve the VVI",
+            {"x": x.tolist(), "eta": _listify(kernel.eval(x, xi))},
         )
-    return Verdict(
-        CERTIFIED,
-        f"xi solves the {variant.value.upper()} over the sampled search region",
-        stats=stats,
-    )
+
+    certified = f"xi solves the {name} over the sampled search region"
+    return _sampled_verdict(viol, (pts,), refute, certified, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -465,33 +466,26 @@ def _invex_violation_mask(
 ) -> np.ndarray:
     eta = kernel.eval_many(xs, ys)
     eta_norm = np.linalg.norm(eta, axis=1)
-    fx = f.values(xs)
-    fy = f.values(ys)
-    fdiff = fx - fy
+    fdiff = f.values(xs) - f.values(ys)
     penalty = eta_norm[:, None] * e[None, :]
     prods, active = _vertex_products_at(f, ys, eta)
+    # type I puts the penalty e||eta|| in the premise, type II in the
+    # conclusion; subtracting 0.0 leaves every float as it is
+    type_one = cls in (InvexClass.PSEUDO_I, InvexClass.QUASI_I)
+    in_premise, in_conclusion = (penalty, 0.0) if type_one else (0.0, penalty)
 
     # prods holds A eta for every piece's A, shape (pieces, N, m)
     if cls is InvexClass.INVEX:
         # f(x) - f(y) >=_C A eta - e||eta|| for every A
         viol = ~_forall_active(cone.contains_many(fdiff - prods + penalty), active)
-    elif cls is InvexClass.PSEUDO_I:
-        premise = cone.strictly_contains_many(-penalty - fdiff)
-        viol = premise & ~_forall_active(cone.strictly_contains_many(-prods), active)
-    elif cls is InvexClass.PSEUDO_II:
-        premise = cone.strictly_contains_many(-fdiff)
-        viol = premise & ~_forall_active(cone.strictly_contains_many(-prods - penalty), active)
-    else:  # QUASI_I or QUASI_II
-        # type I moves the penalty into the premise, type II into the conclusion
-        if cls is InvexClass.QUASI_I:
-            premise_vals, conclusion_vals = prods - penalty, fdiff
-        else:
-            premise_vals, conclusion_vals = prods, fdiff - penalty
+    elif cls in (InvexClass.PSEUDO_I, InvexClass.PSEUDO_II):
+        premise = cone.strictly_contains_many(-fdiff - in_premise)
+        viol = premise & ~_forall_active(cone.strictly_contains_many(-prods - in_conclusion), active)
+    else:
+        premise_vals = prods - in_premise
         premise = _exists_active(cone.strictly_contains_many(premise_vals), active)
-        premise = _hull_exists_refine(
-            premise_vals, active, cone.strictly_contains_many, premise
-        )
-        viol = premise & ~cone.strictly_contains_many(conclusion_vals)
+        premise = _hull_exists_refine(premise_vals, active, cone.strictly_contains_many, premise)
+        viol = premise & ~cone.strictly_contains_many(fdiff - in_conclusion)
     # a pair whose points differ only by rounding decides nothing
     return viol & (eta_norm > ZERO_ETA_TOL)
 
@@ -516,9 +510,7 @@ def check_invex_class(
     if not isinstance(cls, InvexClass):
         cls = InvexClass.parse(str(cls))
     plan = plan or SamplingPlan()
-    e = np.asarray(e, dtype=float)
-    if not cone.validate_e(e):
-        raise InvalidEError(f"e = {e.tolist()} is not strictly interior to the cone")
+    e = _interior_e(cone, e)
     x0 = f.require_inside(x0, "x0")
     f.require_ball_inside(x0, r)
 
@@ -539,26 +531,18 @@ def check_invex_class(
         e=_listify(e),
         x0=_listify(x0),
     )
-    if viol.any():
-        idx = int(np.argmax(viol))
-        x, y = xs[idx], ys[idx]
-        return Verdict(
-            REFUTED,
-            f"pair (x, y) violates the {cls.value} implication",
-            witness={
-                "x": x.tolist(),
-                "y": y.tolist(),
-                "fx": _listify(f.value(x)),
-                "fy": _listify(f.value(y)),
-                "eta": _listify(kernel.eval(x, y)),
-            },
-            stats=stats,
-        )
-    return Verdict(
-        CERTIFIED,
-        f"the {cls.value} implication held on every sampled pair",
-        stats=stats,
-    )
+
+    def refute(x, y):
+        return f"pair (x, y) violates the {cls.value} implication", {
+            "x": x.tolist(),
+            "y": y.tolist(),
+            "fx": _listify(f.value(x)),
+            "fy": _listify(f.value(y)),
+            "eta": _listify(kernel.eval(x, y)),
+        }
+
+    certified = f"the {cls.value} implication held on every sampled pair"
+    return _sampled_verdict(viol, (xs, ys), refute, certified, stats)
 
 
 # ---------------------------------------------------------------------------

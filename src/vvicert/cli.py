@@ -122,7 +122,7 @@ def _plan_from_args(args) -> SamplingPlan:
     options = {}
     if getattr(args, "r", None) is not None:
         options["radius"] = args.r
-    samples = args.samples
+    samples = getattr(args, "samples", None)
     if samples is None and getattr(args, "generated", 0) > 0:
         samples = 2000
     if samples is not None:
@@ -191,6 +191,8 @@ def _cmd_audit(args):
         rules = sorted(audit.RULES)
     else:
         rules = [r.strip() for r in args.rules.split(",") if r.strip()]
+        if not rules:
+            raise VviCertError("no rules given")
         unknown = [r for r in rules if r not in audit.RULES]
         if unknown:
             raise VviCertError(f"unknown rules: {', '.join(unknown)}")
@@ -274,16 +276,22 @@ def _cmd_gen(args):
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p, with_e=True, with_kernel=True):
+# the options that only some commands read, by name
+_OPTIONS = {
+    "samples": dict(type=_positive(int), default=None, help="ball and pair sample counts"),
+    "r": dict(type=_positive(float), default=None, help="ball radius (default 0.25)"),
+    "e": dict(default=None, help="e vector 'a,b,...' (default: the problem's)"),
+    "kernel": dict(default=None, help="kernel override: difference | negNormDifference"),
+}
+
+
+def _add_common(p, *options):
+    """The options of every problem command, and those of ``options``."""
     p.add_argument("--problem", required=True, help="problem file path or fixture name")
     p.add_argument("--at", required=True, help="point coordinates 'a,b,...' or named point")
     p.add_argument("--seed", type=int, default=None, help="sampling seed (env VVICERT_SEED overrides the default)")
-    p.add_argument("--samples", type=_positive(int), default=None, help="ball and pair sample counts")
-    p.add_argument("--r", type=_positive(float), default=None, help="ball radius (default 0.25)")
-    if with_e:
-        p.add_argument("--e", default=None, help="e vector 'a,b,...' (default: the problem's)")
-    if with_kernel:
-        p.add_argument("--kernel", default=None, help="kernel override: difference | negNormDifference")
+    for name in options:
+        p.add_argument(f"--{name}", **_OPTIONS[name])
     p.add_argument("--strict", action="store_true", help="treat load-time validation warnings as errors")
     p.add_argument("--out", default=None, help="write the JSON report to this path")
 
@@ -297,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("jacobian", help="generalized Jacobian polytope at a point")
-    _add_common(p, with_e=False, with_kernel=False)
+    _add_common(p)
     p.set_defaults(handler=_cmd_jacobian)
 
     check = sub.add_parser("check", help="run a semi-decision checker")
@@ -305,14 +313,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     # each check binds its checker call, run(args, f, cone, kernel, e, at, plan)
     p = check_sub.add_parser("efficiency", help="local quasi (weak) efficiency")
-    _add_common(p)
+    _add_common(p, "samples", "r", "e", "kernel")
     p.add_argument("--weak", action="store_true", help="check the weak (strict order) form")
     p.set_defaults(handler=_cmd_check, run=lambda a, f, cone, kernel, e, at, plan:
                    check_quasi_efficient(f, cone, kernel, e, at, plan.radius,
                                          weak=a.weak, plan=plan))
 
+    # the VVIs search the unit box around the point and take no e
     p = check_sub.add_parser("vvi", help="vector variational inequalities")
-    _add_common(p)
+    _add_common(p, "samples", "kernel")
     p.add_argument("--variant", required=True, choices=["svvi", "mvvi", "wsvvi", "wmvvi"])
     p.add_argument("--quantifier", choices=["forall", "exists"], default="forall",
                    help="reading of the 'for all Jacobian elements' quantifier")
@@ -320,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
                    check_vvi(a.variant, f, cone, kernel, at, plan, quantifier=a.quantifier))
 
     p = check_sub.add_parser("invex", help="generalized invexity classes")
-    _add_common(p)
+    _add_common(p, "samples", "r", "e", "kernel")
     p.add_argument("--class", dest="invex_class", required=True,
                    choices=["invex", "pseudo1", "pseudo2", "quasi1", "quasi2"])
     p.set_defaults(handler=_cmd_check, run=lambda a, f, cone, kernel, e, at, plan:
@@ -328,12 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
                                      plan.radius, plan))
 
     p = check_sub.add_parser("critical", help="vector criticality")
-    _add_common(p, with_e=False, with_kernel=False)
+    _add_common(p)
     p.set_defaults(handler=_cmd_check, run=lambda a, f, cone, kernel, e, at, plan:
                    check_vector_critical(f, cone, at, plan))
 
     p = sub.add_parser("audit", help="stress-test the optimality theorems")
-    _add_common(p, with_e=False, with_kernel=False)
+    _add_common(p, "samples", "r")
     p.add_argument("--rules", default="all", help="'all' or comma-separated rule ids")
     p.add_argument("--generated", type=_positive(int, zero_ok=True), default=0,
                    help="additionally audit this many generated instances (N >= 0)")
@@ -342,9 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("repro", help="reproduce the bundled fixture results")
     p.add_argument("fixture", choices=list(FIXTURES))
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--samples", type=_positive(int), default=None)
+    p.add_argument("--samples", **_OPTIONS["samples"])
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_repro, strict=False)
+    p.set_defaults(handler=_cmd_repro)
 
     p = sub.add_parser("gen", help="generate a random continuous piecewise instance")
     p.add_argument("--seed", type=int, default=None)
@@ -354,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=3)
     p.add_argument("--kernel", default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_gen, strict=False)
+    p.set_defaults(handler=_cmd_gen)
 
     return parser
 

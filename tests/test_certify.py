@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from vvicert import certify, sampling
+from vvicert import audit, certify, sampling
 from vvicert.certify import (
     InvexClass,
     SamplingPlan,
@@ -18,7 +18,7 @@ from vvicert.certify import (
 )
 from vvicert.cone import OrderingCone
 from vvicert.errors import InvalidEError, OutOfDomainError
-from vvicert.model import Kernel
+from vvicert.model import Kernel, boundary_probes
 from vvicert.problem import Problem
 
 
@@ -419,6 +419,60 @@ class TestProbePairs:
         for probes in (np.empty((0, 2)), np.zeros((3, 2))):
             xs, ys = certify._probe_pairs(np.zeros(2), probes)
             assert xs.shape == ys.shape == (0, 2)
+
+
+def _invex_violation_mask_reference(cls, f, cone, kernel, e, xs, ys):
+    """A branch per class, each placing the penalty e||eta|| itself: the
+    ladder that the shared type I/II placement of _invex_violation_mask must
+    match bit for bit."""
+    eta = kernel.eval_many(xs, ys)
+    eta_norm = np.linalg.norm(eta, axis=1)
+    fdiff = f.values(xs) - f.values(ys)
+    penalty = eta_norm[:, None] * e[None, :]
+    prods, active = certify._vertex_products_at(f, ys, eta)
+    forall = certify._forall_active
+    if cls is InvexClass.INVEX:
+        viol = ~forall(cone.contains_many(fdiff - prods + penalty), active)
+    elif cls is InvexClass.PSEUDO_I:
+        premise = cone.strictly_contains_many(-penalty - fdiff)
+        viol = premise & ~forall(cone.strictly_contains_many(-prods), active)
+    elif cls is InvexClass.PSEUDO_II:
+        premise = cone.strictly_contains_many(-fdiff)
+        viol = premise & ~forall(cone.strictly_contains_many(-prods - penalty), active)
+    else:
+        if cls is InvexClass.QUASI_I:
+            premise_vals, conclusion_vals = prods - penalty, fdiff
+        else:
+            premise_vals, conclusion_vals = prods, fdiff - penalty
+        premise = certify._exists_active(cone.strictly_contains_many(premise_vals), active)
+        premise = _hull_exists_refine(premise_vals, active, cone.strictly_contains_many, premise)
+        viol = premise & ~cone.strictly_contains_many(conclusion_vals)
+    return viol & (eta_norm > certify.ZERO_ETA_TOL)
+
+
+class TestInvexLadder:
+    @pytest.mark.parametrize("kernel_kind", ["difference", "negNormDifference"])
+    @pytest.mark.parametrize("negate", [False, True], ids=["f", "neg_f"])
+    def test_matches_the_branch_per_class_reference(self, example5, example23, negate, kernel_kind):
+        r = 0.25
+        instances = [(p, p.point("x0")) for p in (example5, example23)]
+        split = {"pseudo": False, "quasi": False}
+        for problem, x0 in instances + audit.generated_instances(30, 0):
+            f = problem.f.negated() if negate else problem.f
+            kernel = Kernel(kernel_kind, f.n)
+            px, py = certify._probe_pairs(x0, boundary_probes(f, x0, r))
+            sx, sy = sampling.ball_pairs(x0, r, 1000, 42)
+            xs, ys = np.vstack([px, sx]), np.vstack([py, sy])
+            masks = {}
+            for cls in InvexClass:
+                args = (cls, f, problem.cone, kernel, problem.e, xs, ys)
+                masks[cls.value] = _invex_violation_mask(*args)
+                want = _invex_violation_mask_reference(*args)
+                assert np.array_equal(masks[cls.value], want), (problem.name, cls.value)
+            for kind in split:
+                split[kind] |= not np.array_equal(masks[f"{kind}1"], masks[f"{kind}2"])
+        # types I and II part somewhere, so a swapped penalty placement shows
+        assert all(split.values()), split
 
 
 class TestDeterminism:

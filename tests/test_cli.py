@@ -339,6 +339,11 @@ class TestInputErrors:
         assert code == 2 and report == {}
         assert "error: not a vector" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rules", ["", " , "])
+    def test_empty_rule_list_exit_two(self, capsys, rules):
+        assert dispatch(["audit", "--rules", rules, "--problem", "example5", "--at", "0"]) == (2, {})
+        assert capsys.readouterr().err.splitlines() == ["error: no rules given"]
+
     AUDIT_T46 = ["audit", "--rules", "T4.6", "--problem", "example5", "--at", "0",
                  "--samples", "100"]
 
@@ -399,6 +404,50 @@ MALFORMED_FILES = {
     "piece without region": ("pieces", lambda s: s["pieces"][0].pop("region")),
     "e not numbers": ("e", lambda s: s.update(e=["a", "b"])),
 }
+
+
+class TestOptionsPerCommand:
+    """Each command takes only the options that its work reads."""
+
+    E5 = ["--problem", "example5", "--at", "0"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the VVIs take no e and search the unit box, not a ball
+            ["check", "vvi", "--variant", "svvi", *E5, "--e", "-1,-1"],
+            ["check", "vvi", "--variant", "svvi", *E5, "--r", "5"],
+            # criticality draws no samples; the Jacobian builds no plan
+            ["check", "critical", *E5, "--samples", "300"],
+            ["check", "critical", *E5, "--r", "0.5"],
+            ["jacobian", *E5, "--samples", "300"],
+            ["jacobian", *E5, "--r", "0.5"],
+        ],
+        ids=["vvi-e", "vvi-r", "critical-samples", "critical-r", "jacobian-samples", "jacobian-r"],
+    )
+    def test_unread_option_is_a_usage_error(self, capsys, argv):
+        assert dispatch(argv) == (2, {})
+        assert "error: unrecognized arguments" in capsys.readouterr().err
+
+    def test_vvi_reads_kernel_and_samples(self, example5):
+        from vvicert.certify import SamplingPlan, check_vvi
+        from vvicert.model import Kernel
+
+        code, report = dispatch(["check", "vvi", "--variant", "svvi", *self.E5,
+                                 "--kernel", "difference", "--samples", "300"])
+        plan = SamplingPlan(ball_sample_count=300, pair_sample_count=300)
+        want = check_vvi("svvi", example5.f, example5.cone, Kernel("difference", 1), [0.0], plan)
+        assert code == 0
+        assert payload_bytes(report) == payload_bytes({"payload": {
+            "operation": "check vvi", "verdict": want.to_payload()}})
+
+    def test_audit_reads_radius_and_samples(self):
+        code, report = dispatch(["audit", "--rules", "T4.6", *self.E5,
+                                 "--r", "0.2", "--samples", "300"])
+        text = payload_bytes(report)
+        assert code == 0
+        assert '"radius":0.2,' in text and '"ballSampleCount":300,' in text
+        assert '"radius":0.25' not in text
 
 
 class TestMalformedProblemFiles:
