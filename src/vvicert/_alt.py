@@ -14,6 +14,12 @@ space has more than one dimension and A more than one column, where the
 multiplier of a one-column A is sought under a non-simplicial cone, or where
 a closed-form certificate fails the same re-verification an LP certificate
 must pass.
+
+The criticality grid decides many small matrices. It stacks them into one
+``np.linalg.svd`` call, whose (u, sigma) for each matrix is bit for bit that
+matrix's own, and ``strict_mu``, ``strict_mu_rows`` and ``gordan`` take such
+a precomputed SVD in place of their own: stacked or alone, a matrix runs the
+same decision ladder.
 """
 
 from __future__ import annotations
@@ -32,8 +38,11 @@ from .errors import DegenerateError, DimensionMismatchError
 # in doubt and the LP decides
 RANK_NONZERO = 1e-6
 RANK_ZERO = 1e-9
+_RANK_BOUNDS = np.array([RANK_NONZERO, RANK_ZERO])
 # an alternative-2 certificate y must be longer than this
 Y_NONZERO = 1e-9
+# the smallest positive float
+_SMALLEST = float(np.finfo(float).smallest_subnormal)
 
 _counts: ContextVar[Optional[dict]] = ContextVar("vvicert_alt_counts", default=None)
 
@@ -50,10 +59,10 @@ def counting(into: dict):
         _counts.reset(token)
 
 
-def _count(key: str) -> None:
+def _count(key: str, times: int = 1) -> None:
     counts = _counts.get()
     if counts is not None:
-        counts[key] += 1
+        counts[key] += times
 
 
 def linprog(*args, **kwargs):
@@ -65,22 +74,38 @@ def linprog(*args, **kwargs):
 
 
 def unit_scale(A: np.ndarray) -> np.ndarray:
-    """A divided by its largest absolute entry; a zero A is returned as is."""
+    """A divided by its largest absolute entry; a zero A is returned as is. An
+    (L, m, n) stack is scaled matrix by matrix, each bit for bit as alone."""
+    if A.ndim == 3:
+        # a zero matrix divides by _SMALLEST, which keeps its zeros
+        return A / np.maximum(np.max(np.abs(A), axis=(1, 2), keepdims=True), _SMALLEST)
     peak = float(np.max(np.abs(A)))
     return A / peak if peak > 0.0 else A
+
+
+def rank(sigma: np.ndarray) -> np.ndarray:
+    """The rank that singular values (descending along the last axis, of one
+    matrix or of each matrix of a stack) give: the count above RANK_NONZERO
+    relative to the largest, or -1 where one lies between RANK_ZERO and
+    RANK_NONZERO. A zero matrix has rank 0."""
+    # no positive float is below _SMALLEST, so only a zero matrix's largest
+    # value is replaced, by a divisor that keeps its zeros
+    ratio = sigma / np.maximum(sigma[..., :1], _SMALLEST)
+    above = np.add.reduce(ratio[..., None] > _RANK_BOUNDS, axis=-2)
+    return np.where(above[..., 1] > above[..., 0], -1, above[..., 0])
 
 
 def null_basis(A: np.ndarray) -> Optional[np.ndarray]:
     """Orthonormal basis (columns) of the null space of A^T, or None when a
     singular value of A lies between RANK_ZERO and RANK_NONZERO relative to
     the largest."""
-    u, sigma, _ = np.linalg.svd(A, full_matrices=True)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return u
-    ratio = sigma / sigma[0]
-    if np.any((ratio > RANK_ZERO) & (ratio <= RANK_NONZERO)):
-        return None
-    return u[:, int(np.count_nonzero(ratio > RANK_NONZERO)):]
+    return _null_space(*np.linalg.svd(A, full_matrices=True)[:2])
+
+
+def _null_space(u: np.ndarray, sigma: np.ndarray) -> Optional[np.ndarray]:
+    """``null_basis`` of the A whose SVD has the factors u and sigma."""
+    r = int(rank(sigma))
+    return None if r < 0 else u[:, r:]
 
 
 def check_matrix(A: np.ndarray, m: int) -> None:
@@ -125,10 +150,11 @@ def interior_witness(normals: np.ndarray, margin: float) -> np.ndarray:
     return w
 
 
-def strict_mu(A: np.ndarray, normals: np.ndarray):
+def strict_mu(A: np.ndarray, normals: np.ndarray, svd: Optional[tuple] = None):
     """max s over mu with A^T mu = 0, N mu >= s, a.mu = 1, -1 <= s <= 1, where
     a, the sum of N's rows, is interior to C*. Returns (mu, s) at the optimum,
-    with s = min(N mu) of that mu, or (None, None) when infeasible.
+    with s = min(N mu) of that mu, or (None, None) when infeasible. ``svd``,
+    when given, is (u, sigma) of A from a stacked SVD and replaces A's own.
 
     A positive optimum certifies a strictly interior mu annihilating A^T.
     Since N mu >= s sums to a.mu = 1, s <= 1 never binds. Closed forms
@@ -139,7 +165,7 @@ def strict_mu(A: np.ndarray, normals: np.ndarray):
     m = A.shape[0]
     h = normals.shape[0]
     a = normals.sum(axis=0)
-    basis = null_basis(A)
+    basis = null_basis(A) if svd is None else _null_space(*svd)
     if basis is not None and basis.shape[1] == 0:
         _count("rankDecided")
         return None, None
@@ -176,6 +202,28 @@ def strict_mu(A: np.ndarray, normals: np.ndarray):
     # the interiority the returned mu actually has
     mu = res.x[:m]
     return mu, float(np.min(normals @ mu))
+
+
+def strict_mu_rows(stack: np.ndarray, normals: np.ndarray, svd: tuple):
+    """``strict_mu`` of each matrix of an (L, m, n) stack, in order and
+    lazily, as (i, mu, s). ``svd`` is (u, sigma) of the stack's first
+    len(sigma) matrices from one ``np.linalg.svd`` call; a matrix past them is
+    decided with its own SVD, and one with a non-finite entry is rejected.
+
+    A matrix of rank m has the null space {0}, so its answer (None, None)
+    comes from that rank alone. Those rows are settled as one vector: they
+    are not yielded, and they count as rankDecided only once the walk has
+    passed them, so a walk stopped at a certificate counts what it reached.
+    """
+    u, sigma = svd
+    settled = np.zeros(len(stack), dtype=bool)
+    settled[: len(sigma)] = rank(sigma) == stack.shape[1]
+    passed = 0
+    for i in np.flatnonzero(~settled):
+        _count("rankDecided", int(np.count_nonzero(settled[passed:i])))
+        passed = i
+        yield (i, *strict_mu(stack[i], normals, (u[i], sigma[i]) if i < len(sigma) else None))
+    _count("rankDecided", int(np.count_nonzero(settled[passed:])))
 
 
 def _one_column_mu(col: np.ndarray, normals: np.ndarray):
@@ -275,10 +323,11 @@ def _one_column_gordan(A: np.ndarray, col: np.ndarray, cone) -> Optional[GordanC
     return _certificate_two(y, z, cone) if _alternative_two(A, y) else None
 
 
-def gordan(A: np.ndarray, cone) -> GordanCertificate:
+def gordan(A: np.ndarray, cone, svd: Optional[tuple] = None) -> GordanCertificate:
     """Gordan's alternative for a unit-scale A against the cone's normals N:
     x with N A x < 0 (strictness min(-N A x)), or z >= 0 with sum z = 1 and
-    A^T y = 0 for y = N^T z. Closed forms come first, each aiming A x at a
+    A^T y = 0 for y = N^T z; ``svd``, as in ``strict_mu``, replaces A's own
+    SVD. Closed forms come first, each aiming A x at a
     target u in -int C that lies in the range of A:
 
     - A of full row rank: u = -w for the cone's interior witness w;
@@ -296,7 +345,7 @@ def gordan(A: np.ndarray, cone) -> GordanCertificate:
     normals = cone.normals
     M = normals @ A  # A x in -int C  iff  M x < 0 componentwise
     h, n = M.shape
-    basis = null_basis(A)
+    basis = null_basis(A) if svd is None else _null_space(*svd)
     target = None
     if basis is not None and basis.shape[1] == 0:
         target = -cone.interior_witness

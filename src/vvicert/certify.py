@@ -198,11 +198,12 @@ def _sampled_verdict(viol: np.ndarray, rows: tuple, refute, certified: str, stat
 # Point assembly
 # ---------------------------------------------------------------------------
 
-def _stack_points(parts: Sequence[np.ndarray], n: int) -> np.ndarray:
-    parts = [np.atleast_2d(np.asarray(p, dtype=float)) for p in parts if p is not None and len(p)]
-    if not parts:
-        return np.empty((0, n))
-    return np.vstack(parts)
+def _stack_points(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """The nonempty parts as rows of one array; every caller's last part is a
+    sample stream of at least one row."""
+    return np.vstack(
+        [np.atleast_2d(np.asarray(p, dtype=float)) for p in parts if p is not None and len(p)]
+    )
 
 
 def _probe_pairs(x0: np.ndarray, probes: np.ndarray):
@@ -258,7 +259,7 @@ def check_quasi_efficient(
 
     probes = boundary_probes(f, xi, r)
     stream = sampling.ball_points(xi, r, plan.ball_sample_count, plan.seed)
-    pts = _stack_points([probes, extra_points, stream], f.n)
+    pts = _stack_points([probes, extra_points, stream])
     viol = _quasi_violation_mask(f, cone, kernel, e, xi, weak, pts)
 
     kind = "quasi weak efficient" if weak else "quasi efficient"
@@ -424,7 +425,7 @@ def check_vvi(
     probe_radius = float(np.max(np.abs(box - xi[:, None])))
     probes = boundary_probes(f, xi, probe_radius)
     stream = sampling.box_points(box, plan.ball_sample_count, plan.seed)
-    pts = _stack_points([probes, extra_points, stream], f.n)
+    pts = _stack_points([probes, extra_points, stream])
 
     viol, vertex_count = _vvi_violation_mask(variant, f, cone, kernel, xi, pts, quantifier)
     stats = _base_stats(
@@ -517,8 +518,8 @@ def check_invex_class(
     px, py = _probe_pairs(x0, boundary_probes(f, x0, r))
     sx, sy = sampling.ball_pairs(x0, r, plan.pair_sample_count, plan.seed)
     ex, ey = extra_pairs if extra_pairs is not None else (None, None)
-    xs = _stack_points([px, ex, sx], f.n)
-    ys = _stack_points([py, ey, sy], f.n)
+    xs = _stack_points([px, ex, sx])
+    ys = _stack_points([py, ey, sy])
 
     viol = _invex_violation_mask(cls, f, cone, kernel, e, xs, ys)
     stats = _base_stats(
@@ -574,6 +575,34 @@ def gordan_alternative(A, cone: Optional[OrderingCone] = None) -> GordanCertific
 # Vector criticality
 # ---------------------------------------------------------------------------
 
+# Gordan evidence is recorded for this many leading grid lambdas
+_EVIDENCE_LAMBDAS = 16
+
+
+def _first_critical(decisions, threshold: float):
+    """The first (i, mu, s) among ``strict_mu`` decisions in lambda order whose
+    s clears the strictness threshold, or None, and the first (i, s) before
+    it whose s > 1e-12 sits inside the threshold, or None."""
+    ambiguous = None
+    for i, mu, s in decisions:
+        if mu is None:
+            continue
+        if s > threshold:
+            return (i, mu, s), ambiguous
+        if s > 1e-12 and ambiguous is None:
+            ambiguous = (i, s)
+    return None, ambiguous
+
+
+def _gordan_evidence(lam: np.ndarray, unit: np.ndarray, cone: OrderingCone, svd: tuple) -> dict:
+    """``gordan_alternative`` of a mixture, from its unit-scale copy and that
+    copy's SVD."""
+    try:
+        return {"lambda": lam.tolist(), "gordan": _alt.gordan(unit, cone, svd).to_dict()}
+    except DegenerateError as exc:
+        return {"lambda": lam.tolist(), "degenerate": str(exc)}
+
+
 def check_vector_critical(
     f: PiecewiseVectorFn,
     cone: OrderingCone,
@@ -588,6 +617,13 @@ def check_vector_critical(
     vertices on the lambda grid of depth SIMPLEX_GRID_DEPTH (8) is critical,
     with a Gordan alternative-1 direction recorded as evidence for every grid
     lambda; a critical mixture between grid points is not ruled out.
+
+    The grid is walked in lambda order up to the first critical mixture. The
+    first lambda, a vertex, is decided alone. Past it, one stacked SVD serves
+    the rank tests of the other mixtures and the Gordan evidence of the
+    unit-scale copies of the first 16; a mixture of full row rank is settled
+    by its rank alone. The verdict, the rankDecided and lpSolved counters and
+    the evidence are those of deciding each lambda in turn with its own SVDs.
     """
     plan = plan or SamplingPlan()
     xi = f.require_inside(xi, "xi")
@@ -595,6 +631,7 @@ def check_vector_critical(
     verts = poly.as_array()  # (k, m, n)
     lambdas = sampling.simplex_weights(len(poly), SIMPLEX_GRID_DEPTH)
     threshold = max(cone.margin, 1e-9)
+    normals = cone.normals
     stats = _base_stats(
         plan,
         cone,
@@ -603,41 +640,49 @@ def check_vector_critical(
         xi=_listify(xi),
     )
 
+    # one tensordot per lambda: mixing the grid with one lambdas @ verts
+    # product rounds differently
+    mixes = np.tensordot(lambdas[0], verts, axes=1)[None]  # the mixtures made so far
     evidence = []
-    ambiguous = None
     # rankDecided and lpSolved join the stats
     with _alt.counting(stats):
-        for lam in lambdas:
-            A = np.tensordot(lam, verts, axes=1)  # (m, n)
-            mu, s = _alt.strict_mu(A, cone.normals)
-            if mu is not None and 1e-12 < s <= threshold and ambiguous is None:
-                ambiguous = (lam, s)
-            if mu is not None and s > threshold:
-                return Verdict(
-                    CERTIFIED,
-                    "xi is a vector critical point: a strictly interior mu "
-                    "annihilates the mixed Jacobian",
-                    certificate={
-                        "lambda": lam.tolist(),
-                        "mu": _listify(mu),
-                        "interiority": float(s),
-                        "matrix": A.tolist(),
-                        "activePieces": list(poly.active_pieces),
-                    },
-                    stats=stats,
-                )
-            if len(evidence) < 16:
-                try:
-                    evidence.append(
-                        {"lambda": lam.tolist(), "gordan": gordan_alternative(A, cone).to_dict()}
-                    )
-                except DegenerateError as exc:
-                    evidence.append({"lambda": lam.tolist(), "degenerate": str(exc)})
+        hit, ambiguous = _first_critical([(0, *_alt.strict_mu(mixes[0], normals))], threshold)
+        if hit is None:
+            mixes = np.stack([mixes[0]] + [np.tensordot(lam, verts, axes=1) for lam in lambdas[1:]])
+            # strict_mu rejects a mixture with a non-finite entry, so the walk
+            # ends there and the stack stops before it
+            finite = np.all(np.isfinite(mixes), axis=(1, 2))
+            reach = len(mixes) if finite.all() else int(np.argmin(finite))
+            units = _alt.unit_scale(mixes[: min(reach, _EVIDENCE_LAMBDAS)])
+            u, sigma, _ = np.linalg.svd(np.concatenate([mixes[1:reach], units]), full_matrices=True)
+            rows = _alt.strict_mu_rows(mixes[1:], normals, (u[: reach - 1], sigma[: reach - 1]))
+            hit, later = _first_critical(((i + 1, mu, s) for i, mu, s in rows), threshold)
+            ambiguous = ambiguous or later
+            walked = len(lambdas) if hit is None else hit[0]
+            evidence = [
+                _gordan_evidence(lambdas[i], units[i], cone, (u[reach - 1 + i], sigma[reach - 1 + i]))
+                for i in range(min(walked, _EVIDENCE_LAMBDAS))
+            ]
 
+    if hit is not None:
+        i, mu, s = hit
+        return Verdict(
+            CERTIFIED,
+            "xi is a vector critical point: a strictly interior mu "
+            "annihilates the mixed Jacobian",
+            certificate={
+                "lambda": lambdas[i].tolist(),
+                "mu": _listify(mu),
+                "interiority": float(s),
+                "matrix": mixes[i].tolist(),
+                "activePieces": list(poly.active_pieces),
+            },
+            stats=stats,
+        )
     if ambiguous is not None:
-        lam, s = ambiguous
+        i, s = ambiguous
         raise DegenerateError(
-            f"interiority optimum {s:.3e} at lambda {lam.tolist()} sits inside the "
+            f"interiority optimum {s:.3e} at lambda {lambdas[i].tolist()} sits inside the "
             f"strictness margin; criticality is numerically ambiguous"
         )
     return Verdict(

@@ -1,20 +1,28 @@
+import collections
 import functools
+import importlib.util
 import itertools
+import json
+import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from vvicert import _alt, audit
+from conftest import criterion_10_instances
+from vvicert import _alt, audit, certify, sampling
 from vvicert.certify import (
     SamplingPlan,
     check_vector_critical,
     gordan_alternative,
 )
 from vvicert.cone import OrderingCone
-from vvicert.errors import DegenerateError, DimensionMismatchError
+from vvicert.errors import DegenerateError, DimensionMismatchError, VviCertError
+from vvicert.model import JacobianPolytope
+from vvicert.problem import Problem
 
 
 @pytest.fixture(scope="module")
@@ -433,3 +441,310 @@ def test_one_column_closed_forms_match_the_lps(data):
     if s is not None and s > 1e-12:
         assert np.all(cone.normals @ mu >= s - 1e-15)
         assert np.max(np.abs(unit.T @ mu)) <= 1e-12 * np.linalg.norm(mu)
+
+
+# ---------------------------------------------------------------------------
+# The stacked criticality walk against the per-lambda loop
+# ---------------------------------------------------------------------------
+
+def _per_lambda_critical(f, cone, xi, plan):
+    """``check_vector_critical`` as one loop over the lambda grid, each mixture
+    decided alone with its own SVDs and its evidence from
+    ``gordan_alternative``: the reference the stacked walk must match."""
+    xi = f.require_inside(xi, "xi")
+    poly = f.clarke_jacobian(xi)
+    verts = poly.as_array()
+    lambdas = sampling.simplex_weights(len(poly), certify.SIMPLEX_GRID_DEPTH)
+    threshold = max(cone.margin, 1e-9)
+    stats = certify._base_stats(
+        plan, cone, lambdaGridSize=len(lambdas), vertexCount=len(poly), xi=xi.tolist()
+    )
+    evidence = []
+    ambiguous = None
+    with _alt.counting(stats):
+        for lam in lambdas:
+            A = np.tensordot(lam, verts, axes=1)
+            mu, s = _alt.strict_mu(A, cone.normals)
+            if mu is not None and 1e-12 < s <= threshold and ambiguous is None:
+                ambiguous = (lam, s)
+            if mu is not None and s > threshold:
+                return certify.Verdict(
+                    certify.CERTIFIED,
+                    "xi is a vector critical point: a strictly interior mu "
+                    "annihilates the mixed Jacobian",
+                    certificate={
+                        "lambda": lam.tolist(),
+                        "mu": np.asarray(mu, dtype=float).tolist(),
+                        "interiority": float(s),
+                        "matrix": A.tolist(),
+                        "activePieces": list(poly.active_pieces),
+                    },
+                    stats=stats,
+                )
+            if len(evidence) < 16:
+                try:
+                    evidence.append(
+                        {"lambda": lam.tolist(), "gordan": gordan_alternative(A, cone).to_dict()}
+                    )
+                except DegenerateError as exc:
+                    evidence.append({"lambda": lam.tolist(), "degenerate": str(exc)})
+    if ambiguous is not None:
+        lam, s = ambiguous
+        raise DegenerateError(
+            f"interiority optimum {s:.3e} at lambda {lam.tolist()} sits inside the "
+            f"strictness margin; criticality is numerically ambiguous"
+        )
+    return certify.Verdict(
+        certify.REFUTED,
+        "no sampled Jacobian mixture admits a strictly interior annihilating mu; "
+        "xi is not a vector critical point",
+        witness={"evidence": evidence, "lambdaGridSize": len(lambdas)},
+        stats=stats,
+    )
+
+
+def _canonical(check, f, cone, xi):
+    """The canonical-JSON payload of the check, or the error it raised."""
+    try:
+        payload = check(f, cone, xi, SamplingPlan()).to_payload()
+    except VviCertError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+class _GivenVertices:
+    """An objective whose Clarke Jacobian at every point has the given
+    vertices, so that a grid can be built from any matrices."""
+
+    def __init__(self, verts):
+        self.verts = np.asarray(verts, dtype=float)
+
+    def require_inside(self, x, what="point"):
+        return np.asarray(x, dtype=float)
+
+    def clarke_jacobian(self, x):
+        return JacobianPolytope(
+            vertices=list(self.verts), point=np.asarray(x), active_pieces=tuple(range(len(self.verts)))
+        )
+
+
+def _interior_point(cone, rng):
+    """A point mu with N mu > 0, from positive weights on the cone's generators."""
+    return cone.generators @ rng.uniform(0.2, 1.0, size=cone.generators.shape[1])
+
+
+def _critical_matrix(cone, n, rng):
+    """An m x n matrix A with A^T mu = 0 for an interior mu."""
+    mu = _interior_point(cone, rng)
+    a = rng.uniform(-1.0, 1.0, size=(cone.dim, n))
+    return a - np.outer(mu, mu @ a) / float(mu @ mu)
+
+
+def _doubtful_matrix(m, n, rng):
+    """An m x n matrix whose smallest singular value is 1e-7 of its largest."""
+    u, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    v, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    sigma = np.ones(min(m, n))
+    sigma[-1] = 1e-7
+    return u[:, : sigma.size] @ np.diag(sigma) @ v[:, : sigma.size].T
+
+
+def _grid_cases():
+    """(label, vertices, cone): k = 1-3 vertices of shape (m, n) for m = 2-4 and
+    n = 1-3, under the orthant, a wedge (m = 3) and a cross cone (m = 3, 4,
+    with h > m facets). Random vertices, a critical first vertex, two
+    vertices whose midpoint is critical (the midpoint is on the grid), a vertex
+    whose rank is in doubt, and fixed grids with an interiority inside the
+    margin and with a non-finite vertex."""
+    rng = np.random.default_rng(22)
+    cases = []
+    for k, m, n in itertools.product((1, 2, 3), (2, 3, 4), (1, 2, 3)):
+        cones = {"orthant": OrderingCone.orthant(m)}
+        if m == 3:
+            cones["wedge"] = OrderingCone(normals=WEDGE_NORMALS)
+        if m >= 3:
+            cones["cross"] = _cross_cone(m)
+        for (name, cone), kind in itertools.product(cones.items(), ("random", "first", "mid", "doubt")):
+            verts = rng.uniform(-1.0, 1.0, size=(k, m, n))
+            if kind == "first":
+                verts[0] = _critical_matrix(cone, n, rng)
+            elif kind == "mid" and k >= 2:
+                centre, step = _critical_matrix(cone, n, rng), rng.uniform(-2.0, 2.0, size=(m, n))
+                verts[0], verts[1] = centre + step, centre - step
+            elif kind == "doubt" and min(m, n) >= 2:
+                verts[-1] = _doubtful_matrix(m, n, rng)
+            cases.append((f"{kind}-k{k}-m{m}-n{n}-{name}", verts, cone))
+    orthant2 = OrderingCone.orthant(2)
+    # (1, -1e-10) has the line of mu through (1e-10, 1): interiority 1e-10
+    inside_margin = np.array([[[1.0], [1.0]], [[1.0], [-1e-10]]])
+    cases.append(("margin-second", inside_margin, orthant2))
+    cases.append(("margin-first", inside_margin[::-1], orthant2))
+    cases.append(("non-finite", np.array([[[1.0], [-1.0]], [[np.inf], [1.0]]]), orthant2))
+    return cases
+
+
+GRID_CASES = _grid_cases()
+
+
+class TestStackedWalk:
+    @pytest.mark.parametrize("label, verts, cone", GRID_CASES, ids=[c[0] for c in GRID_CASES])
+    def test_payload_matches_the_per_lambda_loop(self, label, verts, cone):
+        f = _GivenVertices(verts)
+        xi = np.zeros(verts.shape[2])
+        assert _canonical(check_vector_critical, f, cone, xi) == _canonical(
+            _per_lambda_critical, f, cone, xi
+        )
+
+    def test_the_grid_cases_reach_every_branch(self):
+        outcomes = collections.Counter()
+        for label, verts, cone in GRID_CASES:
+            f = _GivenVertices(verts)
+            try:
+                v = check_vector_critical(f, cone, np.zeros(verts.shape[2]), SamplingPlan())
+            except DegenerateError as exc:
+                outcomes["non-finite" if "non-finite" in str(exc) else "margin"] += 1
+                continue
+            if v.certified:
+                index = next(i for i, lam in enumerate(sampling.simplex_weights(len(verts), 8))
+                             if lam.tolist() == v.certificate["lambda"])
+                outcomes["first" if index == 0 else "mixture" if index >= len(verts) else "vertex"] += 1
+            else:
+                outcomes["refuted"] += 1
+            outcomes["lp"] += v.stats["lpSolved"] > 0
+            outcomes["doubt lp"] += label.startswith("doubt-k2") and v.stats["lpSolved"] > 0
+            outcomes["k3 cross"] += len(verts) == 3 and cone.normals.shape[0] > cone.dim
+        assert min(outcomes[key] for key in (
+            "first", "vertex", "mixture", "refuted", "lp", "doubt lp", "k3 cross", "margin",
+            "non-finite",
+        )) >= 1, outcomes
+        assert outcomes["margin"] == 2, outcomes
+
+    def test_criterion_10_verdicts_match_the_per_lambda_loop(self, example5, example23):
+        for problem, at in criterion_10_instances(example5, example23):
+            args = (problem.f, problem.cone, problem.point(at))
+            assert _canonical(check_vector_critical, *args) == _canonical(_per_lambda_critical, *args)
+
+    def test_non_finite_mixture_past_the_first(self, monkeypatch):
+        # a BLAS may skip zero weights, so a non-finite vertex first shows in
+        # its own mixture; the walk must stop there, as the loop does
+        def skip_zero_weights(lam, verts, axes):
+            return sum(w * v for w, v in zip(lam, verts) if w)
+
+        monkeypatch.setattr(np, "tensordot", skip_zero_weights)
+        for second in (np.inf, np.nan):
+            f = _GivenVertices([[[1.0], [1.0]], [[second], [1.0]]])
+            got = _canonical(check_vector_critical, f, OrderingCone.orthant(2), np.zeros(1))
+            assert got == _canonical(_per_lambda_critical, f, OrderingCone.orthant(2), np.zeros(1))
+            assert got == "DegenerateError: matrix has a non-finite entry"
+        # a critical first vertex still certifies
+        f = _GivenVertices([[[1.0], [-1.0]], [[np.inf], [1.0]]])
+        assert check_vector_critical(f, OrderingCone.orthant(2), np.zeros(1)).certified
+
+
+def _stack_per_lambda(lambdas, verts):
+    return np.stack([np.tensordot(lam, verts, axes=1) for lam in lambdas])
+
+
+class TestWalkCost:
+    """Where the walk's SVDs and mixtures come from: one SVD for the first
+    lambda and one stacked SVD for the rest of the grid and its evidence."""
+
+    @staticmethod
+    def _count_calls(monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_at_most_two_svds_per_decision(self, monkeypatch):
+        # the benchmark's kink and max3 problems: one SVD per lambda and one
+        # per Gordan evidence made 18 calls for a 9-point kink grid and 61
+        # for a 45-point max3 grid
+        workloads = _perfbench_workloads()
+        inputs = workloads.build_inputs("critical-lp", 1)
+        svd = self._count_calls(monkeypatch, np.linalg, "svd")
+        grids = collections.Counter()
+        for pid, problem in inputs.problems.items():
+            if pid == "example5":
+                continue
+            svd.clear()
+            v = check_vector_critical(problem.f, problem.cone, problem.point("x0"), SamplingPlan())
+            assert len(svd) <= 2, pid
+            grids[v.stats["lambdaGridSize"], v.status] += 1
+        assert grids[9, certify.REFUTED] == 16 and grids[45, certify.REFUTED] == 8, grids
+
+    def test_a_critical_first_vertex_mixes_and_decomposes_only_itself(self, example5, monkeypatch):
+        svd = self._count_calls(monkeypatch, np.linalg, "svd")
+        tensordot = self._count_calls(monkeypatch, np, "tensordot")
+        v = check_vector_critical(example5.f, example5.cone, [0.0], SamplingPlan())
+        assert v.certified and v.certificate["lambda"] == [1.0, 0.0]
+        assert (len(svd), len(tensordot)) == (1, 1)
+
+    def test_one_matmul_would_round_the_grid_differently(self):
+        # the walk mixes each lambda with its own tensordot; one lambdas @ verts
+        # product over the grid rounds some mixtures differently, which the
+        # payload comparison above would report
+        differ = 0
+        for _, verts, _ in GRID_CASES[:-1]:
+            lambdas = sampling.simplex_weights(len(verts), certify.SIMPLEX_GRID_DEPTH)
+            one = (lambdas @ verts.reshape(len(verts), -1)).reshape(-1, *verts.shape[1:])
+            differ += not np.array_equal(one, _stack_per_lambda(lambdas, verts))
+        assert differ > 0
+
+    def test_stacked_svd_is_each_matrix_own(self):
+        for _, verts, _ in GRID_CASES[:-1]:
+            lambdas = sampling.simplex_weights(len(verts), certify.SIMPLEX_GRID_DEPTH)
+            stack = _stack_per_lambda(lambdas, verts)
+            stack = np.concatenate([stack, _alt.unit_scale(stack)])
+            u, sigma, _ = np.linalg.svd(stack, full_matrices=True)
+            for a, u_a, sigma_a in zip(stack, u, sigma):
+                own_u, own_sigma, _ = np.linalg.svd(a, full_matrices=True)
+                assert np.array_equal(own_u, u_a) and np.array_equal(own_sigma, sigma_a)
+
+    def test_rank_of_a_stack_is_each_row_rank(self):
+        sigmas = np.array([[2.0, 1.0], [2.0, 1e-7], [2.0, 1e-10], [0.0, 0.0], [5e-324, 0.0]])
+        assert _alt.rank(sigmas).tolist() == [2, -1, 1, 0, 1]
+        assert [int(_alt.rank(s)) for s in sigmas] == [2, -1, 1, 0, 1]
+        assert int(_alt.rank(np.zeros(0))) == 0
+
+
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="criticality is decided on the depth-8 lambda grid only: the critical "
+    "mixtures of this kink lie strictly between the grid points 1/2 and 5/8",
+)
+def test_critical_mixture_between_grid_points():
+    # pieces (x1, x1) on x1 <= 0 and (-x1, -0.9 x1) on x1 >= 0: the mixture
+    # t (1, 1) + (1 - t) (-1, -0.9) has entries of opposite signs, so a
+    # strictly positive mu annihilates it, exactly for t in (0.4737, 0.5)
+    problem = Problem.from_dict(
+        {
+            "version": "vvicert/1",
+            "n": 1,
+            "m": 2,
+            "domain": [[-2.0, 2.0]],
+            "pieces": [
+                {"region": "x1 <= 0", "components": ["x1", "x1"]},
+                {"region": "x1 >= 0", "components": ["-x1", "-0.9*x1"]},
+            ],
+            "cone": {"orthant": 2},
+            "kernel": {"kind": "difference"},
+            "e": [0.1, 0.1],
+        }
+    )
+    v = check_vector_critical(problem.f, problem.cone, [0.0], SamplingPlan())
+    assert v.certified

@@ -3,6 +3,10 @@ in its TRACED table; a rename in the package must not leave a name dangling."""
 
 import ast
 import importlib
+import json
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -26,3 +30,23 @@ def test_every_traced_name_exists():
             assert meth in vars(getattr(module, cls_name)), f"{module_name}.{attr}"
         else:
             assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def test_traced_critical_lp_run_passes(tmp_path):
+    # the traced run of the benchmark, on a copy of the checkout so that its
+    # record goes to the copy's perfbench/out/
+    root = SPANS.parents[1]
+    shutil.copytree(root / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(
+        root / "perfbench", tmp_path / "perfbench", ignore=shutil.ignore_patterns("out", "__pycache__")
+    )
+    shutil.copy(root / "BENCHMARK.json", tmp_path)
+    run = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "critical-lp", "--seed", "1",
+         "--seconds", "1", "--trace", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr[-2000:]
+    result = json.loads(run.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    assert "certify.check_vector_critical.ms" in result["metrics"]
