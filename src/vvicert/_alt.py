@@ -17,9 +17,9 @@ must pass.
 
 The criticality grid decides many small matrices. It stacks them into one
 ``np.linalg.svd`` call, whose (u, sigma) for each matrix is bit for bit that
-matrix's own, and ``strict_mu``, ``strict_mu_rows`` and ``gordan`` take such
-a precomputed SVD in place of their own: stacked or alone, a matrix runs the
-same decision ladder.
+matrix's own, and ranks the whole stack with one ``rank`` call; ``strict_mu``
+and ``gordan`` take a matrix's u and rank in place of their own SVD, so that
+stacked or alone, a matrix runs the same decision ladder.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .errors import DegenerateError, DimensionMismatchError
 # in doubt and the LP decides
 RANK_NONZERO = 1e-6
 RANK_ZERO = 1e-9
-_RANK_BOUNDS = np.array([RANK_NONZERO, RANK_ZERO])
 # an alternative-2 certificate y must be longer than this
 Y_NONZERO = 1e-9
 # the smallest positive float
@@ -59,10 +58,10 @@ def counting(into: dict):
         _counts.reset(token)
 
 
-def _count(key: str, times: int = 1) -> None:
+def _count(key: str) -> None:
     counts = _counts.get()
     if counts is not None:
-        counts[key] += times
+        counts[key] += 1
 
 
 def linprog(*args, **kwargs):
@@ -74,13 +73,12 @@ def linprog(*args, **kwargs):
 
 
 def unit_scale(A: np.ndarray) -> np.ndarray:
-    """A divided by its largest absolute entry; a zero A is returned as is. An
-    (L, m, n) stack is scaled matrix by matrix, each bit for bit as alone."""
-    if A.ndim == 3:
-        # a zero matrix divides by _SMALLEST, which keeps its zeros
-        return A / np.maximum(np.max(np.abs(A), axis=(1, 2), keepdims=True), _SMALLEST)
-    peak = float(np.max(np.abs(A)))
-    return A / peak if peak > 0.0 else A
+    """A divided by its largest absolute entry; a zero A keeps its zeros. A
+    vector or a matrix is scaled as a whole, a stack of matrices (the last
+    two axes) matrix by matrix, each bit for bit as alone."""
+    peak = np.abs(A).max(axis=tuple(range(-min(A.ndim, 2), 0)), keepdims=True)
+    # no positive float is below _SMALLEST, so only a zero peak is replaced
+    return A / np.maximum(peak, _SMALLEST)
 
 
 def rank(sigma: np.ndarray) -> np.ndarray:
@@ -91,20 +89,23 @@ def rank(sigma: np.ndarray) -> np.ndarray:
     # no positive float is below _SMALLEST, so only a zero matrix's largest
     # value is replaced, by a divisor that keeps its zeros
     ratio = sigma / np.maximum(sigma[..., :1], _SMALLEST)
-    above = np.add.reduce(ratio[..., None] > _RANK_BOUNDS, axis=-2)
-    return np.where(above[..., 1] > above[..., 0], -1, above[..., 0])
+    r = (ratio > RANK_NONZERO).sum(axis=-1)
+    # a value above RANK_ZERO that is not above RANK_NONZERO is in doubt
+    in_doubt = (ratio > RANK_ZERO).sum(axis=-1) > r
+    return np.where(in_doubt, -1, r)
 
 
 def null_basis(A: np.ndarray) -> Optional[np.ndarray]:
     """Orthonormal basis (columns) of the null space of A^T, or None when a
     singular value of A lies between RANK_ZERO and RANK_NONZERO relative to
     the largest."""
-    return _null_space(*np.linalg.svd(A, full_matrices=True)[:2])
+    u, sigma, _ = np.linalg.svd(A, full_matrices=True)
+    return _null_space(u, int(rank(sigma)))
 
 
-def _null_space(u: np.ndarray, sigma: np.ndarray) -> Optional[np.ndarray]:
-    """``null_basis`` of the A whose SVD has the factors u and sigma."""
-    r = int(rank(sigma))
+def _null_space(u: np.ndarray, r: int) -> Optional[np.ndarray]:
+    """``null_basis`` of the A whose SVD has the left factor u and whose rank
+    is r (-1 when in doubt)."""
     return None if r < 0 else u[:, r:]
 
 
@@ -154,7 +155,8 @@ def strict_mu(A: np.ndarray, normals: np.ndarray, svd: Optional[tuple] = None):
     """max s over mu with A^T mu = 0, N mu >= s, a.mu = 1, -1 <= s <= 1, where
     a, the sum of N's rows, is interior to C*. Returns (mu, s) at the optimum,
     with s = min(N mu) of that mu, or (None, None) when infeasible. ``svd``,
-    when given, is (u, sigma) of A from a stacked SVD and replaces A's own.
+    when given, is (u, r) of A from a stacked SVD, its left factor and its
+    ``rank``, and replaces A's own SVD.
 
     A positive optimum certifies a strictly interior mu annihilating A^T.
     Since N mu >= s sums to a.mu = 1, s <= 1 never binds. Closed forms
@@ -164,11 +166,11 @@ def strict_mu(A: np.ndarray, normals: np.ndarray, svd: Optional[tuple] = None):
     check_matrix(A, normals.shape[1])
     m = A.shape[0]
     h = normals.shape[0]
-    a = normals.sum(axis=0)
     basis = null_basis(A) if svd is None else _null_space(*svd)
     if basis is not None and basis.shape[1] == 0:
         _count("rankDecided")
         return None, None
+    a = normals.sum(axis=0)
     if basis is not None and basis.shape[1] == 1:
         v = basis[:, 0]
         av = float(a @ v)
@@ -202,28 +204,6 @@ def strict_mu(A: np.ndarray, normals: np.ndarray, svd: Optional[tuple] = None):
     # the interiority the returned mu actually has
     mu = res.x[:m]
     return mu, float(np.min(normals @ mu))
-
-
-def strict_mu_rows(stack: np.ndarray, normals: np.ndarray, svd: tuple):
-    """``strict_mu`` of each matrix of an (L, m, n) stack, in order and
-    lazily, as (i, mu, s). ``svd`` is (u, sigma) of the stack's first
-    len(sigma) matrices from one ``np.linalg.svd`` call; a matrix past them is
-    decided with its own SVD, and one with a non-finite entry is rejected.
-
-    A matrix of rank m has the null space {0}, so its answer (None, None)
-    comes from that rank alone. Those rows are settled as one vector: they
-    are not yielded, and they count as rankDecided only once the walk has
-    passed them, so a walk stopped at a certificate counts what it reached.
-    """
-    u, sigma = svd
-    settled = np.zeros(len(stack), dtype=bool)
-    settled[: len(sigma)] = rank(sigma) == stack.shape[1]
-    passed = 0
-    for i in np.flatnonzero(~settled):
-        _count("rankDecided", int(np.count_nonzero(settled[passed:i])))
-        passed = i
-        yield (i, *strict_mu(stack[i], normals, (u[i], sigma[i]) if i < len(sigma) else None))
-    _count("rankDecided", int(np.count_nonzero(settled[passed:])))
 
 
 def _one_column_mu(col: np.ndarray, normals: np.ndarray):

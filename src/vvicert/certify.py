@@ -579,28 +579,21 @@ def gordan_alternative(A, cone: Optional[OrderingCone] = None) -> GordanCertific
 _EVIDENCE_LAMBDAS = 16
 
 
-def _first_critical(decisions, threshold: float):
-    """The first (i, mu, s) among ``strict_mu`` decisions in lambda order whose
-    s clears the strictness threshold, or None, and the first (i, s) before
-    it whose s > 1e-12 sits inside the threshold, or None."""
-    ambiguous = None
-    for i, mu, s in decisions:
-        if mu is None:
-            continue
-        if s > threshold:
-            return (i, mu, s), ambiguous
-        if s > 1e-12 and ambiguous is None:
-            ambiguous = (i, s)
-    return None, ambiguous
-
-
-def _gordan_evidence(lam: np.ndarray, unit: np.ndarray, cone: OrderingCone, svd: tuple) -> dict:
-    """``gordan_alternative`` of a mixture, from its unit-scale copy and that
-    copy's SVD."""
-    try:
-        return {"lambda": lam.tolist(), "gordan": _alt.gordan(unit, cone, svd).to_dict()}
-    except DegenerateError as exc:
-        return {"lambda": lam.tolist(), "degenerate": str(exc)}
+def _decomposed_grid(lambdas: np.ndarray, verts: np.ndarray, first: np.ndarray):
+    """Every grid mixture, given the first, and the unit-scale copies of the
+    first _EVIDENCE_LAMBDAS, each with its (u, rank) from one
+    ``np.linalg.svd`` call and one ``_alt.rank`` call. A mixture with a
+    non-finite entry, and each one after it, gets None: ``strict_mu`` rejects
+    it, so the walk ends there."""
+    # one tensordot per lambda: one lambdas @ verts product over the grid
+    # rounds some mixtures differently
+    mixes = np.stack([first] + [np.tensordot(lam, verts, axes=1) for lam in lambdas[1:]])
+    finite = np.all(np.isfinite(mixes), axis=(1, 2))
+    reach = len(mixes) if finite.all() else int(np.argmin(finite))
+    units = _alt.unit_scale(mixes[: min(reach, _EVIDENCE_LAMBDAS)])
+    u, sigma, _ = np.linalg.svd(np.concatenate([mixes[:reach], units]), full_matrices=True)
+    svds = list(zip(u, _alt.rank(sigma).tolist()))
+    return mixes, svds[:reach] + [None] * (len(mixes) - reach), units, svds[reach:]
 
 
 def check_vector_critical(
@@ -619,11 +612,12 @@ def check_vector_critical(
     lambda; a critical mixture between grid points is not ruled out.
 
     The grid is walked in lambda order up to the first critical mixture. The
-    first lambda, a vertex, is decided alone. Past it, one stacked SVD serves
-    the rank tests of the other mixtures and the Gordan evidence of the
-    unit-scale copies of the first 16; a mixture of full row rank is settled
-    by its rank alone. The verdict, the rankDecided and lpSolved counters and
-    the evidence are those of deciding each lambda in turn with its own SVDs.
+    first lambda, a vertex, is decided alone with its own SVD. Past it, the
+    rank tests of every mixture and of the unit-scale copies of the first 16
+    (the Gordan evidence) come from one stacked SVD, which ``strict_mu`` and
+    ``_alt.gordan`` take in place of their own. The verdict, the rankDecided
+    and lpSolved counters and the evidence are those of deciding each lambda
+    in turn with its own SVDs.
     """
     plan = plan or SamplingPlan()
     xi = f.require_inside(xi, "xi")
@@ -631,7 +625,6 @@ def check_vector_critical(
     verts = poly.as_array()  # (k, m, n)
     lambdas = sampling.simplex_weights(len(poly), SIMPLEX_GRID_DEPTH)
     threshold = max(cone.margin, 1e-9)
-    normals = cone.normals
     stats = _base_stats(
         plan,
         cone,
@@ -640,49 +633,47 @@ def check_vector_critical(
         xi=_listify(xi),
     )
 
-    # one tensordot per lambda: mixing the grid with one lambdas @ verts
-    # product rounds differently
     mixes = np.tensordot(lambdas[0], verts, axes=1)[None]  # the mixtures made so far
+    mix_svds = [None]  # (u, rank) of each mixture, None where strict_mu makes its own
     evidence = []
+    ambiguous = None
     # rankDecided and lpSolved join the stats
     with _alt.counting(stats):
-        hit, ambiguous = _first_critical([(0, *_alt.strict_mu(mixes[0], normals))], threshold)
-        if hit is None:
-            mixes = np.stack([mixes[0]] + [np.tensordot(lam, verts, axes=1) for lam in lambdas[1:]])
-            # strict_mu rejects a mixture with a non-finite entry, so the walk
-            # ends there and the stack stops before it
-            finite = np.all(np.isfinite(mixes), axis=(1, 2))
-            reach = len(mixes) if finite.all() else int(np.argmin(finite))
-            units = _alt.unit_scale(mixes[: min(reach, _EVIDENCE_LAMBDAS)])
-            u, sigma, _ = np.linalg.svd(np.concatenate([mixes[1:reach], units]), full_matrices=True)
-            rows = _alt.strict_mu_rows(mixes[1:], normals, (u[: reach - 1], sigma[: reach - 1]))
-            hit, later = _first_critical(((i + 1, mu, s) for i, mu, s in rows), threshold)
-            ambiguous = ambiguous or later
-            walked = len(lambdas) if hit is None else hit[0]
-            evidence = [
-                _gordan_evidence(lambdas[i], units[i], cone, (u[reach - 1 + i], sigma[reach - 1 + i]))
-                for i in range(min(walked, _EVIDENCE_LAMBDAS))
-            ]
+        for i, lam in enumerate(lambdas):
+            A = mixes[i]
+            mu, s = _alt.strict_mu(A, cone.normals, mix_svds[i])
+            if mu is not None and 1e-12 < s <= threshold and ambiguous is None:
+                ambiguous = (lam, s)
+            if mu is not None and s > threshold:
+                return Verdict(
+                    CERTIFIED,
+                    "xi is a vector critical point: a strictly interior mu "
+                    "annihilates the mixed Jacobian",
+                    certificate={
+                        "lambda": lam.tolist(),
+                        "mu": _listify(mu),
+                        "interiority": float(s),
+                        "matrix": A.tolist(),
+                        "activePieces": list(poly.active_pieces),
+                    },
+                    stats=stats,
+                )
+            if i == 0:
+                # the first lambda, a vertex, is not critical: the walk goes
+                # on, and one SVD serves the rest of the grid and the evidence
+                mixes, mix_svds, units, unit_svds = _decomposed_grid(lambdas, verts, A)
+            if len(evidence) < _EVIDENCE_LAMBDAS:
+                # gordan_alternative of A, from its unit-scale copy
+                try:
+                    gordan = _alt.gordan(units[i], cone, unit_svds[i])
+                    evidence.append({"lambda": lam.tolist(), "gordan": gordan.to_dict()})
+                except DegenerateError as exc:
+                    evidence.append({"lambda": lam.tolist(), "degenerate": str(exc)})
 
-    if hit is not None:
-        i, mu, s = hit
-        return Verdict(
-            CERTIFIED,
-            "xi is a vector critical point: a strictly interior mu "
-            "annihilates the mixed Jacobian",
-            certificate={
-                "lambda": lambdas[i].tolist(),
-                "mu": _listify(mu),
-                "interiority": float(s),
-                "matrix": mixes[i].tolist(),
-                "activePieces": list(poly.active_pieces),
-            },
-            stats=stats,
-        )
     if ambiguous is not None:
-        i, s = ambiguous
+        lam, s = ambiguous
         raise DegenerateError(
-            f"interiority optimum {s:.3e} at lambda {lambdas[i].tolist()} sits inside the "
+            f"interiority optimum {s:.3e} at lambda {lam.tolist()} sits inside the "
             f"strictness margin; criticality is numerically ambiguous"
         )
     return Verdict(

@@ -712,6 +712,19 @@ class TestWalkCost:
         assert [int(_alt.rank(s)) for s in sigmas] == [2, -1, 1, 0, 1]
         assert int(_alt.rank(np.zeros(0))) == 0
 
+    def test_unit_scale_of_a_stack_is_each_matrix_own(self):
+        def alone(a):  # one matrix or vector: a / max|a|, a zero a as is
+            peak = float(np.max(np.abs(a)))
+            return a / peak if peak > 0.0 else a
+
+        rng = np.random.default_rng(7)
+        scales = np.array([1.0, 1e-300, 5e-324, 1e300, 0.0])
+        stack = rng.uniform(-1.0, 1.0, size=(5, 3, 2)) * scales[:, None, None]
+        stack[4, 0, 0] = -0.0
+        for a, unit in zip(stack, _alt.unit_scale(stack)):
+            assert unit.tobytes() == alone(a).tobytes() == _alt.unit_scale(a).tobytes()
+            assert _alt.unit_scale(a[:, 0]).tobytes() == alone(a[:, 0]).tobytes()
+
 
 def _perfbench_workloads():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
