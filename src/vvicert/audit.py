@@ -39,7 +39,7 @@ from .certify import (
     _quasi_violation_mask,
     _stampacchia_products,
     _vvi_violation_mask,
-    check_invex_class,
+    check_invex_classes,
     check_quasi_efficient,
     check_vector_critical,
     check_vvi,
@@ -202,11 +202,12 @@ def _digest(*parts) -> bytes:
     return h.digest()
 
 
-def _checked(problem: Problem, key: tuple, checker, *args, **kwargs) -> Verdict:
+def _checked(problem: Problem, key: tuple, checker, *args, **kwargs):
     """checker(*args, **kwargs), run at most once per problem for each key.
 
     Rules on one problem share hypotheses (pseudo1(f) underlies R4.0 and
-    T4.6, the SVVI T3.1 and T3.3), so the verdicts live on the problem,
+    T4.6, the SVVI T3.1 and T3.3, and the forward rules on f one check of
+    their invexity classes), so the verdicts live on the problem,
     next to the probe and flag caches of its f and kernel. The key is the
     checker object itself, so a replaced or wrapped checker is called anew,
     plus the content of every input it reads. A VviCertError outcome is
@@ -236,6 +237,8 @@ def audit_rule(
     Checker verdicts are shared across rules on the same problem object:
     a hypothesis that another rule already checked with the same inputs
     (kernel, cone, e, point, plan and injected samples) is not checked again.
+    The forward rules on f, and those on -f, decide all their invexity
+    classes in one check on their shared pair sample.
     """
     if isinstance(rule, str):
         rule = RULES[rule]
@@ -272,6 +275,34 @@ def _inputs_digest(problem: Problem, xi: np.ndarray, plan: SamplingPlan) -> byte
     return _digest(problem.to_dict(), xi, plan.to_dict())
 
 
+def _class_group(rule: TheoremRule) -> tuple:
+    """The invexity classes decided on rule's pair sample, in InvexClass
+    order. Every forward rule of RULES on the same f or -f samples the same
+    pairs, so one evaluation decides all their classes; a contrapositive
+    rule samples pairs of its own."""
+    if rule.contrapositive:
+        return (rule.invex_class,)
+    wanted = {rule.invex_class} | {
+        r.invex_class for r in RULES.values()
+        if not r.contrapositive and r.negated == rule.negated
+    }
+    return tuple(c for c in InvexClass if c in wanted)
+
+
+def _class_verdict(rule, problem, inputs, fn, xi, plan, pairs) -> Verdict:
+    """The verdict of rule's invexity class on fn (f, or -f when negated),
+    taken from the one check_invex_classes call of its class group on these
+    pairs; a checker error is raised for every class of the group."""
+    group = _class_group(rule)
+    name = f"{','.join(c.value for c in group)}({'-f' if rule.negated else 'f'})"
+    verdicts = _checked(
+        problem, (inputs, name, _digest(*pairs)), check_invex_classes,
+        group, fn, problem.cone, problem.kernel, problem.e, xi, plan.radius, plan,
+        extra_pairs=pairs,
+    )
+    return verdicts[group.index(rule.invex_class)]
+
+
 def _audit_forward(rule, problem, xi, plan, hyp) -> tuple:
     """(outcome, conclusion verdict or None, note or None) of a forward rule;
     the hypothesis verdicts go into hyp as they are decided."""
@@ -284,10 +315,7 @@ def _audit_forward(rule, problem, xi, plan, hyp) -> tuple:
     if rule.negated:
         pairs = pairs[::-1]
 
-    hyp[rule.class_key] = _checked(
-        problem, (inputs, rule.class_key, _digest(*pairs)), check_invex_class,
-        rule.invex_class, fn, cone, kernel, e, xi, r, plan, extra_pairs=pairs,
-    )
+    hyp[rule.class_key] = _class_verdict(rule, problem, inputs, fn, xi, plan, pairs)
     if rule.variant is None:
         hyp["critical"] = _checked(
             problem, (inputs,), check_vector_critical, f, cone, xi, plan
@@ -364,10 +392,7 @@ def _audit_t41(rule, problem, xi, plan, hyp) -> tuple:
 
     # pairs (x, xi) along the witness segment and the ball
     pairs = (np.vstack([segment, ball]), _tile(xi, segment.shape[0] + ball.shape[0]))
-    hyp[rule.class_key] = _checked(
-        problem, (inputs, rule.class_key, _digest(*pairs)), check_invex_class,
-        rule.invex_class, fn, cone, kernel, e, xi, r, plan, extra_pairs=pairs,
-    )
+    hyp[rule.class_key] = _class_verdict(rule, problem, inputs, fn, xi, plan, pairs)
     if not hyp[rule.class_key].certified:
         return NOT_CERTIFIED, None, "quasi type II hypothesis on -f not certified"
 

@@ -41,6 +41,7 @@ __all__ = [
     "check_quasi_efficient",
     "check_vvi",
     "check_invex_class",
+    "check_invex_classes",
     "gordan_alternative",
     "check_vector_critical",
 ]
@@ -456,20 +457,21 @@ def check_vvi(
 # Invexity classes
 # ---------------------------------------------------------------------------
 
-def _invex_violation_mask(
-    cls: InvexClass,
-    f: PiecewiseVectorFn,
-    cone: OrderingCone,
-    kernel: Kernel,
-    e: np.ndarray,
-    xs: np.ndarray,
-    ys: np.ndarray,
-) -> np.ndarray:
+def _pair_table(f: PiecewiseVectorFn, kernel: Kernel, xs: np.ndarray, ys: np.ndarray) -> tuple:
+    """The class-independent part of every invexity implication on the pairs
+    (xs, ys): ||eta(x, y)||, f(x) - f(y), and the products A eta with the
+    activity mask of every piece's Jacobian A at y, as _vertex_products_at
+    returns them."""
     eta = kernel.eval_many(xs, ys)
     eta_norm = np.linalg.norm(eta, axis=1)
     fdiff = f.values(xs) - f.values(ys)
+    return (eta_norm, fdiff) + _vertex_products_at(f, ys, eta)
+
+
+def _class_violations(cls: InvexClass, cone: OrderingCone, e: np.ndarray, table: tuple) -> np.ndarray:
+    """Mask of the pairs of a _pair_table where the class's implication fails."""
+    eta_norm, fdiff, prods, active = table
     penalty = eta_norm[:, None] * e[None, :]
-    prods, active = _vertex_products_at(f, ys, eta)
     # type I puts the penalty e||eta|| in the premise, type II in the
     # conclusion; subtracting 0.0 leaves every float as it is
     type_one = cls in (InvexClass.PSEUDO_I, InvexClass.QUASI_I)
@@ -491,6 +493,80 @@ def _invex_violation_mask(
     return viol & (eta_norm > ZERO_ETA_TOL)
 
 
+def _invex_violation_mask(
+    cls: InvexClass,
+    f: PiecewiseVectorFn,
+    cone: OrderingCone,
+    kernel: Kernel,
+    e: np.ndarray,
+    xs: np.ndarray,
+    ys: np.ndarray,
+) -> np.ndarray:
+    return _class_violations(cls, cone, e, _pair_table(f, kernel, xs, ys))
+
+
+def check_invex_classes(
+    classes: Sequence,
+    f: PiecewiseVectorFn,
+    cone: OrderingCone,
+    kernel: Kernel,
+    e,
+    x0,
+    r: float,
+    plan: Optional[SamplingPlan] = None,
+    extra_pairs: Optional[tuple] = None,
+) -> tuple:
+    """One Verdict per class of ``classes``, in that order, each equal to
+    ``check_invex_class`` of that class: the pairs are drawn and evaluated
+    once, and only the final cone tests depend on the class.
+
+    An error raised before the classes are decided (domain, e, sampling or
+    piece evaluation) is raised for every class. The classes are then
+    decided in order, and the first error that one of them raises (such as
+    replaying a witness outside the domain) is raised; a call without that
+    class does not raise it.
+    """
+    classes = [c if isinstance(c, InvexClass) else InvexClass.parse(str(c)) for c in classes]
+    plan = plan or SamplingPlan()
+    e = _interior_e(cone, e)
+    x0 = f.require_inside(x0, "x0")
+    f.require_ball_inside(x0, r)
+
+    px, py = _probe_pairs(x0, boundary_probes(f, x0, r))
+    sx, sy = sampling.ball_pairs(x0, r, plan.pair_sample_count, plan.seed)
+    ex, ey = extra_pairs if extra_pairs is not None else (None, None)
+    xs = _stack_points([px, ex, sx])
+    ys = _stack_points([py, ey, sy])
+    table = _pair_table(f, kernel, xs, ys)
+
+    def verdict(cls: InvexClass) -> Verdict:
+        viol = _class_violations(cls, cone, e, table)
+        stats = _base_stats(
+            plan,
+            cone,
+            pairCount=int(xs.shape[0]),
+            probePairCount=int(px.shape[0]),
+            radius=float(r),
+            invexClass=cls.value,
+            e=_listify(e),
+            x0=_listify(x0),
+        )
+
+        def refute(x, y):
+            return f"pair (x, y) violates the {cls.value} implication", {
+                "x": x.tolist(),
+                "y": y.tolist(),
+                "fx": _listify(f.value(x)),
+                "fy": _listify(f.value(y)),
+                "eta": _listify(kernel.eval(x, y)),
+            }
+
+        certified = f"the {cls.value} implication held on every sampled pair"
+        return _sampled_verdict(viol, (xs, ys), refute, certified, stats)
+
+    return tuple(verdict(cls) for cls in classes)
+
+
 def check_invex_class(
     cls,
     f: PiecewiseVectorFn,
@@ -506,44 +582,10 @@ def check_invex_class(
     implication, the forall over the Jacobian polytope reduced to vertices and
     the exists evaluated on vertices plus a simplex grid of hull mixtures.
 
-    To check a class for -f, pass f.negated().
+    To check a class for -f, pass f.negated(). To decide several classes on
+    one pair sample, as the theorem audit does, use check_invex_classes.
     """
-    if not isinstance(cls, InvexClass):
-        cls = InvexClass.parse(str(cls))
-    plan = plan or SamplingPlan()
-    e = _interior_e(cone, e)
-    x0 = f.require_inside(x0, "x0")
-    f.require_ball_inside(x0, r)
-
-    px, py = _probe_pairs(x0, boundary_probes(f, x0, r))
-    sx, sy = sampling.ball_pairs(x0, r, plan.pair_sample_count, plan.seed)
-    ex, ey = extra_pairs if extra_pairs is not None else (None, None)
-    xs = _stack_points([px, ex, sx])
-    ys = _stack_points([py, ey, sy])
-
-    viol = _invex_violation_mask(cls, f, cone, kernel, e, xs, ys)
-    stats = _base_stats(
-        plan,
-        cone,
-        pairCount=int(xs.shape[0]),
-        probePairCount=int(px.shape[0]),
-        radius=float(r),
-        invexClass=cls.value,
-        e=_listify(e),
-        x0=_listify(x0),
-    )
-
-    def refute(x, y):
-        return f"pair (x, y) violates the {cls.value} implication", {
-            "x": x.tolist(),
-            "y": y.tolist(),
-            "fx": _listify(f.value(x)),
-            "fy": _listify(f.value(y)),
-            "eta": _listify(kernel.eval(x, y)),
-        }
-
-    certified = f"the {cls.value} implication held on every sampled pair"
-    return _sampled_verdict(viol, (xs, ys), refute, certified, stats)
+    return check_invex_classes((cls,), f, cone, kernel, e, x0, r, plan, extra_pairs)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,8 @@ _LOW_DISCREPANCY_MAX_DIM = 3
 # the Halton memo holds at most this many streams (one audit-matrix round
 # draws 17, the largest under the default plans 30000 x 6 floats)
 _HALTON_CACHE_SIZE = 32
+# the simplex-grid memo: one grid per number of active pieces at depth 8
+_SIMPLEX_CACHE_SIZE = 16
 
 
 def unit_points(
@@ -123,12 +125,20 @@ def simplex_weights(k: int, depth: int) -> np.ndarray:
     """Convex-weight grid over k vertices: all lambda with components i/depth.
 
     Pure vertices come first (so vertex certificates are found before mixtures);
-    the remaining grid points follow in lexicographic order.
+    the remaining grid points follow in lexicographic order. Grids are
+    memoized by (k, depth) for the life of the process, and the returned
+    array is read-only.
     """
-    depth = max(1, int(depth))
+    return _simplex_grid(int(k), max(1, int(depth)))
+
+
+@lru_cache(maxsize=_SIMPLEX_CACHE_SIZE)
+def _simplex_grid(k: int, depth: int) -> np.ndarray:
     rows = [np.eye(k)]
     for combo in combinations_with_replacement(range(k), depth):
         lam = np.bincount(combo, minlength=k) / depth
         if np.max(lam) < 1.0:  # pure vertices are the rows of eye(k)
             rows.append(lam[None])
-    return np.vstack(rows)
+    grid = np.vstack(rows)
+    grid.setflags(write=False)
+    return grid

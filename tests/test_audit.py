@@ -5,7 +5,7 @@ from enum import Enum
 import numpy as np
 import pytest
 
-from vvicert import audit
+from vvicert import audit, certify
 from vvicert.certify import (
     ZERO_ETA_TOL,
     InvexClass,
@@ -156,6 +156,11 @@ class TestAuditRule:
             assert res.conclusion_verdict.stats["weak"] is weak
 
 
+def _each_class(verdict):
+    """A stand-in for check_invex_classes: ``verdict`` for every class asked."""
+    return lambda classes, *a, **k: (verdict,) * len(classes)
+
+
 class TestWitnessCrosscheck:
     """A refuted conclusion under certified hypotheses replays each
     hypothesis at the conclusion witness before it is called a violation."""
@@ -207,7 +212,7 @@ class TestWitnessCrosscheck:
         self, monkeypatch, plan, components, rid, x, note
     ):
         certified = Verdict("CertifiedUpToSampling", "faked")
-        monkeypatch.setattr(audit, "check_invex_class", lambda *a, **k: certified)
+        monkeypatch.setattr(audit, "check_invex_classes", _each_class(certified))
         monkeypatch.setattr(audit, "check_vvi", lambda *a, **k: certified)
         self._fake_refuted_conclusion(monkeypatch, x, [])
         res = audit.audit_rule(rid, _one_piece("crosscheck", components), "xi", plan)
@@ -279,7 +284,7 @@ class TestT41Replay:
         refuted = Verdict("Refuted", "faked", witness={"x": list(x_hat)})
         certified = Verdict("CertifiedUpToSampling", "faked")
         monkeypatch.setattr(audit, "check_vvi", lambda *a, **k: refuted)
-        monkeypatch.setattr(audit, "check_invex_class", lambda *a, **k: certified)
+        monkeypatch.setattr(audit, "check_invex_classes", _each_class(certified))
         monkeypatch.setattr(audit, "check_quasi_efficient", lambda *a, **k: certified)
         res = audit.audit_rule("T4.1", problem, point, plan)
         assert len(res.notes) == 1
@@ -492,7 +497,7 @@ class TestRunMatrix:
         assert "T3.3" in text and "violations: 0" in text
 
 
-CHECKERS = ("check_invex_class", "check_vvi", "check_quasi_efficient", "check_vector_critical")
+CHECKERS = ("check_invex_classes", "check_vvi", "check_quasi_efficient", "check_vector_critical")
 
 
 def _canon(payload) -> str:
@@ -595,8 +600,8 @@ class TestVerdictMemo:
 
     @pytest.mark.parametrize(
         "rid, called",
-        [("T3.1", ["check_invex_class", "check_vvi", "check_quasi_efficient"]),
-         ("T4.6", ["check_invex_class", "check_vector_critical", "check_quasi_efficient"])],
+        [("T3.1", ["check_invex_classes", "check_vvi", "check_quasi_efficient"]),
+         ("T4.6", ["check_invex_classes", "check_vector_critical", "check_quasi_efficient"])],
     )
     def test_replaced_checker_is_called(self, monkeypatch, balanced, plan, rid, called):
         before = audit.audit_rule(rid, balanced, "xi", plan).to_payload()
@@ -615,6 +620,25 @@ class TestVerdictMemo:
         assert calls == called
         assert _canon(after) == _canon(before)
 
+    def test_one_pair_table_per_class_group(self, monkeypatch, linear_problem, plan):
+        # all seven rules decide six invexity hypotheses on f = (x, x) under
+        # the skew difference kernel: three on f, two on -f and T4.1's
+        tables = []
+
+        def counted(*args):
+            tables.append(len(args[2]))
+            return real(*args)
+
+        real = certify._pair_table
+        monkeypatch.setattr(certify, "_pair_table", counted)
+        summary = audit.run_matrix(sorted(audit.RULES), [(_fresh(linear_problem), "xi")], plan)
+        decided = {
+            key for row in summary.results for key, v in row.hypothesis_verdicts.items()
+            if key.endswith("f)") and isinstance(v, Verdict)
+        }
+        assert len(decided) == 6, decided
+        assert len(tables) <= 3, tables
+
     def test_checker_error_kept_and_raised_again(self, monkeypatch, plan):
         calls = []
 
@@ -622,7 +646,7 @@ class TestVerdictMemo:
             calls.append(1)
             raise OutOfDomainError("ball leaves the domain")
 
-        monkeypatch.setattr(audit, "check_invex_class", raising)
+        monkeypatch.setattr(audit, "check_invex_classes", raising)
         problem = _one_piece("raising", ["x1", "-x1"])
         # R4.0 and T4.6 share the pseudo1(f) hypothesis
         rows = [audit.audit_rule(r, problem, "xi", plan) for r in ("R4.0", "T4.6")]

@@ -13,11 +13,12 @@ from vvicert.certify import (
     _invex_violation_mask,
     _quasi_violation_mask,
     check_invex_class,
+    check_invex_classes,
     check_quasi_efficient,
     check_vvi,
 )
 from vvicert.cone import OrderingCone
-from vvicert.errors import InvalidEError, OutOfDomainError
+from vvicert.errors import InvalidEError, OutOfDomainError, VviCertError
 from vvicert.model import Kernel, boundary_probes
 from vvicert.problem import Problem
 
@@ -473,6 +474,77 @@ class TestInvexLadder:
                 split[kind] |= not np.array_equal(masks[f"{kind}1"], masks[f"{kind}2"])
         # types I and II part somewhere, so a swapped penalty placement shows
         assert all(split.values()), split
+
+
+def _outcome(call):
+    """Canonical-JSON payloads of the verdicts that call() returns, or the
+    type and message of the error it raises."""
+    try:
+        verdicts = call()
+    except (VviCertError, ValueError) as exc:
+        return ("error", type(exc).__name__, str(exc))
+    return tuple(json.dumps(v.to_payload(), sort_keys=True) for v in verdicts)
+
+
+class TestClassesOnOnePairSample:
+    """check_invex_classes decides every class it is given on one pair
+    sample; each verdict, or the error raised, is that of deciding the class
+    alone."""
+
+    SUBSETS = [
+        tuple(InvexClass),
+        tuple(reversed(InvexClass)),
+        (InvexClass.INVEX, InvexClass.PSEUDO_I, InvexClass.PSEUDO_II),
+        (InvexClass.INVEX, InvexClass.PSEUDO_I),
+        (InvexClass.QUASI_II,),
+        ("pseudo2", "quasi1", "invex"),
+        (InvexClass.PSEUDO_I, InvexClass.PSEUDO_I, InvexClass.QUASI_I),
+    ]
+
+    @staticmethod
+    def _same_as_alone(classes, f, problem, x0, plan, extra):
+        args = (f, problem.cone, problem.kernel, problem.e, x0, 0.25, plan, extra)
+        together = _outcome(lambda: check_invex_classes(classes, *args))
+        alone = _outcome(lambda: tuple(check_invex_class(c, *args) for c in classes))
+        assert together == alone, (problem.name, classes)
+        return together
+
+    def test_every_subset_matches_each_class_alone(self, example5, example23):
+        plan = SamplingPlan(ball_sample_count=200, pair_sample_count=200)
+        instances = [(example5, example5.point("xi")), (example23, example23.point("x0"))]
+        statuses = set()
+        for problem, x0 in instances + audit.generated_instances(12, 7):
+            ball = sampling.ball_points(x0, 0.25, 40, 3)
+            for f in (problem.f, problem.f.negated()):
+                for extra in (None, (ball, np.tile(x0, (len(ball), 1)))):
+                    for classes in self.SUBSETS:
+                        out = self._same_as_alone(classes, f, problem, x0, plan, extra)
+                        statuses.update(json.loads(p)["status"] for p in out)
+        assert statuses == {"Refuted", "CertifiedUpToSampling"}
+
+    def test_errors_before_the_table_belong_to_every_class(self, example5):
+        plan = SamplingPlan(ball_sample_count=200, pair_sample_count=200)
+        for e, x0, r in (([0.0, 1.0], [0.0], 0.25), ([0.5, 0.5], [1.9], 0.25)):
+            for classes in self.SUBSETS:
+                args = (example5.f, example5.cone, example5.kernel, e, x0, r, plan)
+                together = _outcome(lambda: check_invex_classes(classes, *args))
+                alone = _outcome(lambda: tuple(check_invex_class(c, *args) for c in classes))
+                assert together == alone
+                assert together[0] == "error"
+
+    def test_a_refutation_error_stays_with_its_class(self, light_plan):
+        # f(x) = (-x^2, -x^2): the extra pair (2.5, 0) lies outside the
+        # domain box, where the pieces still evaluate; invex and both pseudo
+        # classes refute at it first, and replaying their witness raises,
+        # while the quasi classes hold at it and refute at a sampled pair
+        problem = make_problem(["-x1^2", "-x1^2"])
+        extra = (np.array([[2.5]]), np.array([[0.0]]))
+        quasi = (InvexClass.QUASI_I, InvexClass.QUASI_II)
+        out = self._same_as_alone(quasi, problem.f, problem, [0.0], light_plan, extra)
+        assert [2.5] not in [json.loads(p)["witness"]["x"] for p in out]
+        for cls in (InvexClass.INVEX, InvexClass.PSEUDO_I, InvexClass.PSEUDO_II):
+            out = self._same_as_alone(quasi + (cls,), problem.f, problem, [0.0], light_plan, extra)
+            assert out[:2] == ("error", "OutOfDomainError")
 
 
 class TestDeterminism:

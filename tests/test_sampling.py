@@ -220,3 +220,12 @@ class TestSimplexGrid:
 
     def test_single_vertex(self):
         assert np.array_equal(sampling.simplex_weights(1, 8), np.ones((1, 1)))
+
+    def test_memoized_grid_matches_a_fresh_build_and_is_read_only(self):
+        for k, depth in ((1, 8), (2, 8), (3, 8), (4, 5), (3, 1)):
+            fresh = sampling._simplex_grid.__wrapped__(k, depth)
+            w = sampling.simplex_weights(k, depth)
+            assert np.array_equal(w, fresh) and w.dtype == fresh.dtype
+            assert sampling.simplex_weights(k, depth) is w
+            with pytest.raises(ValueError):
+                w[0, 0] = 0.5

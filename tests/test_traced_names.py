@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -32,7 +34,15 @@ def test_every_traced_name_exists():
             assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
 
 
-def test_traced_critical_lp_run_passes(tmp_path):
+# a per-layer metric that each workload's traced run must report
+WORKLOAD_SPANS = {
+    "critical-lp": "certify.check_vector_critical.ms",
+    "audit-matrix": "audit.rule.T4.1.ms",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_SPANS))
+def test_traced_run_passes(tmp_path, workload):
     # the traced run of the benchmark, on a copy of the checkout so that its
     # record goes to the copy's perfbench/out/
     root = SPANS.parents[1]
@@ -42,11 +52,12 @@ def test_traced_critical_lp_run_passes(tmp_path):
     )
     shutil.copy(root / "BENCHMARK.json", tmp_path)
     run = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "critical-lp", "--seed", "1",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "1", "--trace", "1"],
         cwd=tmp_path, capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0, run.stderr[-2000:]
     result = json.loads(run.stdout.strip().splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0
-    assert "certify.check_vector_critical.ms" in result["metrics"]
+    assert WORKLOAD_SPANS[workload] in result["metrics"]
+    assert "import.scipy_stats_ms" in result["metrics"]
