@@ -42,7 +42,7 @@ from .certify import (
     check_invex_classes,
     check_quasi_efficient,
     check_vector_critical,
-    check_vvi,
+    check_vvis,
 )
 from .errors import GenerationFailedError, VviCertError
 from .problem import Problem
@@ -206,8 +206,9 @@ def _checked(problem: Problem, key: tuple, checker, *args, **kwargs):
     """checker(*args, **kwargs), run at most once per problem for each key.
 
     Rules on one problem share hypotheses (pseudo1(f) underlies R4.0 and
-    T4.6, the SVVI T3.1 and T3.3, and the forward rules on f one check of
-    their invexity classes), so the verdicts live on the problem,
+    T4.6, the SVVI T3.1 and T3.3, the forward rules on f one check of their
+    invexity classes, and the rules whose VVIs take the Jacobian at the same
+    site one check of their VVIs), so the verdicts live on the problem,
     next to the probe and flag caches of its f and kernel. The key is the
     checker object itself, so a replaced or wrapped checker is called anew,
     plus the content of every input it reads. A VviCertError outcome is
@@ -238,7 +239,8 @@ def audit_rule(
     a hypothesis that another rule already checked with the same inputs
     (kernel, cone, e, point, plan and injected samples) is not checked again.
     The forward rules on f, and those on -f, decide all their invexity
-    classes in one check on their shared pair sample.
+    classes in one check on their shared pair sample, and the Stampacchia
+    and the Minty VVIs of all rules are decided in one check for each.
     """
     if isinstance(rule, str):
         rule = RULES[rule]
@@ -289,18 +291,53 @@ def _class_group(rule: TheoremRule) -> tuple:
     return tuple(c for c in InvexClass if c in wanted)
 
 
-def _class_verdict(rule, problem, inputs, fn, xi, plan, pairs) -> Verdict:
+def _class_verdict(rule, problem, inputs, fn, xi, plan, pairs, pairs_key) -> Verdict:
     """The verdict of rule's invexity class on fn (f, or -f when negated),
     taken from the one check_invex_classes call of its class group on these
-    pairs; a checker error is raised for every class of the group."""
+    pairs, which pairs_key names; a checker error is raised for every class
+    of the group."""
     group = _class_group(rule)
     name = f"{','.join(c.value for c in group)}({'-f' if rule.negated else 'f'})"
     verdicts = _checked(
-        problem, (inputs, name, _digest(*pairs)), check_invex_classes,
+        problem, (inputs, name, pairs_key), check_invex_classes,
         group, fn, problem.cone, problem.kernel, problem.e, xi, plan.radius, plan,
         extra_pairs=pairs,
     )
     return verdicts[group.index(rule.invex_class)]
+
+
+def _vvi_group(rule: TheoremRule) -> tuple:
+    """The VVI variants of RULES that take the Jacobian at the same site as
+    rule's (xi for Stampacchia, x for Minty), in VVIVariant order. Every rule
+    injects the same ball into its VVI search, so one check_vvis call decides
+    them all."""
+    wanted = {r.variant for r in RULES.values()}
+    return tuple(v for v in VVIVariant if v in wanted and v.minty == rule.variant.minty)
+
+
+def _vvi_verdict(rule, problem, inputs, xi, plan, ball, ball_key) -> Verdict:
+    """The verdict of rule's VVI, taken from the one check_vvis call of its
+    group with the ball injected; a checker error is raised for every
+    variant of the group."""
+    group = _vvi_group(rule)
+    verdicts = _checked(
+        problem, (inputs, ",".join(v.value for v in group), ball_key), check_vvis,
+        group, problem.f, problem.cone, problem.kernel, xi, plan, extra_points=ball,
+    )
+    return verdicts[group.index(rule.variant)]
+
+
+def _ball(problem: Problem, xi: np.ndarray, plan: SamplingPlan) -> tuple:
+    """The audit's ball sample around xi, read-only, and its _digest, drawn
+    once per problem for each xi, radius, count and seed: every rule injects
+    it into its checks and keys their verdicts on the digest."""
+    memo = problem.__dict__.setdefault("_ball_memo", {})
+    key = (xi.tobytes(), plan.radius, plan.ball_sample_count, plan.seed)
+    if key not in memo:
+        ball = sampling.ball_points(xi, plan.radius, plan.ball_sample_count, plan.seed)
+        ball.setflags(write=False)
+        memo[key] = (ball, _digest(ball))
+    return memo[key]
 
 
 def _audit_forward(rule, problem, xi, plan, hyp) -> tuple:
@@ -309,22 +346,20 @@ def _audit_forward(rule, problem, xi, plan, hyp) -> tuple:
     f, cone, kernel, e = problem.f, problem.cone, problem.kernel, problem.e
     r = plan.radius
     inputs = _inputs_digest(problem, xi, plan)
-    ball = sampling.ball_points(xi, r, plan.ball_sample_count, plan.seed)
+    ball, ball_key = _ball(problem, xi, plan)
     fn = f.negated() if rule.negated else f
     pairs = (ball, _tile(xi, ball.shape[0]))  # pairs (x, xi), or (xi, x) on -f
     if rule.negated:
         pairs = pairs[::-1]
 
-    hyp[rule.class_key] = _class_verdict(rule, problem, inputs, fn, xi, plan, pairs)
+    # the class group's name tells f from -f, so the ball names the pairs
+    hyp[rule.class_key] = _class_verdict(rule, problem, inputs, fn, xi, plan, pairs, ball_key)
     if rule.variant is None:
         hyp["critical"] = _checked(
             problem, (inputs,), check_vector_critical, f, cone, xi, plan
         )
     else:
-        hyp[rule.variant.value] = _checked(
-            problem, (inputs, rule.variant.value, _digest(ball)), check_vvi,
-            rule.variant, f, cone, kernel, xi, plan, extra_points=ball,
-        )
+        hyp[rule.variant.value] = _vvi_verdict(rule, problem, inputs, xi, plan, ball, ball_key)
 
     not_certified = [
         k for k, v in hyp.items() if isinstance(v, Verdict) and not v.certified
@@ -377,13 +412,10 @@ def _audit_t41(rule, problem, xi, plan, hyp) -> tuple:
     f, cone, kernel, e = problem.f, problem.cone, problem.kernel, problem.e
     r = plan.radius
     fn = f.negated() if rule.negated else f
-    ball = sampling.ball_points(xi, r, plan.ball_sample_count, plan.seed)
+    ball, ball_key = _ball(problem, xi, plan)
     inputs = _inputs_digest(problem, xi, plan)
 
-    vvi = _checked(
-        problem, (inputs, rule.variant.value, _digest(ball)), check_vvi,
-        rule.variant, f, cone, kernel, xi, plan, extra_points=ball,
-    )
+    vvi = _vvi_verdict(rule, problem, inputs, xi, plan, ball, ball_key)
     hyp[f"{rule.variant.value}-refuted"] = vvi
     if not vvi.refuted:
         return NOT_CERTIFIED, None, "contrapositive premise empty: WSVVI was not refuted"
@@ -392,7 +424,9 @@ def _audit_t41(rule, problem, xi, plan, hyp) -> tuple:
 
     # pairs (x, xi) along the witness segment and the ball
     pairs = (np.vstack([segment, ball]), _tile(xi, segment.shape[0] + ball.shape[0]))
-    hyp[rule.class_key] = _class_verdict(rule, problem, inputs, fn, xi, plan, pairs)
+    hyp[rule.class_key] = _class_verdict(
+        rule, problem, inputs, fn, xi, plan, pairs, (ball_key, _digest(segment))
+    )
     if not hyp[rule.class_key].certified:
         return NOT_CERTIFIED, None, "quasi type II hypothesis on -f not certified"
 

@@ -40,6 +40,7 @@ __all__ = [
     "GordanCertificate",
     "check_quasi_efficient",
     "check_vvi",
+    "check_vvis",
     "check_invex_class",
     "check_invex_classes",
     "gordan_alternative",
@@ -356,6 +357,40 @@ def _hull_exists_refine(
     return out
 
 
+def _vvi_products(
+    minty: bool, f: PiecewiseVectorFn, xi: np.ndarray, x: np.ndarray, eta: np.ndarray
+) -> tuple:
+    """The products A @ eta(x, xi) and their activity mask, (vertices or
+    pieces, N, m) and (vertices or pieces, N), with the Jacobian A taken at x
+    for the Minty variants and at xi otherwise; the table both variants of one
+    Jacobian site decide from."""
+    if minty:
+        return _vertex_products_at(f, x, eta)
+    prods = _stampacchia_products(f, xi, eta)
+    return prods, np.ones(prods.shape[:2], dtype=bool)
+
+
+def _vvi_violations(
+    variant: VVIVariant, cone: OrderingCone, quantifier: str, table: tuple, eta_norm: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Mask of the rows of a _vvi_products table where A @ eta <=_C 0 (<_C 0
+    for weak variants) holds for every Jacobian vertex A, or for some element
+    of the Jacobian hull under quantifier='exists', and eta is not zero. Also
+    returns the largest number of vertices met at one row."""
+    prods, active = table
+
+    def _holds(values: np.ndarray) -> np.ndarray:
+        # values: (..., m) products A @ eta
+        return _order(cone, variant.weak)(-values)
+
+    cond = _holds(prods)
+    if quantifier == "forall":
+        viol = _forall_active(cond, active)
+    else:
+        viol = _hull_exists_refine(prods, active, _holds, _exists_active(cond, active))
+    return viol & (eta_norm > ZERO_ETA_TOL), int(active.sum(axis=0).max())
+
+
 def _vvi_violation_mask(
     variant: VVIVariant,
     f: PiecewiseVectorFn,
@@ -365,29 +400,84 @@ def _vvi_violation_mask(
     x: np.ndarray,
     quantifier: str,
 ) -> tuple[np.ndarray, int]:
-    """Mask of the rows of x where A @ eta(x, xi) <=_C 0 (<_C 0 for weak
-    variants) holds for every Jacobian vertex A, or for some element of the
-    Jacobian hull under quantifier='exists'; the Jacobian is taken at x for
-    Minty variants and at xi otherwise. Also returns the largest number of
-    vertices met at one row."""
+    """_vvi_violations of the variant at the rows of x."""
     eta = kernel.eval_many(x, xi[None, :])
+    table = _vvi_products(variant.minty, f, xi, x, eta)
+    return _vvi_violations(variant, cone, quantifier, table, np.linalg.norm(eta, axis=1))
 
-    def _holds(values: np.ndarray) -> np.ndarray:
-        # values: (..., m) products A @ eta
-        return _order(cone, variant.weak)(-values)
 
-    if variant.minty:
-        prods, active = _vertex_products_at(f, x, eta)
-    else:
-        prods = _stampacchia_products(f, xi, eta)
-        active = np.ones(prods.shape[:2], dtype=bool)
-    cond = _holds(prods)
-    if quantifier == "forall":
-        viol = _forall_active(cond, active)
-    else:
-        viol = _hull_exists_refine(prods, active, _holds, _exists_active(cond, active))
-    viol = viol & (np.linalg.norm(eta, axis=1) > ZERO_ETA_TOL)
-    return viol, int(active.sum(axis=0).max())
+def check_vvis(
+    variants: Sequence,
+    f: PiecewiseVectorFn,
+    cone: OrderingCone,
+    kernel: Kernel,
+    xi,
+    plan: Optional[SamplingPlan] = None,
+    quantifier: str = "forall",
+    extra_points: Optional[np.ndarray] = None,
+) -> tuple:
+    """One Verdict per variant of ``variants``, in that order, each equal to
+    ``check_vvi`` of that variant: the search points and eta are made once,
+    and the products A @ eta once per Jacobian site (xi for the Stampacchia
+    variants, x for the Minty ones); only the final cone tests depend on the
+    variant.
+
+    The variants are parsed and the quantifier checked first. An error raised
+    before the products (domain, sampling or kernel) is raised for every
+    variant. The variants are then decided in order, each site's products
+    made at its first variant, and the first error raised is raised; a call
+    without that variant's site does not raise it.
+    """
+    variants = [v if isinstance(v, VVIVariant) else VVIVariant(str(v).strip().lower())
+                for v in variants]
+    if quantifier not in ("forall", "exists"):
+        raise ValueError("quantifier must be 'forall' or 'exists'")
+    plan = plan or SamplingPlan()
+    xi = f.require_inside(xi, "xi")
+
+    inner = f.inner_box()
+    box = np.stack(
+        [np.maximum(xi - 1.0, inner[:, 0]), np.minimum(xi + 1.0, inner[:, 1])], axis=1
+    )
+
+    probe_radius = float(np.max(np.abs(box - xi[:, None])))
+    probes = boundary_probes(f, xi, probe_radius)
+    stream = sampling.box_points(box, plan.ball_sample_count, plan.seed)
+    pts = _stack_points([probes, extra_points, stream])
+    eta = kernel.eval_many(pts, xi[None, :])
+    eta_norm = np.linalg.norm(eta, axis=1)
+    tables = {}  # Jacobian site (minty) -> its _vvi_products table
+
+    def verdict(variant: VVIVariant) -> Verdict:
+        if variant.minty not in tables:
+            tables[variant.minty] = _vvi_products(variant.minty, f, xi, pts, eta)
+        viol, vertex_count = _vvi_violations(
+            variant, cone, quantifier, tables[variant.minty], eta_norm
+        )
+        stats = _base_stats(
+            plan,
+            cone,
+            sampleCount=int(pts.shape[0]),
+            probeCount=int(probes.shape[0]),
+            searchBox=box.tolist(),
+            variant=variant.value,
+            quantifier=quantifier,
+            maxVertexCount=vertex_count,
+            xi=_listify(xi),
+        )
+        name, where = variant.value.upper(), "x" if variant.minty else "xi"
+
+        def refute(x):
+            return (
+                f"x = {x.tolist()} satisfies the {name} inequality system "
+                f"(Jacobian taken at {where}); xi does not solve the VVI",
+                {"x": x.tolist(), "eta": _listify(kernel.eval(x, xi))},
+            )
+
+        certified = f"xi solves the {name} over the sampled search region"
+        return _sampled_verdict(viol, (pts,), refute, certified, stats)
+
+    return tuple(verdict(v) for v in variants)
 
 
 def check_vvi(
@@ -409,48 +499,10 @@ def check_vvi(
     bundled fixtures; quantifier='exists' switches to the alternative reading
     where a single Jacobian element suffices. The search region is the unit
     box around xi, clipped to the open domain, and points with eta(x, xi) = 0
-    are skipped.
+    are skipped. To decide several variants on one search sample, as the
+    theorem audit does, use check_vvis.
     """
-    if not isinstance(variant, VVIVariant):
-        variant = VVIVariant(str(variant).strip().lower())
-    if quantifier not in ("forall", "exists"):
-        raise ValueError("quantifier must be 'forall' or 'exists'")
-    plan = plan or SamplingPlan()
-    xi = f.require_inside(xi, "xi")
-
-    inner = f.inner_box()
-    box = np.stack(
-        [np.maximum(xi - 1.0, inner[:, 0]), np.minimum(xi + 1.0, inner[:, 1])], axis=1
-    )
-
-    probe_radius = float(np.max(np.abs(box - xi[:, None])))
-    probes = boundary_probes(f, xi, probe_radius)
-    stream = sampling.box_points(box, plan.ball_sample_count, plan.seed)
-    pts = _stack_points([probes, extra_points, stream])
-
-    viol, vertex_count = _vvi_violation_mask(variant, f, cone, kernel, xi, pts, quantifier)
-    stats = _base_stats(
-        plan,
-        cone,
-        sampleCount=int(pts.shape[0]),
-        probeCount=int(probes.shape[0]),
-        searchBox=box.tolist(),
-        variant=variant.value,
-        quantifier=quantifier,
-        maxVertexCount=vertex_count,
-        xi=_listify(xi),
-    )
-    name, where = variant.value.upper(), "x" if variant.minty else "xi"
-
-    def refute(x):
-        return (
-            f"x = {x.tolist()} satisfies the {name} inequality system "
-            f"(Jacobian taken at {where}); xi does not solve the VVI",
-            {"x": x.tolist(), "eta": _listify(kernel.eval(x, xi))},
-        )
-
-    certified = f"xi solves the {name} over the sampled search region"
-    return _sampled_verdict(viol, (pts,), refute, certified, stats)
+    return check_vvis((variant,), f, cone, kernel, xi, plan, quantifier, extra_points)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -459,18 +511,18 @@ def check_vvi(
 
 def _pair_table(f: PiecewiseVectorFn, kernel: Kernel, xs: np.ndarray, ys: np.ndarray) -> tuple:
     """The class-independent part of every invexity implication on the pairs
-    (xs, ys): ||eta(x, y)||, f(x) - f(y), and the products A eta with the
+    (xs, ys): ||eta(x, y)||, f(x) - f(y), the products A eta with the
     activity mask of every piece's Jacobian A at y, as _vertex_products_at
-    returns them."""
+    returns them, and then f(x) and f(y), which a witness records."""
     eta = kernel.eval_many(xs, ys)
     eta_norm = np.linalg.norm(eta, axis=1)
-    fdiff = f.values(xs) - f.values(ys)
-    return (eta_norm, fdiff) + _vertex_products_at(f, ys, eta)
+    fx, fy = f.values(xs), f.values(ys)
+    return (eta_norm, fx - fy) + _vertex_products_at(f, ys, eta) + (fx, fy)
 
 
 def _class_violations(cls: InvexClass, cone: OrderingCone, e: np.ndarray, table: tuple) -> np.ndarray:
     """Mask of the pairs of a _pair_table where the class's implication fails."""
-    eta_norm, fdiff, prods, active = table
+    eta_norm, fdiff, prods, active = table[:4]
     penalty = eta_norm[:, None] * e[None, :]
     # type I puts the penalty e||eta|| in the premise, type II in the
     # conclusion; subtracting 0.0 leaves every float as it is
@@ -538,6 +590,7 @@ def check_invex_classes(
     xs = _stack_points([px, ex, sx])
     ys = _stack_points([py, ey, sy])
     table = _pair_table(f, kernel, xs, ys)
+    fx, fy = table[4:]
 
     def verdict(cls: InvexClass) -> Verdict:
         viol = _class_violations(cls, cone, e, table)
@@ -552,17 +605,20 @@ def check_invex_classes(
             x0=_listify(x0),
         )
 
-        def refute(x, y):
+        def refute(x, y, fx, fy):
+            # a witness lies in the domain, as an extra pair need not
+            f.require_inside(x)
+            f.require_inside(y)
             return f"pair (x, y) violates the {cls.value} implication", {
                 "x": x.tolist(),
                 "y": y.tolist(),
-                "fx": _listify(f.value(x)),
-                "fy": _listify(f.value(y)),
+                "fx": _listify(fx),
+                "fy": _listify(fy),
                 "eta": _listify(kernel.eval(x, y)),
             }
 
         certified = f"the {cls.value} implication held on every sampled pair"
-        return _sampled_verdict(viol, (xs, ys), refute, certified, stats)
+        return _sampled_verdict(viol, (xs, ys, fx, fy), refute, certified, stats)
 
     return tuple(verdict(cls) for cls in classes)
 
@@ -627,9 +683,11 @@ def _decomposed_grid(lambdas: np.ndarray, verts: np.ndarray, first: np.ndarray):
     ``np.linalg.svd`` call and one ``_alt.rank`` call. A mixture with a
     non-finite entry, and each one after it, gets None: ``strict_mu`` rejects
     it, so the walk ends there."""
-    # one tensordot per lambda: one lambdas @ verts product over the grid
-    # rounds some mixtures differently
-    mixes = np.stack([first] + [np.tensordot(lam, verts, axes=1) for lam in lambdas[1:]])
+    # one vector-matrix product per lambda, stacked in one matmul: one 2-D
+    # lambdas @ verts product over the grid rounds some mixtures differently
+    k, m, n = verts.shape
+    rest = np.matmul(lambdas[1:, None, :], verts.reshape(k, -1)).reshape(-1, m, n)
+    mixes = np.concatenate([first[None], rest])
     finite = np.all(np.isfinite(mixes), axis=(1, 2))
     reach = len(mixes) if finite.all() else int(np.argmin(finite))
     units = _alt.unit_scale(mixes[: min(reach, _EVIDENCE_LAMBDAS)])

@@ -29,6 +29,10 @@ _CONVERT_MAX_DIM = 4
 CONE_TOL = 1e-9
 # relative margin of the open-cone test N v > margin * ||v||
 DEFAULT_MARGIN = 1e-9
+# largest dimension whose order tests may read the columns of v directly when
+# N permutes the identity: np.linalg.norm sums 8 or more squares pairwise,
+# which rounds otherwise than a left-to-right sum
+_COLUMN_TEST_MAX_DIM = 7
 
 
 def _unit_rows(a: np.ndarray) -> np.ndarray:
@@ -121,6 +125,7 @@ class OrderingCone:
         self.tol = CONE_TOL
         self.interior_witness = interior_witness(normals, self.margin)
         self._is_orthant = self._detect_orthant()
+        self._column_test = self._detect_column_test()
 
     def _detect_orthant(self) -> bool:
         # orthant iff the halfspace rows are a permutation of the identity rows
@@ -133,6 +138,22 @@ class OrderingCone:
             np.all(one | (np.abs(rounded) < 1e-12))
             and np.all(one.sum(axis=0) == 1)
             and np.all(one.sum(axis=1) == 1)
+        )
+
+    def _detect_column_test(self) -> bool:
+        """True when v @ N.T holds the columns of v exactly: N is a permutation
+        of the identity with entries exactly 0.0 or 1.0 (not _detect_orthant's
+        1e-12 test), the dimension is at most _COLUMN_TEST_MAX_DIM, and the
+        margin is not negative, so that a row with an infinite entry fails
+        the open test as it does through the NaN that the product leaves."""
+        n = self.normals
+        return bool(
+            n.shape == (self.dim, self.dim)
+            and self.dim <= _COLUMN_TEST_MAX_DIM
+            and self.margin >= 0.0
+            and np.all((n == 0.0) | (n == 1.0))
+            and np.all(n.sum(axis=0) == 1.0)
+            and np.all(n.sum(axis=1) == 1.0)
         )
 
     # -- construction helpers -------------------------------------------------
@@ -185,7 +206,16 @@ class OrderingCone:
     def contains_many(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         self._check_dim(v)
-        return np.all(v @ self.normals.T >= -self.tol, axis=-1)
+        if not self._column_test:
+            return np.all(v @ self.normals.T >= -self.tol, axis=-1)
+        ok = v[..., 0] >= -self.tol
+        for k in range(1, self.dim):
+            ok &= v[..., k] >= -self.tol
+        if self.dim > 1:
+            # v @ I is NaN off the column of an infinite entry (inf * 0)
+            for k in range(self.dim):
+                ok &= v[..., k] < np.inf
+        return ok
 
     def strictly_contains(self, v) -> bool:
         """v in int C: N v > margin * ||v|| componentwise (false at v = 0)."""
@@ -194,8 +224,19 @@ class OrderingCone:
     def strictly_contains_many(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         self._check_dim(v)
-        thresh = self.margin * np.linalg.norm(v, axis=-1, keepdims=True)
-        return np.all(v @ self.normals.T > thresh, axis=-1)
+        if not self._column_test:
+            thresh = self.margin * np.linalg.norm(v, axis=-1, keepdims=True)
+            return np.all(v @ self.normals.T > thresh, axis=-1)
+        # the squares summed left to right, as np.linalg.norm sums up to 7;
+        # an infinite or NaN entry makes the threshold inf or NaN
+        sq = v[..., 0] * v[..., 0]
+        for k in range(1, self.dim):
+            sq = sq + v[..., k] * v[..., k]
+        thresh = self.margin * np.sqrt(sq)
+        ok = v[..., 0] > thresh
+        for k in range(1, self.dim):
+            ok &= v[..., k] > thresh
+        return ok
 
     # -- induced orders ---------------------------------------------------------
 

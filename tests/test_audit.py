@@ -5,7 +5,7 @@ from enum import Enum
 import numpy as np
 import pytest
 
-from vvicert import audit, certify
+from vvicert import audit, certify, sampling
 from vvicert.certify import (
     ZERO_ETA_TOL,
     InvexClass,
@@ -156,9 +156,10 @@ class TestAuditRule:
             assert res.conclusion_verdict.stats["weak"] is weak
 
 
-def _each_class(verdict):
-    """A stand-in for check_invex_classes: ``verdict`` for every class asked."""
-    return lambda classes, *a, **k: (verdict,) * len(classes)
+def _each(verdict):
+    """A stand-in for check_invex_classes or check_vvis: ``verdict`` for
+    every class or variant asked."""
+    return lambda asked, *a, **k: (verdict,) * len(asked)
 
 
 class TestWitnessCrosscheck:
@@ -212,8 +213,8 @@ class TestWitnessCrosscheck:
         self, monkeypatch, plan, components, rid, x, note
     ):
         certified = Verdict("CertifiedUpToSampling", "faked")
-        monkeypatch.setattr(audit, "check_invex_classes", _each_class(certified))
-        monkeypatch.setattr(audit, "check_vvi", lambda *a, **k: certified)
+        monkeypatch.setattr(audit, "check_invex_classes", _each(certified))
+        monkeypatch.setattr(audit, "check_vvis", _each(certified))
         self._fake_refuted_conclusion(monkeypatch, x, [])
         res = audit.audit_rule(rid, _one_piece("crosscheck", components), "xi", plan)
         assert res.outcome == "HypothesisNotCertified"
@@ -283,8 +284,8 @@ class TestT41Replay:
     def _replay(monkeypatch, problem, point, plan, x_hat):
         refuted = Verdict("Refuted", "faked", witness={"x": list(x_hat)})
         certified = Verdict("CertifiedUpToSampling", "faked")
-        monkeypatch.setattr(audit, "check_vvi", lambda *a, **k: refuted)
-        monkeypatch.setattr(audit, "check_invex_classes", _each_class(certified))
+        monkeypatch.setattr(audit, "check_vvis", _each(refuted))
+        monkeypatch.setattr(audit, "check_invex_classes", _each(certified))
         monkeypatch.setattr(audit, "check_quasi_efficient", lambda *a, **k: certified)
         res = audit.audit_rule("T4.1", problem, point, plan)
         assert len(res.notes) == 1
@@ -497,7 +498,7 @@ class TestRunMatrix:
         assert "T3.3" in text and "violations: 0" in text
 
 
-CHECKERS = ("check_invex_classes", "check_vvi", "check_quasi_efficient", "check_vector_critical")
+CHECKERS = ("check_invex_classes", "check_vvis", "check_quasi_efficient", "check_vector_critical")
 
 
 def _canon(payload) -> str:
@@ -600,7 +601,7 @@ class TestVerdictMemo:
 
     @pytest.mark.parametrize(
         "rid, called",
-        [("T3.1", ["check_invex_classes", "check_vvi", "check_quasi_efficient"]),
+        [("T3.1", ["check_invex_classes", "check_vvis", "check_quasi_efficient"]),
          ("T4.6", ["check_invex_classes", "check_vector_critical", "check_quasi_efficient"])],
     )
     def test_replaced_checker_is_called(self, monkeypatch, balanced, plan, rid, called):
@@ -638,6 +639,49 @@ class TestVerdictMemo:
         }
         assert len(decided) == 6, decided
         assert len(tables) <= 3, tables
+
+    def test_one_products_table_per_vvi_site(self, monkeypatch, linear_problem, plan):
+        # all seven rules decide five VVI hypotheses on f = (x, x) under the
+        # skew, first-argument-affine difference kernel: svvi, wsvvi and
+        # T4.1's wsvvi at xi, mvvi and wmvvi at x
+        sites = []
+
+        def counted(minty, *args):
+            sites.append("minty" if minty else "stampacchia")
+            return real(minty, *args)
+
+        real = certify._vvi_products
+        monkeypatch.setattr(certify, "_vvi_products", counted)
+        summary = audit.run_matrix(sorted(audit.RULES), [(_fresh(linear_problem), "xi")], plan)
+        decided = {
+            (row.rule_id, key) for row in summary.results
+            for key, v in row.hypothesis_verdicts.items()
+            if "vvi" in key and isinstance(v, Verdict)
+        }
+        assert len(decided) == 6, decided
+        assert sorted(sites) == ["minty", "stampacchia"], sites
+
+    def test_ball_memo_holds_the_sampled_ball(self, plan):
+        problem = _one_piece("ball", ["x1", "-x1"])
+        xi = problem.point("xi")
+        ball, key = audit._ball(problem, xi, plan)
+        want = sampling.ball_points(xi, plan.radius, plan.ball_sample_count, plan.seed)
+        assert ball.dtype == want.dtype and ball.shape == want.shape
+        assert ball.tobytes() == want.tobytes()
+        assert key == audit._digest(want)
+        assert not ball.flags.writeable
+        assert audit._ball(problem, xi, plan)[0] is ball
+        # another count, radius or point is another sample (the Halton
+        # stream of n = 1 ignores the seed)
+        for other, at in (
+            (SamplingPlan(ball_sample_count=999), xi),
+            (SamplingPlan(radius=0.5, ball_sample_count=1000), xi),
+            (plan, np.array([0.5])),
+        ):
+            again, again_key = audit._ball(problem, at, other)
+            want = sampling.ball_points(at, other.radius, other.ball_sample_count, other.seed)
+            assert again.tobytes() == want.tobytes() and again_key == audit._digest(want)
+            assert again_key != key
 
     def test_checker_error_kept_and_raised_again(self, monkeypatch, plan):
         calls = []

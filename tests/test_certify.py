@@ -16,6 +16,7 @@ from vvicert.certify import (
     check_invex_classes,
     check_quasi_efficient,
     check_vvi,
+    check_vvis,
 )
 from vvicert.cone import OrderingCone
 from vvicert.errors import InvalidEError, OutOfDomainError, VviCertError
@@ -545,6 +546,49 @@ class TestClassesOnOnePairSample:
         for cls in (InvexClass.INVEX, InvexClass.PSEUDO_I, InvexClass.PSEUDO_II):
             out = self._same_as_alone(quasi + (cls,), problem.f, problem, [0.0], light_plan, extra)
             assert out[:2] == ("error", "OutOfDomainError")
+
+
+class TestVvisOnOneSearch:
+    """check_vvis decides every variant it is given on one search sample;
+    each verdict, or the error raised, is that of deciding the variant
+    alone."""
+
+    SUBSETS = [
+        tuple(VVIVariant),
+        tuple(reversed(VVIVariant)),
+        (VVIVariant.SVVI, VVIVariant.WSVVI),
+        (VVIVariant.WMVVI, VVIVariant.MVVI),
+        ("wsvvi",),
+        ("mvvi", "SVVI", "mvvi"),
+    ]
+
+    @staticmethod
+    def _same_as_alone(variants, problem, xi, plan, quantifier, extra):
+        args = (problem.f, problem.cone, problem.kernel, xi, plan, quantifier, extra)
+        together = _outcome(lambda: check_vvis(variants, *args))
+        alone = _outcome(lambda: tuple(check_vvi(v, *args) for v in variants))
+        assert together == alone, (problem.name, variants, quantifier)
+        return together
+
+    def test_every_subset_matches_each_variant_alone(self, example5, example23):
+        plan = SamplingPlan(ball_sample_count=200, pair_sample_count=200)
+        instances = [(example5, example5.point("xi")), (example23, example23.point("x0"))]
+        statuses = set()
+        for problem, xi in instances + audit.generated_instances(12, 7):
+            ball = sampling.ball_points(xi, 0.25, 40, 3)
+            for quantifier in ("forall", "exists"):
+                for extra in (None, ball):
+                    for variants in self.SUBSETS:
+                        out = self._same_as_alone(variants, problem, xi, plan, quantifier, extra)
+                        statuses.update(json.loads(p)["status"] for p in out)
+        assert statuses == {"Refuted", "CertifiedUpToSampling"}
+
+    def test_errors_before_the_products_belong_to_every_variant(self, example5):
+        plan = SamplingPlan(ball_sample_count=200, pair_sample_count=200)
+        for xi, quantifier in (([2.5], "forall"), ([0.0], "some")):
+            for variants in self.SUBSETS:
+                out = self._same_as_alone(variants, example5, xi, plan, quantifier, None)
+                assert out[0] == "error"
 
 
 class TestDeterminism:

@@ -1,15 +1,25 @@
 import ast
+from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import null_space
 
 import vvicert
 from vvicert import _alt
 from vvicert.cli import load_problem
-from vvicert.cone import CONE_TOL, OrderingCone, _dedupe_rays, _extreme_rays
+from vvicert.cone import (
+    _COLUMN_TEST_MAX_DIM,
+    CONE_TOL,
+    DEFAULT_MARGIN,
+    OrderingCone,
+    _dedupe_rays,
+    _extreme_rays,
+)
 from vvicert.errors import DimensionMismatchError
 from vvicert.problem import Problem
 
@@ -76,6 +86,79 @@ class TestMembership:
             orthant2.contains([1.0, 2.0, 3.0])
         with pytest.raises(DimensionMismatchError):
             orthant2.leq([1.0], [1.0, 2.0])
+
+
+# entries that stress the bits of an order test: signed zeros, subnormals,
+# values whose squares overflow or underflow, the tolerance, infinities, NaN
+_EDGE_ENTRIES = (
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-300, -1e-300, 1e300, -1e300,
+    1e-9, -1e-9, 1.0, -1.0, np.inf, -np.inf, np.nan,
+)
+
+
+@lru_cache(maxsize=None)
+def _permuted_cone(perm: tuple, off: tuple, margin: float) -> OrderingCone:
+    """The orthant with the rows of I permuted by perm; off = (row, col)
+    puts 1e-13 in an off-diagonal zero of the normals."""
+    normals = np.eye(len(perm))[list(perm)]
+    if off:
+        normals[off] = 1e-13
+    return OrderingCone(normals=normals, generators=np.eye(len(perm)), margin=margin)
+
+
+@st.composite
+def _cones_and_vectors(draw):
+    dim = draw(st.integers(1, _COLUMN_TEST_MAX_DIM + 2))
+    perm = tuple(draw(st.permutations(range(dim))))
+    off = ()
+    if dim > 1 and draw(st.booleans()):
+        row = draw(st.integers(0, dim - 1))
+        off = (row, draw(st.sampled_from([c for c in range(dim) if c != perm[row]])))
+    margin = draw(st.sampled_from([DEFAULT_MARGIN, 0.0, 0.25, -1e-3]))
+    lead = draw(st.sampled_from([(), (5,), (2, 3)]))
+    entry = st.one_of(
+        st.sampled_from(_EDGE_ENTRIES),
+        st.floats(-2.0, 2.0),
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    )
+    size = int(np.prod(lead, dtype=int)) * dim
+    v = np.array(draw(st.lists(entry, min_size=size, max_size=size)), dtype=float)
+    return _permuted_cone(perm, off, margin), off, v.reshape(lead + (dim,))
+
+
+class TestColumnTest:
+    """Under normals that permute the identity exactly, up to dimension 7,
+    the order tests read the columns of v; they give the booleans of the
+    product v @ N.T, with its NaN rows, and of np.linalg.norm."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_cones_and_vectors())
+    def test_matches_the_matmul_path(self, case):
+        cone, off, v = case
+        assert cone._column_test == (
+            not off and cone.dim <= _COLUMN_TEST_MAX_DIM and cone.margin >= 0.0
+        )
+        with np.errstate(invalid="ignore", over="ignore"):
+            nv = v @ cone.normals.T
+            want = np.all(nv >= -cone.tol, axis=-1)
+            thresh = cone.margin * np.linalg.norm(v, axis=-1, keepdims=True)
+            want_strict = np.all(nv > thresh, axis=-1)
+            got = cone.contains_many(v)
+            got_strict = cone.strictly_contains_many(v)
+        for g, w in ((got, want), (got_strict, want_strict)):
+            assert type(g) is type(w) and np.shape(g) == np.shape(w)
+            assert np.array_equal(g, w), (cone.normals.tolist(), v.tolist())
+
+    def test_exact_identity_only(self):
+        assert OrderingCone.orthant(3)._column_test
+        assert OrderingCone(normals=np.diag([2.0, 0.5])).normals.tolist() == np.eye(2).tolist()
+        assert OrderingCone(normals=np.diag([2.0, 0.5]))._column_test
+        assert not OrderingCone.orthant(_COLUMN_TEST_MAX_DIM + 1)._column_test
+        wedge = OrderingCone(normals=np.array([[1.0, 0.2, 0.0], [0.0, 1.0, 0.2], [0.2, 0.0, 1.0]]))
+        assert not wedge._column_test
+        # _detect_orthant still calls these normals an orthant
+        near = OrderingCone(normals=np.array([[1.0, 1e-13], [0.0, 1.0]]))
+        assert near.is_orthant and not near._column_test
 
 
 class TestConstruction:
