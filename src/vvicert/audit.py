@@ -20,8 +20,6 @@ Two mechanisms keep false violations out:
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -188,20 +186,6 @@ def _tile(xi: np.ndarray, count: int) -> np.ndarray:
     return np.tile(xi[None, :], (count, 1))
 
 
-def _digest(*parts) -> bytes:
-    """16-byte digest of the content of arrays (dtype, shape and values) and
-    of JSON-encodable values, so that memo keys never hold sample arrays."""
-    h = hashlib.blake2b(digest_size=16)
-    for part in parts:
-        if isinstance(part, np.ndarray):
-            data = f"{part.dtype.str}{part.shape}".encode() + part.tobytes()
-        else:
-            data = json.dumps(part, sort_keys=True).encode()
-        h.update(len(data).to_bytes(8, "little"))
-        h.update(data)
-    return h.digest()
-
-
 def _checked(problem: Problem, key: tuple, checker, *args, **kwargs):
     """checker(*args, **kwargs), run at most once per problem for each key.
 
@@ -211,16 +195,20 @@ def _checked(problem: Problem, key: tuple, checker, *args, **kwargs):
     site one check of their VVIs), so the verdicts live on the problem,
     next to the probe and flag caches of its f and kernel. The key is the
     checker object itself, so a replaced or wrapped checker is called anew,
-    plus the content of every input it reads. A VviCertError outcome is
-    kept and raised again. Rows that share a verdict hold the same object.
+    plus every input it reads (see _inputs). A VviCertError outcome is kept
+    and raised again. Rows that share an outcome hold the same object, so an
+    array outcome is made read-only.
     """
     memo = problem.__dict__.setdefault("_verdict_memo", {})
     key = (checker,) + key
     if key not in memo:
         try:
-            memo[key] = checker(*args, **kwargs)
+            out = checker(*args, **kwargs)
+            if isinstance(out, np.ndarray):
+                out.setflags(write=False)
         except VviCertError as exc:
-            memo[key] = exc.with_traceback(None)  # keep no checker frames alive
+            out = exc.with_traceback(None)  # keep no checker frames alive
+        memo[key] = out
     out = memo[key]
     if isinstance(out, VviCertError):
         raise out
@@ -237,7 +225,8 @@ def audit_rule(
 
     Checker verdicts are shared across rules on the same problem object:
     a hypothesis that another rule already checked with the same inputs
-    (kernel, cone, e, point, plan and injected samples) is not checked again.
+    (f, cone, kernel, e, point, plan and injected samples) is not checked
+    again.
     The forward rules on f, and those on -f, decide all their invexity
     classes in one check on their shared pair sample, and the Stampacchia
     and the Minty VVIs of all rules are decided in one check for each.
@@ -271,73 +260,56 @@ def audit_rule(
     return AuditResult(rule.rule_id, label, hyp, conclusion, outcome, notes)
 
 
-def _inputs_digest(problem: Problem, xi: np.ndarray, plan: SamplingPlan) -> bytes:
-    """The inputs every checker call of one audit reads, besides the rule's
-    own choices and injected samples."""
-    return _digest(problem.to_dict(), xi, plan.to_dict())
+def _inputs(problem: Problem, xi: np.ndarray, plan: SamplingPlan) -> tuple:
+    """(key, ball): the memo key of the inputs every checker call of one
+    audit reads, besides the rule's own choices, and the audit's ball sample
+    around xi, which every rule injects into its checks.
 
-
-def _class_group(rule: TheoremRule) -> tuple:
-    """The invexity classes decided on rule's pair sample, in InvexClass
-    order. Every forward rule of RULES on the same f or -f samples the same
-    pairs, so one evaluation decides all their classes; a contrapositive
-    rule samples pairs of its own."""
-    if rule.contrapositive:
-        return (rule.invex_class,)
-    wanted = {rule.invex_class} | {
-        r.invex_class for r in RULES.values()
-        if not r.contrapositive and r.negated == rule.negated
-    }
-    return tuple(c for c in InvexClass if c in wanted)
-
-
-def _class_verdict(rule, problem, inputs, fn, xi, plan, pairs, pairs_key) -> Verdict:
-    """The verdict of rule's invexity class on fn (f, or -f when negated),
-    taken from the one check_invex_classes call of its class group on these
-    pairs, which pairs_key names; a checker error is raised for every class
-    of the group."""
-    group = _class_group(rule)
-    name = f"{','.join(c.value for c in group)}({'-f' if rule.negated else 'f'})"
-    verdicts = _checked(
-        problem, (inputs, name, pairs_key), check_invex_classes,
-        group, fn, problem.cone, problem.kernel, problem.e, xi, plan.radius, plan,
-        extra_pairs=pairs,
+    The key holds f, the cone and the kernel themselves. The package never
+    changes one of them once built (f keeps its probe cache, the kernel its
+    flag cache, the cone its interior witness and column-test choice), so a
+    reassigned one gives a new key, and as the key holds the object, no id()
+    is reused. e and xi enter by their bytes and the plan by its values; the
+    ball is drawn once per problem for each xi and plan.
+    """
+    xi_plan = (
+        xi.tobytes(), plan.seed, plan.radius, plan.ball_sample_count, plan.pair_sample_count,
     )
-    return verdicts[group.index(rule.invex_class)]
-
-
-def _vvi_group(rule: TheoremRule) -> tuple:
-    """The VVI variants of RULES that take the Jacobian at the same site as
-    rule's (xi for Stampacchia, x for Minty), in VVIVariant order. Every rule
-    injects the same ball into its VVI search, so one check_vvis call decides
-    them all."""
-    wanted = {r.variant for r in RULES.values()}
-    return tuple(v for v in VVIVariant if v in wanted and v.minty == rule.variant.minty)
-
-
-def _vvi_verdict(rule, problem, inputs, xi, plan, ball, ball_key) -> Verdict:
-    """The verdict of rule's VVI, taken from the one check_vvis call of its
-    group with the ball injected; a checker error is raised for every
-    variant of the group."""
-    group = _vvi_group(rule)
-    verdicts = _checked(
-        problem, (inputs, ",".join(v.value for v in group), ball_key), check_vvis,
-        group, problem.f, problem.cone, problem.kernel, xi, plan, extra_points=ball,
+    ball = _checked(
+        problem, xi_plan, sampling.ball_points,
+        xi, plan.radius, plan.ball_sample_count, plan.seed,
     )
-    return verdicts[group.index(rule.variant)]
+    return (problem.f, problem.cone, problem.kernel, problem.e.tobytes()) + xi_plan, ball
 
 
-def _ball(problem: Problem, xi: np.ndarray, plan: SamplingPlan) -> tuple:
-    """The audit's ball sample around xi, read-only, and its _digest, drawn
-    once per problem for each xi, radius, count and seed: every rule injects
-    it into its checks and keys their verdicts on the digest."""
-    memo = problem.__dict__.setdefault("_ball_memo", {})
-    key = (xi.tobytes(), plan.radius, plan.ball_sample_count, plan.seed)
-    if key not in memo:
-        ball = sampling.ball_points(xi, plan.radius, plan.ball_sample_count, plan.seed)
-        ball.setflags(write=False)
-        memo[key] = (ball, _digest(ball))
-    return memo[key]
+# The invexity classes that one check decides on the shared pair sample of
+# the forward rules on f (False) and on -f (True), and the VVI variants that
+# one check decides at each Jacobian site, xi (False) or x (Minty, True), in
+# enum order: every rule injects the same ball, so one call decides a group.
+_CLASS_GROUPS = {
+    negated: tuple(c for c in InvexClass if any(
+        r.invex_class is c and r.negated == negated and not r.contrapositive
+        for r in RULES.values()
+    ))
+    for negated in (False, True)
+}
+_VVI_GROUPS = {
+    minty: tuple(v for v in VVIVariant if v.minty == minty and any(
+        r.variant is v for r in RULES.values()
+    ))
+    for minty in (False, True)
+}
+
+
+def _decided(problem, key, checker, group, member, *args, **kwargs) -> Verdict:
+    """member's verdict, taken from the one memoized checker(group, *args,
+    **kwargs) call that decides its whole group (a member outside the group,
+    of a rule that RULES does not hold, forms a group of its own); a checker
+    error is raised for every member."""
+    if member not in group:
+        group = (member,)
+    verdicts = _checked(problem, key + (group,), checker, group, *args, **kwargs)
+    return verdicts[group.index(member)]
 
 
 def _audit_forward(rule, problem, xi, plan, hyp) -> tuple:
@@ -345,21 +317,25 @@ def _audit_forward(rule, problem, xi, plan, hyp) -> tuple:
     the hypothesis verdicts go into hyp as they are decided."""
     f, cone, kernel, e = problem.f, problem.cone, problem.kernel, problem.e
     r = plan.radius
-    inputs = _inputs_digest(problem, xi, plan)
-    ball, ball_key = _ball(problem, xi, plan)
+    inputs, ball = _inputs(problem, xi, plan)
     fn = f.negated() if rule.negated else f
     pairs = (ball, _tile(xi, ball.shape[0]))  # pairs (x, xi), or (xi, x) on -f
     if rule.negated:
         pairs = pairs[::-1]
 
-    # the class group's name tells f from -f, so the ball names the pairs
-    hyp[rule.class_key] = _class_verdict(rule, problem, inputs, fn, xi, plan, pairs, ball_key)
+    hyp[rule.class_key] = _decided(
+        problem, (inputs, rule.negated), check_invex_classes, _CLASS_GROUPS[rule.negated],
+        rule.invex_class, fn, cone, kernel, e, xi, r, plan, extra_pairs=pairs,
+    )
     if rule.variant is None:
         hyp["critical"] = _checked(
             problem, (inputs,), check_vector_critical, f, cone, xi, plan
         )
     else:
-        hyp[rule.variant.value] = _vvi_verdict(rule, problem, inputs, xi, plan, ball, ball_key)
+        hyp[rule.variant.value] = _decided(
+            problem, (inputs,), check_vvis, _VVI_GROUPS[rule.variant.minty], rule.variant,
+            f, cone, kernel, xi, plan, extra_points=ball,
+        )
 
     not_certified = [
         k for k, v in hyp.items() if isinstance(v, Verdict) and not v.certified
@@ -412,26 +388,30 @@ def _audit_t41(rule, problem, xi, plan, hyp) -> tuple:
     f, cone, kernel, e = problem.f, problem.cone, problem.kernel, problem.e
     r = plan.radius
     fn = f.negated() if rule.negated else f
-    ball, ball_key = _ball(problem, xi, plan)
-    inputs = _inputs_digest(problem, xi, plan)
+    inputs, ball = _inputs(problem, xi, plan)
 
-    vvi = _vvi_verdict(rule, problem, inputs, xi, plan, ball, ball_key)
+    vvi = _decided(
+        problem, (inputs,), check_vvis, _VVI_GROUPS[rule.variant.minty], rule.variant,
+        f, cone, kernel, xi, plan, extra_points=ball,
+    )
     hyp[f"{rule.variant.value}-refuted"] = vvi
     if not vvi.refuted:
         return NOT_CERTIFIED, None, "contrapositive premise empty: WSVVI was not refuted"
     x_hat = np.asarray(vvi.witness["x"], dtype=float)
     segment = _segment_points(xi, x_hat, r)
+    segment_key = segment.tobytes()
 
     # pairs (x, xi) along the witness segment and the ball
     pairs = (np.vstack([segment, ball]), _tile(xi, segment.shape[0] + ball.shape[0]))
-    hyp[rule.class_key] = _class_verdict(
-        rule, problem, inputs, fn, xi, plan, pairs, (ball_key, _digest(segment))
+    hyp[rule.class_key] = _decided(
+        problem, (inputs, segment_key), check_invex_classes, (rule.invex_class,), rule.invex_class,
+        fn, cone, kernel, e, xi, r, plan, extra_pairs=pairs,
     )
     if not hyp[rule.class_key].certified:
         return NOT_CERTIFIED, None, "quasi type II hypothesis on -f not certified"
 
     conclusion = _checked(
-        problem, (inputs, rule.weak, _digest(segment)), check_quasi_efficient,
+        problem, (inputs, rule.weak, segment_key), check_quasi_efficient,
         f, cone, kernel, e, xi, r, weak=rule.weak, plan=plan, extra_points=segment,
     )
     if conclusion.refuted:

@@ -238,38 +238,11 @@ class OrderingCone:
             ok &= v[..., k] > thresh
         return ok
 
-    # -- induced orders ---------------------------------------------------------
-
-    @staticmethod
-    def _difference(x, y) -> np.ndarray:
-        """y - x, for two vectors of the same shape."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.shape != y.shape:
-            raise DimensionMismatchError("order comparison of different dimensions")
-        return y - x
-
-    def leq(self, x, y) -> bool:
-        """x <=_C y, i.e. y - x in C."""
-        return self.contains(self._difference(x, y))
-
-    def lt(self, x, y) -> bool:
-        """x <_C y, i.e. y - x in int C."""
-        return self.strictly_contains(self._difference(x, y))
-
     def validate_e(self, e) -> bool:
         """True iff e >_C 0, the admissibility requirement on the e vector."""
         return self.strictly_contains(e)
 
-    # -- dual and diagnostics ----------------------------------------------------
-
-    @property
-    def dual_generators(self) -> np.ndarray:
-        """Generators of the dual cone C* = {y : y.v >= 0 for all v in C}.
-
-        For C = {v : N v >= 0} these are exactly the rows of N.
-        """
-        return self.normals
+    # -- diagnostics -------------------------------------------------------------
 
     @property
     def is_orthant(self) -> bool:

@@ -1,6 +1,7 @@
 import functools
 import json
 from enum import Enum
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -581,9 +582,17 @@ class TestVerdictMemo:
 
     @pytest.mark.parametrize(
         "attr, value",
-        [("kernel", Kernel("difference", 1)), ("e", np.array([0.3, 0.7]))],
+        [
+            ("kernel", Kernel("difference", 1)),
+            ("e", np.array([0.3, 0.7])),
+            ("f", _one_piece("balanced", ["x1", "-x1"]).f),
+            # a wedge wider than the orthant, with e = (0.5, 0.5) inside
+            ("cone", OrderingCone(generators=np.array([[1.0, -0.5], [-0.5, 1.0]]))),
+        ],
     )
     def test_reassigned_input_never_served_stale(self, plan, attr, value):
+        # the memo keys f, the cone and the kernel by the objects themselves,
+        # e by its bytes: reassigning any of them is a new key
         problem = load_problem("example23")
         original = getattr(problem, attr)
         rules = sorted(audit.RULES)
@@ -661,27 +670,55 @@ class TestVerdictMemo:
         assert len(decided) == 6, decided
         assert sorted(sites) == ["minty", "stampacchia"], sites
 
-    def test_ball_memo_holds_the_sampled_ball(self, plan):
+    def test_ball_memo_holds_the_sampled_ball(self, monkeypatch, plan):
+        # audit reads ball_points through its own name for the module, so the
+        # checkers' own ball draws are not counted here
+        draws = []
+
+        def counted(*args):
+            draws.append((args, sampling.ball_points(*args)))
+            return draws[-1][1]
+
+        monkeypatch.setattr(audit, "sampling", SimpleNamespace(ball_points=counted))
         problem = _one_piece("ball", ["x1", "-x1"])
         xi = problem.point("xi")
-        ball, key = audit._ball(problem, xi, plan)
-        want = sampling.ball_points(xi, plan.radius, plan.ball_sample_count, plan.seed)
-        assert ball.dtype == want.dtype and ball.shape == want.shape
-        assert ball.tobytes() == want.tobytes()
-        assert key == audit._digest(want)
-        assert not ball.flags.writeable
-        assert audit._ball(problem, xi, plan)[0] is ball
-        # another count, radius or point is another sample (the Halton
-        # stream of n = 1 ignores the seed)
-        for other, at in (
+        audit.run_matrix(sorted(audit.RULES), [(problem, "xi")], plan)
+        assert len(draws) == 1  # once for all seven rules
+        # another count, radius or point is another draw (the Halton stream
+        # of n = 1 ignores the seed), and asking again draws nothing
+        asked = [
+            (plan, xi),
             (SamplingPlan(ball_sample_count=999), xi),
             (SamplingPlan(radius=0.5, ball_sample_count=1000), xi),
             (plan, np.array([0.5])),
-        ):
-            again, again_key = audit._ball(problem, at, other)
+        ]
+        for other, at in asked[1:] + asked:
+            audit.audit_rule("R4.0", problem, at, other)
+        assert len(draws) == len(asked)
+        memo = problem._verdict_memo
+        for (args, ball), (other, at) in zip(draws, asked):
+            assert np.array_equal(args[0], at)
+            assert args[1:] == (other.radius, other.ball_sample_count, other.seed)
             want = sampling.ball_points(at, other.radius, other.ball_sample_count, other.seed)
-            assert again.tobytes() == want.tobytes() and again_key == audit._digest(want)
-            assert again_key != key
+            assert ball.dtype == want.dtype and ball.shape == want.shape
+            assert ball.tobytes() == want.tobytes()
+            assert not ball.flags.writeable
+            assert sum(v is ball for v in memo.values()) == 1
+
+    def test_no_problem_serialized(self, monkeypatch, plan):
+        # the memo keys the problem's parts themselves, so no rule serializes
+        # the problem to key its verdicts
+        calls = []
+        real = Problem.to_dict
+
+        def counted(self):
+            calls.append(self.name)
+            return real(self)
+
+        instances = self._instances()
+        monkeypatch.setattr(Problem, "to_dict", counted)
+        audit.run_matrix(sorted(audit.RULES), instances, plan)
+        assert calls == []
 
     def test_checker_error_kept_and_raised_again(self, monkeypatch, plan):
         calls = []
