@@ -43,6 +43,7 @@ from .certify import (
     check_vvis,
 )
 from .errors import GenerationFailedError, VviCertError
+from .model import ball_draw
 from .problem import Problem
 
 __all__ = [
@@ -196,16 +197,13 @@ def _checked(problem: Problem, key: tuple, checker, *args, **kwargs):
     next to the probe and flag caches of its f and kernel. The key is the
     checker object itself, so a replaced or wrapped checker is called anew,
     plus every input it reads (see _inputs). A VviCertError outcome is kept
-    and raised again. Rows that share an outcome hold the same object, so an
-    array outcome is made read-only.
+    and raised again.
     """
     memo = problem.__dict__.setdefault("_verdict_memo", {})
     key = (checker,) + key
     if key not in memo:
         try:
             out = checker(*args, **kwargs)
-            if isinstance(out, np.ndarray):
-                out.setflags(write=False)
         except VviCertError as exc:
             out = exc.with_traceback(None)  # keep no checker frames alive
         memo[key] = out
@@ -265,19 +263,19 @@ def _inputs(problem: Problem, xi: np.ndarray, plan: SamplingPlan) -> tuple:
     audit reads, besides the rule's own choices, and the audit's ball sample
     around xi, which every rule injects into its checks.
 
-    The key holds f, the cone and the kernel themselves. The package never
-    changes one of them once built (f keeps its probe cache, the kernel its
-    flag cache, the cone its interior witness and column-test choice), so a
-    reassigned one gives a new key, and as the key holds the object, no id()
-    is reused. e and xi enter by their bytes and the plan by its values; the
-    ball is drawn once per problem for each xi and plan.
+    The key holds f, the cone and the kernel themselves. None of them can
+    change once built: their arrays are read-only and f's pieces a tuple (f
+    keeps its probe, draw and polytope caches, the kernel its flag cache, the
+    cone its interior witness and column-test choice), so a reassigned one
+    gives a new key, and as the key holds the object, no id() is reused. e
+    and xi enter by their bytes and the plan by its values. The ball is f's
+    memoized draw, the one check_quasi_efficient takes.
     """
     xi_plan = (
         xi.tobytes(), plan.seed, plan.radius, plan.ball_sample_count, plan.pair_sample_count,
     )
-    ball = _checked(
-        problem, xi_plan, sampling.ball_points,
-        xi, plan.radius, plan.ball_sample_count, plan.seed,
+    ball = ball_draw(
+        problem.f, sampling.ball_points, xi, plan.radius, plan.ball_sample_count, plan.seed
     )
     return (problem.f, problem.cone, problem.kernel, problem.e.tobytes()) + xi_plan, ball
 

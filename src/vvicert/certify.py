@@ -30,7 +30,7 @@ from ._alt import GordanCertificate
 from ._alt import linprog  # noqa: F401
 from .cone import OrderingCone
 from .errors import DegenerateError, InvalidEError
-from .model import TOL_ACTIVE, Kernel, PiecewiseVectorFn, boundary_probes
+from .model import TOL_ACTIVE, Kernel, PiecewiseVectorFn, ball_draw, boundary_probes
 
 __all__ = [
     "Verdict",
@@ -260,7 +260,7 @@ def check_quasi_efficient(
     f.require_ball_inside(xi, r)
 
     probes = boundary_probes(f, xi, r)
-    stream = sampling.ball_points(xi, r, plan.ball_sample_count, plan.seed)
+    stream = ball_draw(f, sampling.ball_points, xi, r, plan.ball_sample_count, plan.seed)
     pts = _stack_points([probes, extra_points, stream])
     viol = _quasi_violation_mask(f, cone, kernel, e, xi, weak, pts)
 
@@ -292,23 +292,47 @@ def check_quasi_efficient(
 # Vector variational inequalities
 # ---------------------------------------------------------------------------
 
+def _runs(a) -> tuple:
+    """(heads, run): the first row of each run of equal consecutive rows of
+    the 2-d array a, and the run of every row, or (a, None) when no row
+    equals the one before. Rows compare by their bytes, so -0.0 stays apart
+    from 0.0."""
+    a = np.asarray(a, dtype=float)
+    fresh = np.ones(len(a), dtype=bool)
+    # column by column: np.any over rows this short is slower
+    fresh[1:] = np.logical_or.reduce([c[1:] != c[:-1] for c in a.view(np.int64).T])
+    return (a, None) if fresh.all() else (a.compress(fresh, axis=0), np.cumsum(fresh) - 1)
+
+
+def _expand(out: np.ndarray, run, axis: int = 0) -> np.ndarray:
+    """out, made at the heads of _runs, for every row; take, as numpy's
+    fancy indexing is several times slower."""
+    return out if run is None else out.take(run, axis=axis)
+
+
 def _vertex_products_at(
-    f: PiecewiseVectorFn, pts: np.ndarray, eta: np.ndarray
+    f: PiecewiseVectorFn, pts: np.ndarray, eta: np.ndarray, run=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-piece products A_piece(x) @ eta(x) and the activity mask.
 
     Returns (products, active) with shapes (pieces, N, m) and (pieces, N).
     Inactive entries are garbage and must be masked by the caller; duplicate
     vertices are harmless for the forall/exists combinators used downstream.
+    Given the run of each row of eta (see _runs), pts holds only the runs'
+    heads, so activity and Jacobians are evaluated once per run.
     """
-    active = f.active_mask(pts, TOL_ACTIVE)
-    prods = np.zeros((len(f.pieces), pts.shape[0], f.m))
+    head_active = f.active_mask(pts, TOL_ACTIVE)
+    active = _expand(head_active, run, axis=1)
+    prods = np.zeros((len(f.pieces), len(eta), f.m))
     for j in range(len(f.pieces)):
-        idx = np.nonzero(active[j])[0]
-        if idx.size == 0:
+        at = np.flatnonzero(head_active[j])
+        if at.size == 0:
             continue
-        jac = f.piece_jacobians_many(j, pts[idx])  # (k, m, n)
-        prods[j, idx] = np.einsum("kmn,kn->km", jac, eta[idx])
+        idx = np.flatnonzero(active[j])
+        jac = f.piece_jacobians_many(j, pts.take(at, axis=0))  # (k, m, n)
+        if run is not None:
+            jac = jac.take(np.searchsorted(at, run.take(idx)), axis=0)
+        prods[j, idx] = np.einsum("kmn,kn->km", jac, eta.take(idx, axis=0))
     return prods, active
 
 
@@ -516,8 +540,10 @@ def _pair_table(f: PiecewiseVectorFn, kernel: Kernel, xs: np.ndarray, ys: np.nda
     returns them, and then f(x) and f(y), which a witness records."""
     eta = kernel.eval_many(xs, ys)
     eta_norm = np.linalg.norm(eta, axis=1)
-    fx, fy = f.values(xs), f.values(ys)
-    return (eta_norm, fx - fy) + _vertex_products_at(f, ys, eta) + (fx, fy)
+    # once per run of equal rows, as the audit's extra pairs repeat xi
+    (hx, rx), (hy, ry) = _runs(xs), _runs(ys)
+    fx, fy = _expand(f.values(hx), rx), _expand(f.values(hy), ry)
+    return (eta_norm, fx - fy) + _vertex_products_at(f, hy, eta, ry) + (fx, fy)
 
 
 def _class_violations(cls: InvexClass, cone: OrderingCone, e: np.ndarray, table: tuple) -> np.ndarray:
@@ -585,7 +611,7 @@ def check_invex_classes(
     f.require_ball_inside(x0, r)
 
     px, py = _probe_pairs(x0, boundary_probes(f, x0, r))
-    sx, sy = sampling.ball_pairs(x0, r, plan.pair_sample_count, plan.seed)
+    sx, sy = ball_draw(f, sampling.ball_pairs, x0, r, plan.pair_sample_count, plan.seed)
     ex, ey = extra_pairs if extra_pairs is not None else (None, None)
     xs = _stack_points([px, ex, sx])
     ys = _stack_points([py, ey, sy])

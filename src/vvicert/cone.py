@@ -124,6 +124,9 @@ class OrderingCone:
         self.margin = float(margin)
         self.tol = CONE_TOL
         self.interior_witness = interior_witness(normals, self.margin)
+        # read-only: the cached choices and every memo keyed by the cone rest on it
+        for a in (self.normals, self.generators, self.interior_witness):
+            a.setflags(write=False)
         self._is_orthant = self._detect_orthant()
         self._column_test = self._detect_column_test()
 

@@ -76,11 +76,11 @@ def _compile_piece(region_text: str, component_texts: Sequence[str], n: int, m: 
     return Piece(region, comps, region_text, tuple(component_texts), grads)
 
 
-@dataclass
+@dataclass(frozen=True)
 class JacobianPolytope:
     """Vertex representation of the generalized Jacobian at a query point."""
 
-    vertices: list  # of (m, n) arrays
+    vertices: tuple  # of (m, n) arrays
     point: np.ndarray
     active_pieces: tuple
 
@@ -97,12 +97,14 @@ class PiecewiseVectorFn:
     def __init__(self, n: int, m: int, domain, pieces: Sequence[Piece]):
         self.n = int(n)
         self.m = int(m)
-        self.pieces = list(pieces)
+        self.pieces = tuple(pieces)
         if not self.pieces:
             raise ValueError("function needs at least one piece")
-        self.domain = np.asarray(domain, dtype=float).reshape(self.n, 2)
+        # a copy, read-only: the memos on f rest on f never changing
+        self.domain = np.array(domain, dtype=float).reshape(self.n, 2)
         if not (np.isfinite(self.domain).all() and np.all(self.domain[:, 0] < self.domain[:, 1])):
             raise ValueError("domain box must be finite with a nonempty interior")
+        self.domain.setflags(write=False)
 
     # -- construction ---------------------------------------------------------
 
@@ -133,9 +135,12 @@ class PiecewiseVectorFn:
         """-f, by negating every piece's components (so d(-f) = -df piecewise).
 
         The trees are those the parser builds for the texts "-(t)". The
-        boundary probes depend only on the regions, the domain and n, which
-        -f shares with f, so -f shares f's probe cache.
+        boundary probes and the ball draws depend only on the regions, the
+        domain and n, which -f shares with f, so -f shares f's probe and draw
+        caches. -f is built once and memoized on f.
         """
+        if "_negated" in self.__dict__:
+            return self._negated
         pieces = [
             Piece(
                 p.region,
@@ -148,6 +153,8 @@ class PiecewiseVectorFn:
         ]
         out = PiecewiseVectorFn(self.n, self.m, self.domain, pieces)
         out._probe_cache = self.__dict__.setdefault("_probe_cache", {})
+        out._draw_cache = self.__dict__.setdefault("_draw_cache", {})
+        self._negated = out
         return out
 
     # -- domain ---------------------------------------------------------------
@@ -189,38 +196,46 @@ class PiecewiseVectorFn:
             [el.predicate_holds_many(p.region, x, slack) for p in self.pieces], axis=0
         )
 
-    def _piece_values(self, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """(pieces, points, m) values of each piece on the rows of x where
-        mask marks it active, NaN elsewhere."""
-        vals = np.full((len(self.pieces), x.shape[0], self.m), np.nan)
+    def _piece_values(self, x: np.ndarray, mask: np.ndarray) -> tuple:
+        """(out, shared, vals): each row's values of the first piece mask marks
+        active (unset where none is), the rows where several pieces are, and
+        every piece's values there, NaN where inactive. Each piece is
+        evaluated once, on its active rows."""
+        first, shared = mask.argmax(axis=0), mask.sum(axis=0) > 1
+        out = np.empty((len(x), self.m))
+        vals = np.full((len(self.pieces), shared.sum(), self.m), np.nan)
+        # take and compress: numpy's fancy indexing is several times slower
         for j, piece in enumerate(self.pieces):
-            idx = np.nonzero(mask[j])[0]
+            idx = np.flatnonzero(mask[j])
             if idx.size == 0:
                 continue
-            sub = x[idx]
+            sub, own, at = x.take(idx, axis=0), first.take(idx) == j, shared.take(idx)
+            rows, to = idx.compress(own), mask[j].compress(shared)
             for i, comp in enumerate(piece.components):
-                vals[j, idx, i] = el.evaluate_many(comp, sub)
-        return vals
+                v = el.evaluate_many(comp, sub)
+                out[rows, i] = v.compress(own)
+                vals[j, to, i] = v.compress(at)
+        return out, shared, vals
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation over rows of x (first active piece wins)."""
+        """Vectorized evaluation over rows of x (first active piece wins); the
+        rows where two or more pieces are active are checked for continuity."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         mask = self.active_mask(x, 0.0)
         covered = mask.any(axis=0)
         if not covered.all():
             bad = x[~covered][0]
             raise NoActivePieceError(f"no region covers point {bad.tolist()}")
-        vals = self._piece_values(x, mask)
-        out = vals[mask.argmax(axis=0), np.arange(len(x))]
-        if len(self.pieces) > 1:
-            dev = np.nanmax(
-                np.abs(np.where(mask[:, :, None], vals, out[None, :, :]) - out[None, :, :]),
-                axis=(0, 2),
-            )
+        out, shared, vals = self._piece_values(x, mask)
+        if shared.any():
+            here = out[shared]
+            dev = np.nanmax(np.abs(np.where(mask[:, shared, None], vals, here) - here), axis=(0, 2))
             worst = int(np.argmax(dev))
-            if dev[worst] > CONTINUITY_TOL:
+            # a row with no finite value deviates by NaN, which argmax takes first
+            lone = ~shared & ~np.isfinite(out).any(axis=1)
+            if dev[worst] > CONTINUITY_TOL and not lone.any():
                 raise InconsistentPiecesError(
-                    f"active pieces disagree by {dev[worst]:.3e} at {x[worst].tolist()}"
+                    f"active pieces disagree by {dev[worst]:.3e} at {x[shared][worst].tolist()}"
                 )
         return out
 
@@ -242,8 +257,13 @@ class PiecewiseVectorFn:
 
     def clarke_jacobian(self, x) -> JacobianPolytope:
         """Vertex polytope of the generalized Jacobian at x: the analytic
-        Jacobians of every piece active within TOL_ACTIVE, duplicates merged."""
+        Jacobians of every piece active within TOL_ACTIVE, duplicates merged.
+        Memoized on f per point; the polytope and its arrays are read-only."""
         x = self.require_inside(x)
+        cache = self.__dict__.setdefault("_clarke_cache", {})
+        key = (x.shape, x.tobytes())
+        if key in cache:
+            return cache[key]
         mask = self.active_mask(x[None, :], TOL_ACTIVE)[:, 0]
         active = [j for j in range(len(self.pieces)) if mask[j]]
         if not active:
@@ -254,9 +274,13 @@ class PiecewiseVectorFn:
             jac = self.piece_jacobians_many(j, x[None, :])[0]
             if any(np.max(np.abs(jac - v)) <= VERTEX_MERGE_TOL for v in vertices):
                 continue
+            jac.setflags(write=False)
             vertices.append(jac)
             kept.append(j)
-        return JacobianPolytope(vertices, x.copy(), tuple(kept))
+        point = x.copy()
+        point.setflags(write=False)
+        cache[key] = JacobianPolytope(tuple(vertices), point, tuple(kept))
+        return cache[key]
 
     def cartesian_outer_box(self, x) -> np.ndarray:
         """Componentwise interval hull of the gradient rows over active pieces,
@@ -293,11 +317,12 @@ class PiecewiseVectorFn:
         _, _, roots, first = _chord_roots(self, center, radius)
         roots = roots[first]
         mask = self.active_mask(roots, 0.0)
-        vals = self._piece_values(roots, mask)
-        # each root's active pieces against its first one; the first piece
-        # that disagrees is reported
-        dev = np.abs(vals - vals[mask.argmax(axis=0), np.arange(len(roots))]).max(axis=2)
-        gap = mask & (dev > CONTINUITY_TOL)
+        out, shared, vals = self._piece_values(roots, mask)
+        # each root's active pieces against its first one (no root with one
+        # active piece has a gap); the first piece that disagrees is reported
+        dev = np.abs(vals - out[shared]).max(axis=2)
+        gap = mask[:, shared] & (dev > CONTINUITY_TOL)
+        roots = roots[shared]
         problems += [
             f"continuity: pieces disagree by {dev[gap[:, k].argmax(), k]:.3e} "
             f"at boundary point {roots[k].tolist()}"
@@ -426,6 +451,16 @@ def boundary_probes(f: PiecewiseVectorFn, center, radius: float) -> np.ndarray:
     result = probes[np.lexsort(probes.T[::-1])]
     cache[cache_key] = result
     return result
+
+
+def ball_draw(f: PiecewiseVectorFn, draw, center, radius: float, count: int, seed: int):
+    """draw(center, radius, count, seed) for a ball sampler of the sampling
+    module, memoized on f; -f shares the memo, as the draw reads nothing of f."""
+    key = (draw, np.asarray(center, dtype=float).tobytes(), float(radius), int(count), int(seed))
+    cache = f.__dict__.setdefault("_draw_cache", {})
+    if key not in cache:
+        cache[key] = draw(center, radius, count, seed)
+    return cache[key]
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,13 @@ class Problem:
     points: dict = field(default_factory=dict)
     name: str = ""
 
+    def __post_init__(self):
+        # read-only copies; the attributes themselves stay reassignable
+        self.e = np.array(self.e, dtype=float)
+        self.points = {k: np.array(v, dtype=float) for k, v in self.points.items()}
+        for a in (self.e, *self.points.values()):
+            a.setflags(write=False)
+
     @classmethod
     def from_dict(cls, spec: dict, name: str = "") -> "Problem":
         if not isinstance(spec, dict):

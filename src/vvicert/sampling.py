@@ -103,12 +103,15 @@ def _ball_rows(
                 f"rejection sampling drew {start} rows for {count} points in "
                 f"B({center.tolist()}, {radius}) and accepted {got}"
             )
-    return np.concatenate(kept)[:count]
+    # a read-only copy, which holds no surplus rows of the last chunk
+    out = np.concatenate(kept)[:count].copy()
+    out.setflags(write=False)
+    return out
 
 
 def ball_points(center: np.ndarray, radius: float, count: int, seed: int) -> np.ndarray:
     """count points in the closed ball B(center, radius), by rejection from
-    the bounding box."""
+    the bounding box, as a read-only array."""
     return _ball_rows(center, radius, count, seed, 1)[:, 0]
 
 
@@ -116,7 +119,8 @@ def ball_pairs(
     center: np.ndarray, radius: float, count: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """count pairs (x, y), both in B(center, radius); a 2n-dimensional stream
-    split in half, pairs accepted only when both halves land in the ball."""
+    split in half, pairs accepted only when both halves land in the ball.
+    The arrays are read-only."""
     pairs = _ball_rows(center, radius, count, seed, 2)
     return pairs[:, 0], pairs[:, 1]
 

@@ -1,12 +1,12 @@
+import collections
 import functools
 import json
 from enum import Enum
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from vvicert import audit, certify, sampling
+from vvicert import audit, certify, model, sampling
 from vvicert.certify import (
     ZERO_ETA_TOL,
     InvexClass,
@@ -671,19 +671,20 @@ class TestVerdictMemo:
         assert sorted(sites) == ["minty", "stampacchia"], sites
 
     def test_ball_memo_holds_the_sampled_ball(self, monkeypatch, plan):
-        # audit reads ball_points through its own name for the module, so the
-        # checkers' own ball draws are not counted here
+        # the audit and its checkers all draw through f's draw memo, which
+        # looks ball_points up on the sampling module
         draws = []
+        real = sampling.ball_points
 
         def counted(*args):
-            draws.append((args, sampling.ball_points(*args)))
+            draws.append((args, real(*args)))
             return draws[-1][1]
 
-        monkeypatch.setattr(audit, "sampling", SimpleNamespace(ball_points=counted))
+        monkeypatch.setattr(sampling, "ball_points", counted)
         problem = _one_piece("ball", ["x1", "-x1"])
         xi = problem.point("xi")
         audit.run_matrix(sorted(audit.RULES), [(problem, "xi")], plan)
-        assert len(draws) == 1  # once for all seven rules
+        assert len(draws) == 1  # once for all seven rules and their checkers
         # another count, radius or point is another draw (the Halton stream
         # of n = 1 ignores the seed), and asking again draws nothing
         asked = [
@@ -695,15 +696,37 @@ class TestVerdictMemo:
         for other, at in asked[1:] + asked:
             audit.audit_rule("R4.0", problem, at, other)
         assert len(draws) == len(asked)
-        memo = problem._verdict_memo
+        memo = problem.f._draw_cache
         for (args, ball), (other, at) in zip(draws, asked):
             assert np.array_equal(args[0], at)
             assert args[1:] == (other.radius, other.ball_sample_count, other.seed)
-            want = sampling.ball_points(at, other.radius, other.ball_sample_count, other.seed)
+            want = real(at, other.radius, other.ball_sample_count, other.seed)
             assert ball.dtype == want.dtype and ball.shape == want.shape
             assert ball.tobytes() == want.tobytes()
             assert not ball.flags.writeable
             assert sum(v is ball for v in memo.values()) == 1
+
+    def test_one_draw_and_one_polytope_per_problem(self, monkeypatch, plan):
+        # all seven rules on one problem: one ball and one pair sample, shared
+        # by f and -f, and one Jacobian polytope at xi; -f is built once
+        counts = collections.Counter()
+
+        def counting(name, real):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return counted
+
+        for owner, name in ((sampling, "ball_points"), (sampling, "ball_pairs"),
+                            (model, "JacobianPolytope")):
+            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+        for problem, at in self._instances():
+            counts.clear()
+            audit.run_matrix(sorted(audit.RULES), [(problem, at)], plan)
+            assert counts == {"ball_points": 1, "ball_pairs": 1, "JacobianPolytope": 1}, (
+                problem.name, counts)
+            assert problem.f.negated() is problem.f.negated()
+            assert problem.f.negated()._draw_cache is problem.f._draw_cache
 
     def test_no_problem_serialized(self, monkeypatch, plan):
         # the memo keys the problem's parts themselves, so no rule serializes

@@ -254,6 +254,25 @@ class TestDispatch:
         assert code == 2 and report == {}
         assert "error: rejection sampling" in capsys.readouterr().err
 
+    def test_uncovered_domain_exit_two(self, tmp_path, capsys):
+        # no region of the two pieces meets the domain: the load-time check
+        # warns of the gap and the check fails as a toolkit error
+        spec = {
+            "version": "vvicert/1",
+            "n": 1,
+            "m": 2,
+            "domain": [[-1.0, 1.0]],
+            "pieces": [{"region": "x1 >= 5", "components": ["x1", "x1"]},
+                       {"region": "x1 <= -5", "components": ["0", "0"]}],
+        }
+        path = tmp_path / "uncovered.json"
+        path.write_text(json.dumps(spec))
+        code, report = dispatch(["check", "critical", "--problem", str(path), "--at", "0"])
+        assert code == 2 and report == {}
+        err = capsys.readouterr().err
+        assert "coverage: 512/512 sampled points activate no region" in err
+        assert "error: no region covers point [0.0]" in err
+
     @pytest.mark.parametrize(
         "argv, code",
         [

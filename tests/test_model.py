@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from vvicert import audit, exprlang as el, model
+from vvicert import audit, exprlang as el, model, sampling
+from vvicert.cone import OrderingCone
 from vvicert.errors import (
     InconsistentPiecesError,
     NoActivePieceError,
@@ -14,6 +17,7 @@ from vvicert.model import (
     boundary_probes,
     lipschitz_estimate,
 )
+from vvicert.problem import Problem
 
 
 class TestEval:
@@ -73,6 +77,25 @@ class TestEval:
         )
         assert f.validate() == [
             "continuity: pieces disagree by 1.000e+00 at boundary point [0.3]"
+        ]
+
+    def test_no_covered_row(self):
+        # no region meets the domain: values of no row is an empty array, so
+        # validation reports the coverage gap instead of failing on it
+        f = PiecewiseVectorFn.from_dict(
+            {
+                "n": 1,
+                "m": 1,
+                "domain": [[-1.0, 1.0]],
+                "pieces": [
+                    {"region": "x1 >= 5", "components": ["x1"]},
+                    {"region": "x1 <= -5", "components": ["0"]},
+                ],
+            }
+        )
+        assert f.values(np.empty((0, 1))).shape == (0, 1)
+        assert f.validate() == [
+            "coverage: 512/512 sampled points activate no region (first: [0.0])"
         ]
 
 
@@ -422,3 +445,57 @@ class TestNegated:
                 for r in (0.25, 0.5):
                     got = boundary_probes(g, start, r)
                     assert got.tobytes() == boundary_probes(uncached, start, r).tobytes()
+
+
+class TestReadOnly:
+    """Every memo keyed by a model object (the audit's verdicts, f's probe,
+    draw and polytope caches, the cone's cached choices) relies on that
+    object never changing once built, so each array it holds is read-only."""
+
+    @staticmethod
+    def _arrays(problem, at):
+        cone, f = problem.cone, problem.f
+        poly = f.clarke_jacobian(problem.point(at))
+        ball = model.ball_draw(f, sampling.ball_points, problem.point(at), 0.25, 10, 0)
+        pairs = model.ball_draw(f, sampling.ball_pairs, problem.point(at), 0.25, 10, 0)
+        return {
+            "cone.normals": cone.normals,
+            "cone.generators": cone.generators,
+            "cone.interior_witness": cone.interior_witness,
+            "f.domain": f.domain,
+            "-f.domain": f.negated().domain,
+            "problem.e": problem.e,
+            "problem.points": problem.points[at],
+            "polytope.point": poly.point,
+            "polytope.vertices": poly.vertices[0],
+            "ball draw": ball,
+            "pair draw": pairs[1],
+        }
+
+    @pytest.mark.parametrize("at", ["xi", "x0"])
+    def test_every_array_rejects_writes(self, example5, example23, at):
+        problem = {"xi": example5, "x0": example23}[at]
+        wedge = Problem.from_dict({**problem.to_dict(), "cone": {"normals": [[1, 0], [1, 1]]}})
+        for p in (problem, wedge):
+            for name, a in self._arrays(p, at).items():
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0.0
+                with pytest.raises(ValueError, match="read-only"):
+                    a += 1.0
+                assert not a.flags.writeable, name
+        assert isinstance(problem.f.pieces, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            problem.f.clarke_jacobian(problem.point(at)).vertices = ()
+
+    def test_callers_arrays_stay_theirs(self, example5):
+        # the objects copy what they are given, so the caller's arrays stay
+        # writable and a later write to them does not reach the object
+        e, xi, domain = np.array([0.3, 0.7]), np.array([0.0]), np.array([[-1.0, 1.0]])
+        normals = np.array([[1.0, 0.0], [0.0, 1.0]])
+        problem = Problem(example5.f, OrderingCone(normals), example5.kernel, e, {"xi": xi})
+        f = PiecewiseVectorFn(1, 2, domain, example5.f.pieces)
+        for a in (e, xi, domain, normals):
+            a[...] = 9.0
+        assert problem.e.tolist() == [0.3, 0.7] and problem.points["xi"].tolist() == [0.0]
+        assert f.domain.tolist() == [[-1.0, 1.0]]
+        assert problem.cone.normals.tolist() == [[1.0, 0.0], [0.0, 1.0]]

@@ -41,6 +41,7 @@ WORKLOAD_SPANS = {
 }
 
 
+@pytest.mark.bench
 @pytest.mark.parametrize("workload", sorted(WORKLOAD_SPANS))
 def test_traced_run_passes(tmp_path, workload):
     # the traced run of the benchmark, on a copy of the checkout so that its
