@@ -183,10 +183,6 @@ class AuditResult:
 # Rule evaluation
 # ---------------------------------------------------------------------------
 
-def _tile(xi: np.ndarray, count: int) -> np.ndarray:
-    return np.tile(xi[None, :], (count, 1))
-
-
 def _checked(problem: Problem, key: tuple, checker, *args, **kwargs):
     """checker(*args, **kwargs), run at most once per problem for each key.
 
@@ -317,7 +313,8 @@ def _audit_forward(rule, problem, xi, plan, hyp) -> tuple:
     r = plan.radius
     inputs, ball = _inputs(problem, xi, plan)
     fn = f.negated() if rule.negated else f
-    pairs = (ball, _tile(xi, ball.shape[0]))  # pairs (x, xi), or (xi, x) on -f
+    # pairs (x, xi), or (xi, x) on -f; xi's rows are a read-only view, no copy
+    pairs = (ball, np.broadcast_to(xi, ball.shape))
     if rule.negated:
         pairs = pairs[::-1]
 
@@ -400,7 +397,8 @@ def _audit_t41(rule, problem, xi, plan, hyp) -> tuple:
     segment_key = segment.tobytes()
 
     # pairs (x, xi) along the witness segment and the ball
-    pairs = (np.vstack([segment, ball]), _tile(xi, segment.shape[0] + ball.shape[0]))
+    xs = np.vstack([segment, ball])
+    pairs = (xs, np.broadcast_to(xi, xs.shape))
     hyp[rule.class_key] = _decided(
         problem, (inputs, segment_key), check_invex_classes, (rule.invex_class,), rule.invex_class,
         fn, cone, kernel, e, xi, r, plan, extra_pairs=pairs,
@@ -424,7 +422,7 @@ def _audit_t41(rule, problem, xi, plan, hyp) -> tuple:
     rows = segment[premise & (np.linalg.norm(eta, axis=1) > ZERO_ETA_TOL)]
     if rows.shape[0]:
         class_broken = _invex_violation_mask(
-            rule.invex_class, fn, cone, kernel, e, rows, _tile(xi, rows.shape[0])
+            rule.invex_class, fn, cone, kernel, e, rows, np.broadcast_to(xi, rows.shape)
         )
         broken = class_broken | _quasi_violation_mask(f, cone, kernel, e, xi, rule.weak, rows)
         if class_broken[np.argmax(broken)]:

@@ -221,6 +221,17 @@ def _probe_pairs(x0: np.ndarray, probes: np.ndarray):
     return pts[first], pts[second]
 
 
+def _shared_probe_pairs(f: PiecewiseVectorFn, x0: np.ndarray, r: float) -> tuple:
+    """_probe_pairs of f's boundary probes in B(x0, r), built once and kept,
+    read-only, beside the probe set in the probe cache f shares with -f."""
+    key = ("pairs", x0.tobytes(), float(r))
+    if key not in f._probe_cache:
+        f._probe_cache[key] = _probe_pairs(x0, boundary_probes(f, x0, r))
+        for side in f._probe_cache[key]:
+            side.setflags(write=False)
+    return f._probe_cache[key]
+
+
 # ---------------------------------------------------------------------------
 # Quasi efficiency (Definition-level local (eta, e) quasi (weak) efficiency)
 # ---------------------------------------------------------------------------
@@ -610,7 +621,7 @@ def check_invex_classes(
     x0 = f.require_inside(x0, "x0")
     f.require_ball_inside(x0, r)
 
-    px, py = _probe_pairs(x0, boundary_probes(f, x0, r))
+    px, py = _shared_probe_pairs(f, x0, r)
     sx, sy = ball_draw(f, sampling.ball_pairs, x0, r, plan.pair_sample_count, plan.seed)
     ex, ey = extra_pairs if extra_pairs is not None else (None, None)
     xs = _stack_points([px, ex, sx])

@@ -9,6 +9,7 @@ the hull's vertex matrices are stored; downstream checks reduce to vertices.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -105,6 +106,9 @@ class PiecewiseVectorFn:
         if not (np.isfinite(self.domain).all() and np.all(self.domain[:, 0] < self.domain[:, 1])):
             raise ValueError("domain box must be finite with a nonempty interior")
         self.domain.setflags(write=False)
+        self._inner = self.domain + [DOMAIN_INSET, -DOMAIN_INSET]
+        self._inner.setflags(write=False)
+        self._probe_cache, self._draw_cache = {}, {}  # -f shares both (see negated)
 
     # -- construction ---------------------------------------------------------
 
@@ -152,21 +156,19 @@ class PiecewiseVectorFn:
             for p in self.pieces
         ]
         out = PiecewiseVectorFn(self.n, self.m, self.domain, pieces)
-        out._probe_cache = self.__dict__.setdefault("_probe_cache", {})
-        out._draw_cache = self.__dict__.setdefault("_draw_cache", {})
+        out._probe_cache, out._draw_cache = self._probe_cache, self._draw_cache
         self._negated = out
         return out
 
     # -- domain ---------------------------------------------------------------
 
-    def inner_box(self) -> np.ndarray:
-        inset = DOMAIN_INSET
-        return np.stack([self.domain[:, 0] + inset, self.domain[:, 1] - inset], axis=1)
+    def inner_box(self) -> np.ndarray:  # built once, read-only
+        return self._inner
 
     def in_domain(self, x) -> bool:
         x = np.asarray(x, dtype=float)
         box = self.inner_box()
-        return bool(np.all(x >= box[:, 0]) and np.all(x <= box[:, 1]))
+        return bool((x >= box[:, 0]).all() and (x <= box[:, 1]).all())
 
     def require_inside(self, x, what: str = "point") -> np.ndarray:
         """x as a float array, checked to be a point of the open domain."""
@@ -229,11 +231,11 @@ class PiecewiseVectorFn:
         out, shared, vals = self._piece_values(x, mask)
         if shared.any():
             here = out[shared]
-            dev = np.nanmax(np.abs(np.where(mask[:, shared, None], vals, here) - here), axis=(0, 2))
+            # a row without a finite deviation (inf - inf) decides nothing
+            dev = np.fmax.reduce(np.abs(np.where(mask[:, shared, None], vals, here) - here),
+                                 axis=(0, 2), initial=-np.inf)
             worst = int(np.argmax(dev))
-            # a row with no finite value deviates by NaN, which argmax takes first
-            lone = ~shared & ~np.isfinite(out).any(axis=1)
-            if dev[worst] > CONTINUITY_TOL and not lone.any():
+            if dev[worst] > CONTINUITY_TOL:
                 raise InconsistentPiecesError(
                     f"active pieces disagree by {dev[worst]:.3e} at {x[shared][worst].tolist()}"
                 )
@@ -338,11 +340,32 @@ class PiecewiseVectorFn:
 # Boundary probes
 # ---------------------------------------------------------------------------
 
-def _boundary_expressions(f: PiecewiseVectorFn) -> list:
-    # a repeated expression would only yield roots seen before
-    return list(dict.fromkeys(
-        g for piece in f.pieces for g in el.boundary_expressions(piece.region)
-    ))
+def _boundary_expressions(f: PiecewiseVectorFn) -> tuple:
+    """The distinct boundary expressions of f's regions (a repeat would only
+    yield roots seen before), built once in the probe cache -f shares."""
+    if "expressions" not in f._probe_cache:
+        f._probe_cache["expressions"] = tuple(dict.fromkeys(
+            g for piece in f.pieces for g in el.boundary_expressions(piece.region)
+        ))
+    return f._probe_cache["expressions"]
+
+
+@functools.cache
+def _chord_dirs(n: int) -> np.ndarray:
+    """Chord directions +x1, -x1, +x2, ...; adding 0.0 keeps off-axis entries +0.0."""
+    dirs = np.repeat(np.eye(n), 2, axis=0) * np.tile([1.0, -1.0], n)[:, None] + 0.0
+    dirs.setflags(write=False)
+    return dirs
+
+
+def _scan_grid(tmax: np.ndarray) -> np.ndarray:
+    """np.linspace(0.0, tmax, 33, axis=1) bit for bit, in fewer passes."""
+    step = tmax / 32
+    if not step.all():  # linspace's own path for a step that underflows to 0
+        return np.linspace(0.0, tmax, 33, axis=1)
+    ts = step[:, None] * np.arange(33.0) + 0.0
+    ts[:, -1] = tmax
+    return ts
 
 
 def _first_rows(a: np.ndarray) -> np.ndarray:
@@ -356,7 +379,7 @@ def _first_rows(a: np.ndarray) -> np.ndarray:
 
 def _bisect(g, start, d, lo, hi, flo) -> np.ndarray:
     """Roots of g on the chord segments start + [lo, hi] * d, where g is flo
-    at lo and of the other sign at hi, all bisected together."""
+    at lo and of the other sign at hi, all bisected together in place."""
     # At most 80 steps, and no more once a step leaves every lane's bits as
     # they were: the update is a function of (lo, hi, flo) alone, so a state
     # it does not change never changes again. A lane that hit an exact zero
@@ -365,14 +388,12 @@ def _bisect(g, start, d, lo, hi, flo) -> np.ndarray:
         mid = 0.5 * (lo + hi)
         fm = el.evaluate_many(g, start + mid[:, None] * d)
         left = flo * fm < 0.0
-        step = (
-            np.where(left, lo, mid),
-            np.where(left | (fm == 0.0), mid, hi),
-            np.where(left, flo, fm),
-        )
-        if all(a.tobytes() == b.tobytes() for a, b in zip(step, (lo, hi, flo))):
+        before = lo.tobytes() + hi.tobytes() + flo.tobytes()
+        np.copyto(hi, mid, where=left | (fm == 0.0))
+        np.copyto(lo, mid, where=~left)
+        np.copyto(flo, fm, where=~left)
+        if lo.tobytes() + hi.tobytes() + flo.tobytes() == before:
             break
-        lo, hi, flo = step
     return 0.5 * (lo + hi)
 
 
@@ -390,15 +411,14 @@ def _chord_roots(f: PiecewiseVectorFn, start: np.ndarray, radius: float):
     start = np.asarray(start, dtype=float)
     box = f.inner_box()
     tmax = np.minimum(radius, np.stack([box[:, 1] - start, start - box[:, 0]], axis=1).ravel())
-    # chords +x1, -x1, +x2, ...; adding 0.0 keeps the off-axis entries +0.0
-    dirs = np.repeat(np.eye(f.n), 2, axis=0) * np.tile([1.0, -1.0], f.n)[:, None] + 0.0
-    dirs, tmax = dirs[tmax > 0], tmax[tmax > 0]
-    ts = np.linspace(0.0, tmax, 33, axis=1)  # (chords, 33)
+    dirs, tmax = _chord_dirs(f.n)[tmax > 0], tmax[tmax > 0]
+    ts = _scan_grid(tmax)  # (chords, 33)
     pts = (start + ts[:, :, None] * dirs[:, None, :]).reshape(-1, f.n)
+    change = np.zeros(ts.shape, dtype=bool)  # a sign change to the next scan point
     found = []  # (chord, expression, position, t) per expression
     for k, g in enumerate(_boundary_expressions(f)):
         vals = el.evaluate_many(g, pts).reshape(ts.shape)
-        change = np.pad(vals[:, :-1] * vals[:, 1:] < 0.0, ((0, 0), (0, 1)))
+        np.less(vals[:, :-1] * vals[:, 1:], 0.0, out=change[:, :-1])
         chord, pos = np.nonzero((vals == 0.0) | change)
         t = ts[chord, pos]
         lane = change[chord, pos]
@@ -406,8 +426,8 @@ def _chord_roots(f: PiecewiseVectorFn, start: np.ndarray, radius: float):
             c, a = chord[lane], pos[lane]
             t[lane] = _bisect(g, start, dirs[c], ts[c, a], ts[c, a + 1], vals[c, a])
         found.append((chord, np.full(chord.size, k), pos, t))
-    chord, gi, pos, t = (np.concatenate(col) for col in zip(*found))
-    order = np.lexsort((pos, gi, chord))
+    chord, gi, pos, t = found[0] if len(found) == 1 else map(np.concatenate, zip(*found))
+    order = np.lexsort((pos, gi, chord)) if len(found) > 1 else slice(None)  # one g: scan order
     gi, d, t = gi[order], dirs[chord[order]], t[order]
     roots = start + t[:, None] * d
     first = _first_rows(np.round(roots, 12))
@@ -424,11 +444,11 @@ def boundary_probes(f: PiecewiseVectorFn, center, radius: float) -> np.ndarray:
     there still carries both sides' vertices. Probes are clipped to the
     inner box and kept in the ball; bitwise repeats are dropped and the rest
     sorted. Falsification effort concentrates where nonsmoothness lives.
+    The set is read-only and memoized in the probe cache f shares with -f.
     """
     center = np.asarray(center, dtype=float)
-    # memo writes are idempotent (same key always maps to the same array), so
-    # concurrent readers stay safe
-    cache = f.__dict__.setdefault("_probe_cache", {})
+    # memo writes are idempotent (a key always maps to equal bytes): readers stay safe
+    cache = f._probe_cache
     cache_key = (center.tobytes(), float(radius))
     if cache_key in cache:
         return cache[cache_key]
@@ -439,8 +459,8 @@ def boundary_probes(f: PiecewiseVectorFn, center, radius: float) -> np.ndarray:
     slope = np.zeros(len(roots))
     for k, g in enumerate(_boundary_expressions(f)):
         sel = first & (gi == k)
-        ahead = el.evaluate_many(g, roots[sel] + h * d[sel])
-        behind = el.evaluate_many(g, roots[sel] - h * d[sel])
+        at, dh = roots[sel], h * d[sel]
+        ahead, behind = el.evaluate_many(g, np.concatenate([at + dh, at - dh])).reshape(2, -1)
         slope[sel] = np.abs(ahead - behind) / (2 * h)
     delta = np.minimum((TOL_ACTIVE / 2.0) / np.maximum(slope, 1e-6), radius / 4.0)
     # each root, then its step-back point if it has one
@@ -449,6 +469,7 @@ def boundary_probes(f: PiecewiseVectorFn, center, radius: float) -> np.ndarray:
     probes = probes[np.linalg.norm(probes - center, axis=1) <= radius]
     probes = probes[_first_rows(probes.view(np.int64))]  # by bytes: -0.0 stays apart from 0.0
     result = probes[np.lexsort(probes.T[::-1])]
+    result.setflags(write=False)
     cache[cache_key] = result
     return result
 
@@ -457,7 +478,7 @@ def ball_draw(f: PiecewiseVectorFn, draw, center, radius: float, count: int, see
     """draw(center, radius, count, seed) for a ball sampler of the sampling
     module, memoized on f; -f shares the memo, as the draw reads nothing of f."""
     key = (draw, np.asarray(center, dtype=float).tobytes(), float(radius), int(count), int(seed))
-    cache = f.__dict__.setdefault("_draw_cache", {})
+    cache = f._draw_cache
     if key not in cache:
         cache[key] = draw(center, radius, count, seed)
     return cache[key]
@@ -535,13 +556,13 @@ class Kernel:
         y = np.atleast_2d(np.asarray(y, dtype=float))
         if x.shape[-1] != self.n or y.shape[-1] != self.n:
             raise DimensionMismatchError("kernel arguments disagree with dimension")
-        if x.shape[0] != y.shape[0]:
-            x, y = np.broadcast_arrays(x, y)
         if self.kind == "difference":
             return x - y
         if self.kind == "negNormDifference":
             norms = np.linalg.norm(x - y, axis=-1, keepdims=True)
             return -norms * np.ones((1, self.n))
+        if x.shape[0] != y.shape[0]:  # an expression in y alone still yields N rows
+            x, y = np.broadcast_arrays(x, y)
         out = np.empty((x.shape[0], self.n))
         for i, expr in enumerate(self._exprs):
             out[:, i] = el.evaluate_many(expr, x, y)

@@ -1,12 +1,13 @@
 import collections
 import functools
 import json
+import sys
 from enum import Enum
 
 import numpy as np
 import pytest
 
-from vvicert import audit, certify, model, sampling
+from vvicert import audit, certify, exprlang, model, sampling
 from vvicert.certify import (
     ZERO_ETA_TOL,
     InvexClass,
@@ -727,6 +728,41 @@ class TestVerdictMemo:
                 problem.name, counts)
             assert problem.f.negated() is problem.f.negated()
             assert problem.f.negated()._draw_cache is problem.f._draw_cache
+
+    def test_fixed_geometry_built_once_per_problem(self, monkeypatch, plan):
+        # all seven rules on one fresh problem: one chord-root scan per
+        # (xi, radius) and one probe-pair build per (xi, r), each shared by f
+        # and -f, one boundary-expression list, and no tiled copy of xi
+        counts = collections.Counter()
+        tiled_by = []
+
+        def counting(owner, name, key):
+            real = getattr(owner, name)
+
+            def counted(*args):
+                counts[(name,) + key(*args)] += 1
+                return real(*args)
+            monkeypatch.setattr(owner, name, counted)
+
+        counting(model, "_chord_roots", lambda f, start, radius: (start.tobytes(), radius))
+        counting(certify, "_probe_pairs", lambda x0, probes: (x0.tobytes(),))
+        counting(exprlang, "boundary_expressions", lambda region: ())
+        real_tile = np.tile
+
+        def tile(*args, **kwargs):
+            tiled_by.append(sys._getframe(1).f_globals["__name__"])
+            return real_tile(*args, **kwargs)
+
+        monkeypatch.setattr(np, "tile", tile)
+        for problem, at in self._instances():
+            problem = _fresh(problem)  # no memo filled by validate
+            counts.clear()
+            audit.run_matrix(sorted(audit.RULES), [(problem, at)], plan)
+            lists = counts.pop(("boundary_expressions",))
+            assert lists == len(problem.f.pieces), (problem.name, lists)
+            assert set(counts.values()) == {1}, (problem.name, counts)
+            assert {key[0] for key in counts} == {"_chord_roots", "_probe_pairs"}, problem.name
+        assert "vvicert.audit" not in tiled_by
 
     def test_no_problem_serialized(self, monkeypatch, plan):
         # the memo keys the problem's parts themselves, so no rule serializes

@@ -9,6 +9,7 @@ one on which a slip of that kind shows."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vvicert import audit, exprlang as el
 from vvicert.model import (
@@ -16,6 +17,7 @@ from vvicert.model import (
     TOL_ACTIVE,
     PiecewiseVectorFn,
     _chord_roots,
+    _scan_grid,
     boundary_probes,
 )
 
@@ -185,6 +187,27 @@ def _hand_problems(example5):
             ("x1 + x2 >= 0.5", ["x1 + 1"]),
             ("x1 - x2 >= 0.3 and x1 + x2 <= 0.5", ["x1 + 2"]),
         ]), [0.0, 0.0]),
+        # n = 3: two boundary planes that cross, each met by several chords
+        ("crossing in three dimensions", _fn([[-1.0, 1.0]] * 3, [
+            ("x1 + x2 - x3 <= 0.2 and x1 - 2*x2 + x3 <= 0.1", ["x1*x2 - x3"]),
+            ("x1 + x2 - x3 >= 0.2", ["x1*x2 - x3 + 1"]),
+            ("x1 - 2*x2 + x3 >= 0.1 and x1 + x2 - x3 <= 0.2", ["x1*x2 + x3^2"]),
+        ]), [0.05, -0.02, 0.03]),
+        # the chord +x1 ends at the inner box, short of every radius above
+        # 0.1, and meets x1 = 0.95 on the way
+        ("chord clipped by the box", _fn([[-1.0, 1.0]] * 2, [
+            ("x1 <= 0.95", ["x1 + x2"]), ("x1 >= 0.95", ["2*x1 + x2 - 0.95"]),
+        ]), [0.9, 0.0]),
+        # the center lies on the box face x1 = -1 + 1e-9: the chord -x1 has
+        # length 0 and is dropped
+        ("center on the box face", _fn([[-1.0, 1.0]] * 2, [
+            ("x1 <= -0.97", ["x1 * x2"]), ("x1 >= -0.97", ["x1 * x2 + (x1 + 0.97)^2"]),
+        ]), [-1.0 + 1e-9, 0.1]),
+        # a box 80 wide, so each radius above is below 1/32 of it, with a
+        # boundary 0.02 from the center
+        ("radius below a grid step", _fn([[-40.0, 40.0]], [
+            ("x1 <= 0.02", ["x1"]), ("x1 >= 0.02", ["3*x1 - 0.04"]),
+        ]), [0.0]),
     ]
 
 
@@ -267,6 +290,59 @@ class TestAgainstTheLoops:
                               ("1.000e+00", [0.0, 0.5]), ("2.000e+00", [0.0, -0.3])]
         ]
         assert messages["example5 at -0.0"] == messages["dyadic boundary"] == []
+
+
+class TestHandGeometry:
+    """The hand instances above reach the chord geometry they are named for."""
+
+    @staticmethod
+    def _case(example5, label):
+        f, start = {lab: (f, s) for lab, f, s in _hand_problems(example5)}[label]
+        return f, np.asarray(start, dtype=float)
+
+    def test_crossing_in_three_dimensions(self, example5):
+        f, start = self._case(example5, "crossing in three dimensions")
+        gi, d, roots, _ = _chord_roots(f, start, 1.0)
+        assert f.n == 3 and len(roots) >= 4
+        # roots of both crossing planes, on chords of every axis
+        assert set(gi.tolist()) >= {0, 1}
+        assert np.abs(d).sum(axis=0).all()
+
+    def test_chord_clipped_by_the_box(self, example5):
+        f, start = self._case(example5, "chord clipped by the box")
+        reach = f.inner_box()[0, 1] - start[0]
+        for radius in RADII[1:]:
+            assert reach < radius
+            _, d, roots, _ = _chord_roots(f, start, radius)
+            assert roots[d[:, 0] > 0, 0].tolist() == pytest.approx([0.95])
+            assert boundary_probes(_fresh(f), start, radius)[:, 0].max() <= f.inner_box()[0, 1]
+
+    def test_center_on_the_box_face(self, example5):
+        f, start = self._case(example5, "center on the box face")
+        assert start[0] == f.inner_box()[0, 0]
+        for radius in RADII:
+            _, d, roots, _ = _chord_roots(f, start, radius)
+            assert not (d[:, 0] < 0).any()
+        assert roots[d[:, 0] > 0, 0].tolist() == pytest.approx([-0.97])
+
+    def test_radius_below_a_grid_step(self, example5):
+        f, start = self._case(example5, "radius below a grid step")
+        width = f.domain[0, 1] - f.domain[0, 0]
+        for radius in RADII:
+            assert radius < width / 32
+            _, _, roots, _ = _chord_roots(f, start, radius)
+            assert roots[:, 0].tolist() == pytest.approx([0.02])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8))
+def test_scan_grid_is_linspace(tmax):
+    # every finite chord length, subnormal ones included, whose 32nd part
+    # may underflow to 0
+    tmax = np.array(tmax, dtype=float)
+    got, want = _scan_grid(tmax), np.linspace(0.0, tmax, 33, axis=1)
+    assert got.shape == want.shape
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 class TestMutantsShow:

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from vvicert import audit, exprlang as el, model, sampling
+from vvicert import audit, certify, exprlang as el, model, sampling
 from vvicert.cone import OrderingCone
 from vvicert.errors import (
     InconsistentPiecesError,
@@ -393,7 +393,9 @@ class TestBoundaryProbes:
             return out
 
         def root_count(f, start):
-            return len(_chord_roots(f, np.asarray(start, dtype=float), 1.0)[2])
+            # a fresh f, as f keeps its expression list from the first count
+            fresh = PiecewiseVectorFn(f.n, f.m, f.domain, f.pieces)
+            return len(_chord_roots(fresh, np.asarray(start, dtype=float), 1.0)[2])
 
         deduped = [(outputs(f, s), root_count(f, s)) for f, s in problems]
         monkeypatch.setattr(model, "dict", KeepRepeats, raising=False)
@@ -458,6 +460,7 @@ class TestReadOnly:
         poly = f.clarke_jacobian(problem.point(at))
         ball = model.ball_draw(f, sampling.ball_points, problem.point(at), 0.25, 10, 0)
         pairs = model.ball_draw(f, sampling.ball_pairs, problem.point(at), 0.25, 10, 0)
+        probe_pairs = certify._shared_probe_pairs(f, problem.point(at), 0.25)
         return {
             "cone.normals": cone.normals,
             "cone.generators": cone.generators,
@@ -470,6 +473,11 @@ class TestReadOnly:
             "polytope.vertices": poly.vertices[0],
             "ball draw": ball,
             "pair draw": pairs[1],
+            "f.inner_box": f.inner_box(),
+            "-f.inner_box": f.negated().inner_box(),
+            "boundary probes": boundary_probes(f, problem.point(at), 0.25),
+            "probe pairs x": probe_pairs[0],
+            "probe pairs y": probe_pairs[1],
         }
 
     @pytest.mark.parametrize("at", ["xi", "x0"])

@@ -48,7 +48,8 @@ def _values_reference(f, x):
             np.abs(np.where(mask[:, :, None], vals, out[None, :, :]) - out[None, :, :]),
             axis=(0, 2),
         )
-        worst = int(np.argmax(dev))
+        # a row with no finite deviation decides nothing
+        worst = int(np.argmax(np.where(np.isnan(dev), -np.inf, dev)))
         if dev[worst] > CONTINUITY_TOL:
             raise InconsistentPiecesError(
                 f"active pieces disagree by {dev[worst]:.3e} at {x[worst].tolist()}"
@@ -213,8 +214,7 @@ class TestHandCases:
                     assert got == want, (name, xs.tolist(), ys.tolist())
 
     def test_hand_cases_reach_every_outcome(self):
-        # the texts compared above include each error, and the row with no
-        # finite value passes a batch whose other row jumps
+        # the texts compared above include each error
         f = HAND["jump"]
         with pytest.raises(InconsistentPiecesError, match=r"by 1\.000e\+00 at \[0\.0\]"):
             f.values(np.array([[0.3], [0.0]]))
@@ -224,10 +224,26 @@ class TestHandCases:
             HAND["jumps along a line"].values(np.array(ROWS[2][0]))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            out = HAND["overflow and jump"].values(np.array([[-1.9], [0.0]]))
-            assert np.isinf(out[0]).all()
+            with pytest.raises(InconsistentPiecesError):
+                HAND["overflow and jump"].values(np.array([[-1.9], [0.0]]))
             with pytest.raises(InconsistentPiecesError):
                 HAND["overflow in one component"].values(np.array([[-1.9], [0.0]]))
+
+    def test_row_without_finite_value_hides_no_jump(self):
+        # the jump at x = 0 raises the same error alone and beside a row
+        # whose values all overflow
+        f = HAND["overflow and jump"]
+        errors = []
+        for rows in ([[0.0]], [[-1.9], [0.0]], [[0.0], [-1.9]]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                with pytest.raises(InconsistentPiecesError) as caught:
+                    f.values(np.array(rows))
+            errors.append(str(caught.value))
+        assert errors == ["active pieces disagree by 1.000e+00 at [0.0]"] * 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert np.isinf(f.values(np.array([[-1.9]]))).all()
 
     def test_signed_zero_rows_stay_apart(self):
         f = HAND["single piece"]
