@@ -189,24 +189,12 @@ def _checked(problem: Problem, key: tuple, checker, *args, **kwargs):
     Rules on one problem share hypotheses (pseudo1(f) underlies R4.0 and
     T4.6, the SVVI T3.1 and T3.3, the forward rules on f one check of their
     invexity classes, and the rules whose VVIs take the Jacobian at the same
-    site one check of their VVIs), so the verdicts live on the problem,
-    next to the probe and flag caches of its f and kernel. The key is the
-    checker object itself, so a replaced or wrapped checker is called anew,
-    plus every input it reads (see _inputs). A VviCertError outcome is kept
-    and raised again.
+    site one check of their VVIs), so the verdicts live in the problem's
+    memo. The key is the checker object itself, so a replaced or wrapped
+    checker is called anew, plus every input it reads (see _inputs). A
+    VviCertError outcome is kept and raised again.
     """
-    memo = problem.__dict__.setdefault("_verdict_memo", {})
-    key = (checker,) + key
-    if key not in memo:
-        try:
-            out = checker(*args, **kwargs)
-        except VviCertError as exc:
-            out = exc.with_traceback(None)  # keep no checker frames alive
-        memo[key] = out
-    out = memo[key]
-    if isinstance(out, VviCertError):
-        raise out
-    return out
+    return problem._memoized((checker,) + key, lambda: checker(*args, **kwargs))
 
 
 def audit_rule(
@@ -260,10 +248,9 @@ def _inputs(problem: Problem, xi: np.ndarray, plan: SamplingPlan) -> tuple:
     around xi, which every rule injects into its checks.
 
     The key holds f, the cone and the kernel themselves. None of them can
-    change once built: their arrays are read-only and f's pieces a tuple (f
-    keeps its probe, draw and polytope caches, the kernel its flag cache, the
-    cone its interior witness and column-test choice), so a reassigned one
-    gives a new key, and as the key holds the object, no id() is reused. e
+    change once built: their arrays are read-only and f's pieces a tuple
+    (their own memos rest on that too), so a reassigned one gives a new
+    key, and as the key holds the object, no id() is reused. e
     and xi enter by their bytes and the plan by its values. The ball is f's
     memoized draw, the one check_quasi_efficient takes.
     """

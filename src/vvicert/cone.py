@@ -144,19 +144,16 @@ class OrderingCone:
         )
 
     def _detect_column_test(self) -> bool:
-        """True when v @ N.T holds the columns of v exactly: N is a permutation
-        of the identity with entries exactly 0.0 or 1.0 (not _detect_orthant's
-        1e-12 test), the dimension is at most _COLUMN_TEST_MAX_DIM, and the
+        """True when v @ N.T holds the columns of v exactly: an orthant whose
+        normals are exactly 0.0 or 1.0 (not only within _detect_orthant's
+        1e-12), the dimension is at most _COLUMN_TEST_MAX_DIM, and the
         margin is not negative, so that a row with an infinite entry fails
         the open test as it does through the NaN that the product leaves."""
-        n = self.normals
         return bool(
-            n.shape == (self.dim, self.dim)
+            self._is_orthant
             and self.dim <= _COLUMN_TEST_MAX_DIM
             and self.margin >= 0.0
-            and np.all((n == 0.0) | (n == 1.0))
-            and np.all(n.sum(axis=0) == 1.0)
-            and np.all(n.sum(axis=1) == 1.0)
+            and np.all((self.normals == 0.0) | (self.normals == 1.0))
         )
 
     # -- construction helpers -------------------------------------------------

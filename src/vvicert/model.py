@@ -9,6 +9,7 @@ the hull's vertex matrices are stored; downstream checks reduce to vertices.
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -23,6 +24,7 @@ from .errors import (
     NoActivePieceError,
     OutOfDomainError,
     ProblemFileError,
+    VviCertError,
 )
 
 __all__ = [
@@ -53,6 +55,27 @@ VERTEX_MERGE_TOL = 1e-9
 # tolerance relative to the kernel's scale on the sample.
 FLAG_SAMPLES = 128
 FLAG_TOL = 1e-9
+
+
+def _memoized(store: dict, key, build):
+    """store[key], made by build() on the first call and kept: every memo of
+    f, -f, a kernel and a problem goes through here, and rests on its owner
+    never changing. An ndarray result, or each ndarray of a tuple, is made
+    read-only. A VviCertError that build() raises is kept and raised again."""
+    if key not in store:
+        try:
+            out = build()
+        except VviCertError as exc:
+            out = exc
+        else:
+            for a in out if isinstance(out, tuple) else (out,):
+                if isinstance(a, np.ndarray):
+                    a.setflags(write=False)
+        store[key] = out
+    out = store[key]
+    if isinstance(out, VviCertError):
+        raise out.with_traceback(None)  # keep no frames of an earlier raise alive
+    return out
 
 
 @dataclass(frozen=True)
@@ -108,7 +131,9 @@ class PiecewiseVectorFn:
         self.domain.setflags(write=False)
         self._inner = self.domain + [DOMAIN_INSET, -DOMAIN_INSET]
         self._inner.setflags(write=False)
-        self._probe_cache, self._draw_cache = {}, {}  # -f shares both (see negated)
+        # -f and the Clarke polytopes in _memo; in _shared, which -f shares, the
+        # boundary expressions, probe sets and pairs, and ball draws (see _memoized)
+        self._memo, self._shared = {}, {}
 
     # -- construction ---------------------------------------------------------
 
@@ -116,8 +141,12 @@ class PiecewiseVectorFn:
     def from_dict(cls, spec: dict) -> "PiecewiseVectorFn":
         with ProblemFileError.reading("n"):
             n = int(spec["n"])
+            if n < 1:
+                raise ValueError(f"dimension {n} is below 1")
         with ProblemFileError.reading("m"):
             m = int(spec["m"])
+            if m < 1:
+                raise ValueError(f"dimension {m} is below 1")
         with ProblemFileError.reading("pieces"):
             pieces = [_compile_piece(p["region"], p["components"], n, m) for p in spec["pieces"]]
         # the constructor rejects an empty piece list before it reads the domain
@@ -138,14 +167,16 @@ class PiecewiseVectorFn:
     def negated(self) -> "PiecewiseVectorFn":
         """-f, by negating every piece's components (so d(-f) = -df piecewise).
 
-        The trees are those the parser builds for the texts "-(t)". The
-        boundary probes and the ball draws depend only on the regions, the
-        domain and n, which -f shares with f, so -f shares f's probe and draw
-        caches. -f is built once and memoized on f.
+        The trees are those the parser builds for the texts "-(t)". -f is
+        built once and memoized on f: a copy of f with a memo of its own, it
+        shares f's domain, inner box and _shared store.
         """
-        if "_negated" in self.__dict__:
-            return self._negated
-        pieces = [
+        return _memoized(self._memo, "negated", self._negate)
+
+    def _negate(self) -> "PiecewiseVectorFn":
+        out = copy.copy(self)
+        out._memo = {}
+        out.pieces = tuple(
             Piece(
                 p.region,
                 tuple(el._neg(c) for c in p.components),
@@ -154,10 +185,7 @@ class PiecewiseVectorFn:
                 tuple(tuple(el._neg(g) for g in row) for row in p.gradients),
             )
             for p in self.pieces
-        ]
-        out = PiecewiseVectorFn(self.n, self.m, self.domain, pieces)
-        out._probe_cache, out._draw_cache = self._probe_cache, self._draw_cache
-        self._negated = out
+        )
         return out
 
     # -- domain ---------------------------------------------------------------
@@ -262,10 +290,9 @@ class PiecewiseVectorFn:
         Jacobians of every piece active within TOL_ACTIVE, duplicates merged.
         Memoized on f per point; the polytope and its arrays are read-only."""
         x = self.require_inside(x)
-        cache = self.__dict__.setdefault("_clarke_cache", {})
-        key = (x.shape, x.tobytes())
-        if key in cache:
-            return cache[key]
+        return _memoized(self._memo, (x.shape, x.tobytes()), lambda: self._polytope(x))
+
+    def _polytope(self, x: np.ndarray) -> JacobianPolytope:
         mask = self.active_mask(x[None, :], TOL_ACTIVE)[:, 0]
         active = [j for j in range(len(self.pieces)) if mask[j]]
         if not active:
@@ -281,8 +308,7 @@ class PiecewiseVectorFn:
             kept.append(j)
         point = x.copy()
         point.setflags(write=False)
-        cache[key] = JacobianPolytope(tuple(vertices), point, tuple(kept))
-        return cache[key]
+        return JacobianPolytope(tuple(vertices), point, tuple(kept))
 
     def cartesian_outer_box(self, x) -> np.ndarray:
         """Componentwise interval hull of the gradient rows over active pieces,
@@ -342,12 +368,10 @@ class PiecewiseVectorFn:
 
 def _boundary_expressions(f: PiecewiseVectorFn) -> tuple:
     """The distinct boundary expressions of f's regions (a repeat would only
-    yield roots seen before), built once in the probe cache -f shares."""
-    if "expressions" not in f._probe_cache:
-        f._probe_cache["expressions"] = tuple(dict.fromkeys(
-            g for piece in f.pieces for g in el.boundary_expressions(piece.region)
-        ))
-    return f._probe_cache["expressions"]
+    yield roots seen before), built once in the store f shares with -f."""
+    return _memoized(f._shared, "expressions", lambda: tuple(dict.fromkeys(
+        g for piece in f.pieces for g in el.boundary_expressions(piece.region)
+    )))
 
 
 @functools.cache
@@ -356,16 +380,6 @@ def _chord_dirs(n: int) -> np.ndarray:
     dirs = np.repeat(np.eye(n), 2, axis=0) * np.tile([1.0, -1.0], n)[:, None] + 0.0
     dirs.setflags(write=False)
     return dirs
-
-
-def _scan_grid(tmax: np.ndarray) -> np.ndarray:
-    """np.linspace(0.0, tmax, 33, axis=1) bit for bit, in fewer passes."""
-    step = tmax / 32
-    if not step.all():  # linspace's own path for a step that underflows to 0
-        return np.linspace(0.0, tmax, 33, axis=1)
-    ts = step[:, None] * np.arange(33.0) + 0.0
-    ts[:, -1] = tmax
-    return ts
 
 
 def _first_rows(a: np.ndarray) -> np.ndarray:
@@ -412,7 +426,7 @@ def _chord_roots(f: PiecewiseVectorFn, start: np.ndarray, radius: float):
     box = f.inner_box()
     tmax = np.minimum(radius, np.stack([box[:, 1] - start, start - box[:, 0]], axis=1).ravel())
     dirs, tmax = _chord_dirs(f.n)[tmax > 0], tmax[tmax > 0]
-    ts = _scan_grid(tmax)  # (chords, 33)
+    ts = np.linspace(0.0, tmax, 33, axis=1)  # (chords, 33)
     pts = (start + ts[:, :, None] * dirs[:, None, :]).reshape(-1, f.n)
     change = np.zeros(ts.shape, dtype=bool)  # a sign change to the next scan point
     found = []  # (chord, expression, position, t) per expression
@@ -426,8 +440,8 @@ def _chord_roots(f: PiecewiseVectorFn, start: np.ndarray, radius: float):
             c, a = chord[lane], pos[lane]
             t[lane] = _bisect(g, start, dirs[c], ts[c, a], ts[c, a + 1], vals[c, a])
         found.append((chord, np.full(chord.size, k), pos, t))
-    chord, gi, pos, t = found[0] if len(found) == 1 else map(np.concatenate, zip(*found))
-    order = np.lexsort((pos, gi, chord)) if len(found) > 1 else slice(None)  # one g: scan order
+    chord, gi, pos, t = map(np.concatenate, zip(*found))
+    order = np.lexsort((pos, gi, chord))
     gi, d, t = gi[order], dirs[chord[order]], t[order]
     roots = start + t[:, None] * d
     first = _first_rows(np.round(roots, 12))
@@ -444,14 +458,14 @@ def boundary_probes(f: PiecewiseVectorFn, center, radius: float) -> np.ndarray:
     there still carries both sides' vertices. Probes are clipped to the
     inner box and kept in the ball; bitwise repeats are dropped and the rest
     sorted. Falsification effort concentrates where nonsmoothness lives.
-    The set is read-only and memoized in the probe cache f shares with -f.
+    The set is read-only and memoized in the store f shares with -f.
     """
     center = np.asarray(center, dtype=float)
-    # memo writes are idempotent (a key always maps to equal bytes): readers stay safe
-    cache = f._probe_cache
-    cache_key = (center.tobytes(), float(radius))
-    if cache_key in cache:
-        return cache[cache_key]
+    return _memoized(f._shared, (center.tobytes(), float(radius)),
+                     lambda: _probes(f, center, radius))
+
+
+def _probes(f: PiecewiseVectorFn, center: np.ndarray, radius: float) -> np.ndarray:
     gi, d, roots, first = _chord_roots(f, center, radius)
     # step back toward the center, calibrated so that the boundary
     # expression stays within the activation window
@@ -468,20 +482,22 @@ def boundary_probes(f: PiecewiseVectorFn, center, radius: float) -> np.ndarray:
     probes = np.clip(probes[np.stack([np.ones_like(first), first], axis=1)], *f.inner_box().T)
     probes = probes[np.linalg.norm(probes - center, axis=1) <= radius]
     probes = probes[_first_rows(probes.view(np.int64))]  # by bytes: -0.0 stays apart from 0.0
-    result = probes[np.lexsort(probes.T[::-1])]
-    result.setflags(write=False)
-    cache[cache_key] = result
-    return result
+    return probes[np.lexsort(probes.T[::-1])]
+
+
+def probe_pairs(f: PiecewiseVectorFn, pairs, center, radius: float) -> tuple:
+    """pairs(center, boundary_probes(f, center, radius)) for the pair builder
+    of the certify module, memoized in the store f shares with -f."""
+    center = np.asarray(center, dtype=float)
+    return _memoized(f._shared, (pairs, center.tobytes(), float(radius)),
+                     lambda: pairs(center, boundary_probes(f, center, radius)))
 
 
 def ball_draw(f: PiecewiseVectorFn, draw, center, radius: float, count: int, seed: int):
     """draw(center, radius, count, seed) for a ball sampler of the sampling
-    module, memoized on f; -f shares the memo, as the draw reads nothing of f."""
+    module, memoized in the store f shares with -f (the draw reads nothing of f)."""
     key = (draw, np.asarray(center, dtype=float).tobytes(), float(radius), int(count), int(seed))
-    cache = f._draw_cache
-    if key not in cache:
-        cache[key] = draw(center, radius, count, seed)
-    return cache[key]
+    return _memoized(f._shared, key, lambda: draw(center, radius, count, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +543,7 @@ class Kernel:
         self.n = int(n)
         self.expression_texts = None
         self._exprs = None
+        self._memo = {}  # flags per (box, seed), see _memoized
         if kind == "custom":
             if expressions is None or len(expressions) != self.n:
                 raise DimensionMismatchError(
@@ -573,10 +590,9 @@ class Kernel:
         the diagonal over FLAG_SAMPLES deterministic points of the given box,
         each up to FLAG_TOL relative to the kernel's scale."""
         box = np.asarray(box, dtype=float)
-        cache = self.__dict__.setdefault("_flag_cache", {})
-        key = (box.tobytes(), seed)
-        if key in cache:
-            return cache[key]
+        return _memoized(self._memo, (box.tobytes(), seed), lambda: self._flags(box, seed))
+
+    def _flags(self, box: np.ndarray, seed: int) -> KernelFlags:
         # one 3n-dimensional stream split into three independent point sets
         u = sampling.unit_points(3 * self.n, FLAG_SAMPLES, seed, base_dim=self.n)
         lo, span = box[:, 0], box[:, 1] - box[:, 0]
@@ -595,9 +611,7 @@ class Kernel:
             )) > FLAG_TOL * scale
             for lam in (0.25, 0.5, 0.8)
         )
-        out = KernelFlags(skew, affine, vanishes, FLAG_SAMPLES, seed, FLAG_TOL)
-        cache[key] = out
-        return out
+        return KernelFlags(skew, affine, vanishes, FLAG_SAMPLES, seed, FLAG_TOL)
 
     def __repr__(self) -> str:
         return f"Kernel({self.kind}, n={self.n})"

@@ -12,7 +12,7 @@ import numpy as np
 
 from .cone import OrderingCone
 from .errors import ProblemFileError, VviCertError
-from .model import Kernel, PiecewiseVectorFn
+from .model import Kernel, PiecewiseVectorFn, _memoized
 
 __all__ = ["Problem", "FORMAT_VERSION"]
 
@@ -27,6 +27,7 @@ class Problem:
     e: np.ndarray
     points: dict = field(default_factory=dict)
     name: str = ""
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # read-only copies; the attributes themselves stay reassignable
@@ -78,6 +79,11 @@ class Problem:
 
     def content_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
+
+    def _memoized(self, key, build):
+        """build(), run once per key for this problem object (see
+        model._memoized); the audit keeps its checker verdicts here."""
+        return _memoized(self._memo, key, build)
 
     def point(self, name_or_values) -> np.ndarray:
         """Resolve a named point or pass through explicit coordinates."""

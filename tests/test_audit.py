@@ -697,7 +697,7 @@ class TestVerdictMemo:
         for other, at in asked[1:] + asked:
             audit.audit_rule("R4.0", problem, at, other)
         assert len(draws) == len(asked)
-        memo = problem.f._draw_cache
+        memo = problem.f._shared
         for (args, ball), (other, at) in zip(draws, asked):
             assert np.array_equal(args[0], at)
             assert args[1:] == (other.radius, other.ball_sample_count, other.seed)
@@ -727,7 +727,7 @@ class TestVerdictMemo:
             assert counts == {"ball_points": 1, "ball_pairs": 1, "JacobianPolytope": 1}, (
                 problem.name, counts)
             assert problem.f.negated() is problem.f.negated()
-            assert problem.f.negated()._draw_cache is problem.f._draw_cache
+            assert problem.f.negated()._shared is problem.f._shared
 
     def test_fixed_geometry_built_once_per_problem(self, monkeypatch, plan):
         # all seven rules on one fresh problem: one chord-root scan per

@@ -9,7 +9,6 @@ one on which a slip of that kind shows."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from vvicert import audit, exprlang as el
 from vvicert.model import (
@@ -17,7 +16,6 @@ from vvicert.model import (
     TOL_ACTIVE,
     PiecewiseVectorFn,
     _chord_roots,
-    _scan_grid,
     boundary_probes,
 )
 
@@ -332,17 +330,6 @@ class TestHandGeometry:
             assert radius < width / 32
             _, _, roots, _ = _chord_roots(f, start, radius)
             assert roots[:, 0].tolist() == pytest.approx([0.02])
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8))
-def test_scan_grid_is_linspace(tmax):
-    # every finite chord length, subnormal ones included, whose 32nd part
-    # may underflow to 0
-    tmax = np.array(tmax, dtype=float)
-    got, want = _scan_grid(tmax), np.linspace(0.0, tmax, 33, axis=1)
-    assert got.shape == want.shape
-    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 class TestMutantsShow:

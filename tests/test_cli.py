@@ -484,6 +484,24 @@ class TestMalformedProblemFiles:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: problem key {key!r}: ")
 
+    @pytest.mark.parametrize("key", ["n", "m"])
+    def test_dimension_below_one_exit_two(self, tmp_path, capsys, key):
+        # files that are consistent otherwise, so only the dimension is wrong
+        spec = {
+            "n": {"version": "vvicert/1", "n": 0, "m": 1, "domain": [],
+                  "pieces": [{"region": "1 >= 0", "components": ["1"]}]},
+            "m": {"version": "vvicert/1", "n": 1, "m": 0, "domain": [[-1, 1]],
+                  "pieces": [{"region": "x1 >= -2", "components": []}],
+                  "e": [], "cone": {"orthant": 0}},
+        }[key]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        for argv in (["jacobian"], ["check", "critical"], ["audit", "--rules", "R4.0"]):
+            assert main([*argv, "--problem", str(path), "--at", "0"]) == 2
+            assert capsys.readouterr().err == (
+                f"error: problem key {key!r}: dimension 0 is below 1\n"
+            )
+
     def test_top_level_not_an_object(self, tmp_path, capsys):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]", encoding="utf-8")

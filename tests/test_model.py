@@ -1,4 +1,5 @@
 import dataclasses
+import traceback
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from vvicert import audit, certify, exprlang as el, model, sampling
 from vvicert.cone import OrderingCone
 from vvicert.errors import (
+    DivisionByZeroError,
     InconsistentPiecesError,
     NoActivePieceError,
     OutOfDomainError,
@@ -440,13 +442,63 @@ class TestNegated:
             f = PiecewiseVectorFn(f.n, f.m, f.domain, f.pieces)
             boundary_probes(f, start, 0.25)  # f fills the cache first
             neg = f.negated()
-            assert neg._probe_cache is f._probe_cache
+            assert neg._shared is f._shared
             boundary_probes(neg, start, 0.5)  # -f fills it first
             for g in (f, neg):
                 uncached = PiecewiseVectorFn(g.n, g.m, g.domain, g.pieces)
                 for r in (0.25, 0.5):
                     got = boundary_probes(g, start, r)
                     assert got.tobytes() == boundary_probes(uncached, start, r).tobytes()
+
+
+class TestMemoized:
+    """Every memo of f, -f, a kernel and a problem goes through
+    model._memoized: a VviCertError that a build raises is kept and raised
+    again, and -f shares f's store of fixed geometry but not f's own memo."""
+
+    def test_build_error_kept_and_raised_again(self, monkeypatch):
+        # the -x1 chord from 0.5 has the scan point 0.5 - 16/32 = 0.0
+        f = PiecewiseVectorFn.from_dict({
+            "n": 1, "m": 1, "domain": [[-1.0, 1.0]],
+            "pieces": [{"region": "1/x1 >= 0", "components": ["x1"]}],
+        })
+        scans = []
+        real = model._chord_roots
+
+        def counted(*args):
+            scans.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(model, "_chord_roots", counted)
+        raised = []
+        for g in (f, f, f.negated()):  # -f reads the memo f shares with it
+            with pytest.raises(DivisionByZeroError) as info:
+                boundary_probes(g, [0.5], 1.0)
+            raised.append(info.value)
+            # kept without the frames of the build or of an earlier raise
+            frames = [fr.name for fr in traceback.extract_tb(info.value.__traceback__)]
+            assert "_chord_roots" not in frames and frames.count("_memoized") == 1
+        assert len(scans) == 1
+        assert raised[0] is raised[1] is raised[2]
+
+    def test_negated_shares_the_geometry_store_only(self, example5, example23):
+        problems = [(example5.f, example5.point("xi")), (example23.f, example23.point("x0"))]
+        for i in range(6):
+            spec = audit.RandomInstanceSpec(seed=i, n=1 + i % 3, m=2, piece_count=2 + i % 2,
+                                            degree=1 + i % 3)
+            inst = audit.generate_instance(spec)
+            problems.append((inst.f, inst.point("x0")))
+        for f, at in problems:
+            neg = f.negated()
+            assert neg._shared is f._shared
+            assert neg._memo is not f._memo and neg is not neg.negated()
+            # the kinks near at carry several pieces' vertices
+            for x in (at, *boundary_probes(f, at, 0.25)):
+                mine, theirs = f.clarke_jacobian(x), neg.clarke_jacobian(x)
+                assert theirs.active_pieces == mine.active_pieces
+                assert len(theirs) == len(mine)
+                for v, w in zip(theirs.vertices, mine.vertices):
+                    assert np.array_equal(v, -w)  # a zero entry may flip its sign
 
 
 class TestReadOnly:
@@ -460,7 +512,7 @@ class TestReadOnly:
         poly = f.clarke_jacobian(problem.point(at))
         ball = model.ball_draw(f, sampling.ball_points, problem.point(at), 0.25, 10, 0)
         pairs = model.ball_draw(f, sampling.ball_pairs, problem.point(at), 0.25, 10, 0)
-        probe_pairs = certify._shared_probe_pairs(f, problem.point(at), 0.25)
+        probe_pairs = model.probe_pairs(f, certify._probe_pairs, problem.point(at), 0.25)
         return {
             "cone.normals": cone.normals,
             "cone.generators": cone.generators,
