@@ -247,20 +247,19 @@ def _inputs(problem: Problem, xi: np.ndarray, plan: SamplingPlan) -> tuple:
     audit reads, besides the rule's own choices, and the audit's ball sample
     around xi, which every rule injects into its checks.
 
-    The key holds f, the cone and the kernel themselves. None of them can
-    change once built: their arrays are read-only and f's pieces a tuple
-    (their own memos rest on that too), so a reassigned one gives a new
-    key, and as the key holds the object, no id() is reused. e
-    and xi enter by their bytes and the plan by its values. The ball is f's
-    memoized draw, the one check_quasi_efficient takes.
+    The key holds f, the cone, the kernel and the plan themselves, and e
+    and xi by their bytes. None of them can change once built: their
+    arrays are read-only, f's pieces a tuple and the plan frozen (their own
+    memos rest on that too), so a reassigned one gives a new key, and as
+    the key holds the object, no id() is reused; the plan compares by its
+    values. The ball is f's memoized draw, the one check_quasi_efficient
+    takes.
     """
-    xi_plan = (
-        xi.tobytes(), plan.seed, plan.radius, plan.ball_sample_count, plan.pair_sample_count,
-    )
     ball = ball_draw(
         problem.f, sampling.ball_points, xi, plan.radius, plan.ball_sample_count, plan.seed
     )
-    return (problem.f, problem.cone, problem.kernel, problem.e.tobytes()) + xi_plan, ball
+    key = (problem.f, problem.cone, problem.kernel, problem.e.tobytes(), xi.tobytes(), plan)
+    return key, ball
 
 
 # The invexity classes that one check decides on the shared pair sample of

@@ -96,7 +96,7 @@ class VVIVariant(str, Enum):
         return self.value.endswith("mvvi")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SamplingPlan:
     """Deterministic expansion recipe for every sampled quantifier.
 
@@ -703,23 +703,25 @@ def gordan_alternative(A, cone: Optional[OrderingCone] = None) -> GordanCertific
 _EVIDENCE_LAMBDAS = 16
 
 
-def _decomposed_grid(lambdas: np.ndarray, verts: np.ndarray, first: np.ndarray):
-    """Every grid mixture, given the first, and the unit-scale copies of the
-    first _EVIDENCE_LAMBDAS, each with its (u, rank) from one
+def _decomposed_grid(lambdas: np.ndarray, verts: np.ndarray) -> list:
+    """(A, svd, unit) for every grid lambda: the mixture A of the vertices
+    with its (u, rank), and for the first _EVIDENCE_LAMBDAS the unit-scale
+    copy of A with its own (u, rank), else None; all from one
     ``np.linalg.svd`` call and one ``_alt.rank`` call. A mixture with a
-    non-finite entry, and each one after it, gets None: ``strict_mu`` rejects
-    it, so the walk ends there."""
+    non-finite entry, and each one after it, gets None for its (u, rank):
+    ``strict_mu`` rejects it, so the walk ends there."""
     # one vector-matrix product per lambda, stacked in one matmul: one 2-D
     # lambdas @ verts product over the grid rounds some mixtures differently
     k, m, n = verts.shape
-    rest = np.matmul(lambdas[1:, None, :], verts.reshape(k, -1)).reshape(-1, m, n)
-    mixes = np.concatenate([first[None], rest])
+    mixes = np.matmul(lambdas[:, None, :], verts.reshape(k, -1)).reshape(-1, m, n)
     finite = np.all(np.isfinite(mixes), axis=(1, 2))
     reach = len(mixes) if finite.all() else int(np.argmin(finite))
     units = _alt.unit_scale(mixes[: min(reach, _EVIDENCE_LAMBDAS)])
     u, sigma, _ = np.linalg.svd(np.concatenate([mixes[:reach], units]), full_matrices=True)
     svds = list(zip(u, _alt.rank(sigma).tolist()))
-    return mixes, svds[:reach] + [None] * (len(mixes) - reach), units, svds[reach:]
+    mix_svds = svds[:reach] + [None] * (len(mixes) - reach)
+    unit_svds = list(zip(units, svds[reach:])) + [None] * (len(mixes) - len(units))
+    return list(zip(mixes, mix_svds, unit_svds))
 
 
 def check_vector_critical(
@@ -737,13 +739,13 @@ def check_vector_critical(
     with a Gordan alternative-1 direction recorded as evidence for every grid
     lambda; a critical mixture between grid points is not ruled out.
 
-    The grid is walked in lambda order up to the first critical mixture. The
-    first lambda, a vertex, is decided alone with its own SVD. Past it, the
-    rank tests of every mixture and of the unit-scale copies of the first 16
-    (the Gordan evidence) come from one stacked SVD, which ``strict_mu`` and
-    ``_alt.gordan`` take in place of their own. The verdict, the rankDecided
-    and lpSolved counters and the evidence are those of deciding each lambda
-    in turn with its own SVDs.
+    The grid is walked in lambda order up to the first critical mixture. One
+    stacked matmul mixes every lambda, and the rank tests of every mixture
+    and of the unit-scale copies of the first 16 (the Gordan evidence) come
+    from one stacked SVD, which ``strict_mu`` and ``_alt.gordan`` take in
+    place of their own. The verdict, the rankDecided and lpSolved counters
+    and the evidence are those of deciding each lambda in turn with its own
+    SVDs.
     """
     plan = plan or SamplingPlan()
     xi = f.require_inside(xi, "xi")
@@ -759,15 +761,12 @@ def check_vector_critical(
         xi=_listify(xi),
     )
 
-    mixes = np.tensordot(lambdas[0], verts, axes=1)[None]  # the mixtures made so far
-    mix_svds = [None]  # (u, rank) of each mixture, None where strict_mu makes its own
     evidence = []
     ambiguous = None
     # rankDecided and lpSolved join the stats
     with _alt.counting(stats):
-        for i, lam in enumerate(lambdas):
-            A = mixes[i]
-            mu, s = _alt.strict_mu(A, cone.normals, mix_svds[i])
+        for lam, (A, svd, unit) in zip(lambdas, _decomposed_grid(lambdas, verts)):
+            mu, s = _alt.strict_mu(A, cone.normals, svd)
             if mu is not None and 1e-12 < s <= threshold and ambiguous is None:
                 ambiguous = (lam, s)
             if mu is not None and s > threshold:
@@ -784,14 +783,10 @@ def check_vector_critical(
                     },
                     stats=stats,
                 )
-            if i == 0:
-                # the first lambda, a vertex, is not critical: the walk goes
-                # on, and one SVD serves the rest of the grid and the evidence
-                mixes, mix_svds, units, unit_svds = _decomposed_grid(lambdas, verts, A)
-            if len(evidence) < _EVIDENCE_LAMBDAS:
+            if unit is not None:
                 # gordan_alternative of A, from its unit-scale copy
                 try:
-                    gordan = _alt.gordan(units[i], cone, unit_svds[i])
+                    gordan = _alt.gordan(unit[0], cone, unit[1])
                     evidence.append({"lambda": lam.tolist(), "gordan": gordan.to_dict()})
                 except DegenerateError as exc:
                     evidence.append({"lambda": lam.tolist(), "degenerate": str(exc)})

@@ -127,34 +127,18 @@ class OrderingCone:
         # read-only: the cached choices and every memo keyed by the cone rest on it
         for a in (self.normals, self.generators, self.interior_witness):
             a.setflags(write=False)
-        self._is_orthant = self._detect_orthant()
-        self._column_test = self._detect_column_test()
-
-    def _detect_orthant(self) -> bool:
-        # orthant iff the halfspace rows are a permutation of the identity rows
-        n = self.normals
-        if n.shape != (self.dim, self.dim):
-            return False
-        rounded = np.where(np.abs(n) < 1e-12, 0.0, n)
-        one = np.abs(rounded - 1.0) < 1e-12
-        return bool(
-            np.all(one | (np.abs(rounded) < 1e-12))
+        # an orthant iff the normals permute the identity exactly (-0.0 is
+        # 0.0). Then v @ N.T holds the columns of v, and up to
+        # _COLUMN_TEST_MAX_DIM the order tests read them; a negative margin
+        # keeps the product, whose NaN fails a row with an infinite entry
+        one = normals == 1.0
+        self._is_orthant = bool(
+            normals.shape == (m, m)
+            and np.all(one | (normals == 0.0))
             and np.all(one.sum(axis=0) == 1)
             and np.all(one.sum(axis=1) == 1)
         )
-
-    def _detect_column_test(self) -> bool:
-        """True when v @ N.T holds the columns of v exactly: an orthant whose
-        normals are exactly 0.0 or 1.0 (not only within _detect_orthant's
-        1e-12), the dimension is at most _COLUMN_TEST_MAX_DIM, and the
-        margin is not negative, so that a row with an infinite entry fails
-        the open test as it does through the NaN that the product leaves."""
-        return bool(
-            self._is_orthant
-            and self.dim <= _COLUMN_TEST_MAX_DIM
-            and self.margin >= 0.0
-            and np.all((self.normals == 0.0) | (self.normals == 1.0))
-        )
+        self._column_test = self._is_orthant and m <= _COLUMN_TEST_MAX_DIM and self.margin >= 0.0
 
     # -- construction helpers -------------------------------------------------
 

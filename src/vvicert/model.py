@@ -504,7 +504,7 @@ def ball_draw(f: PiecewiseVectorFn, draw, center, radius: float, count: int, see
 # Kernels
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class KernelFlags:
     """Structural kernel properties established on a declared sample set."""
 

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import functools
 import json
 import sys
@@ -794,3 +795,38 @@ class TestVerdictMemo:
         for row in rows:
             assert row.outcome == "HypothesisNotCertified"
             assert row.notes == ["checker error treated as inapplicable: ball leaves the domain"]
+
+    def test_rule_outside_rules_forms_its_own_group(self):
+        # no forward rule on f in RULES samples quasi1, so X1 decides it in a
+        # check of its own on the audit's ball pairs
+        plan = SamplingPlan(ball_sample_count=300, pair_sample_count=300)
+        rule = audit.TheoremRule(
+            "X1", "quasi type I (f) + SVVI solution => local quasi efficient",
+            InvexClass.QUASI_I, variant=VVIVariant.SVVI,
+        )
+        problem = load_problem("example5")
+        row = audit.audit_rule(rule, problem, "xi", plan)
+        assert row.outcome == audit.CONSISTENT
+        fresh = load_problem("example5")
+        xi = fresh.point("xi")
+        ball = sampling.ball_points(xi, plan.radius, plan.ball_sample_count, plan.seed)
+        want = certify.check_invex_classes(
+            ("quasi1",), fresh.f, fresh.cone, fresh.kernel, fresh.e, xi, plan.radius, plan,
+            extra_pairs=(ball, np.broadcast_to(xi, ball.shape)),
+        )[0]
+        got = row.hypothesis_verdicts["quasi1(f)"]
+        assert _canon(got.to_payload()) == _canon(want.to_payload())
+        # its group keys apart from R4.0's, which it leaves to be decided anew
+        after = audit.audit_rule("R4.0", problem, "xi", plan).to_payload()
+        assert _canon(after) == _canon(audit.audit_rule("R4.0", fresh, "xi", plan).to_payload())
+
+    def test_memo_values_are_frozen(self, example5, plan):
+        # the kernel hands every caller its memoized flags, and the audit's
+        # memo keys hold the plan
+        flags = example5.kernel.flags(example5.f.inner_box(), seed=plan.seed)
+        assert flags is example5.kernel.flags(example5.f.inner_box(), seed=plan.seed)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            flags.skew = False
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.seed = 7
+        assert audit.audit_rule("T4.2", example5, "xi", plan).outcome == audit.CONSISTENT

@@ -502,6 +502,17 @@ class TestMalformedProblemFiles:
                 f"error: problem key {key!r}: dimension 0 is below 1\n"
             )
 
+    def test_one_dimensional_cone_of_the_origin_exit_two(self, tmp_path, capsys):
+        spec = {"version": "vvicert/1", "n": 1, "m": 1, "domain": [[-1, 1]],
+                "pieces": [{"region": "x1 >= -2", "components": ["x1"]}],
+                "e": [1], "cone": {"normals": [[1], [-1]]}}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        assert main(["check", "critical", "--problem", str(path), "--at", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: problem key 'cone': cone reduces to the origin (not full dimensional)\n"
+        )
+
     def test_top_level_not_an_object(self, tmp_path, capsys):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]", encoding="utf-8")

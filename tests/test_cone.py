@@ -158,9 +158,10 @@ class TestColumnTest:
         assert not OrderingCone.orthant(_COLUMN_TEST_MAX_DIM + 1)._column_test
         wedge = OrderingCone(normals=np.array([[1.0, 0.2, 0.0], [0.0, 1.0, 0.2], [0.2, 0.0, 1.0]]))
         assert not wedge._column_test
-        # _detect_orthant still calls these normals an orthant
+        # normals within 1e-13 of the identity are not an orthant
         near = OrderingCone(normals=np.array([[1.0, 1e-13], [0.0, 1.0]]))
-        assert near.is_orthant and not near._column_test
+        assert not near.is_orthant and not near._column_test
+        assert near.to_dict()["normals"] == near.normals.tolist()
 
 
 class TestConstruction:
@@ -278,6 +279,39 @@ class TestConstruction:
         assert again.to_dict()["cone"] == {"orthant": 2, "margin": 1e-3}
         # the margin changes which vectors are interior, so it changes the hash
         assert again.content_hash() == tight.content_hash() != default.content_hash()
+
+
+    def test_one_dimensional_cones(self):
+        up = OrderingCone(normals=[[1.0]])
+        assert up.generators.tolist() == [[1.0]] and up.to_dict() == {"orthant": 1}
+        down = OrderingCone(generators=[[-1.0]])
+        assert down.normals.tolist() == [[-1.0]] and not down.is_orthant
+        with pytest.raises(ValueError, match="reduces to the origin"):
+            OrderingCone(normals=[[1.0], [-1.0]])
+
+    def test_permuted_scaled_identities_are_orthants(self):
+        # given by normals only or by generators only, the derived side is
+        # exact, so every such cone serializes as the bare orthant
+        rng = np.random.default_rng(3)
+        for m in (1, 2, 3, 4):
+            for _ in range(4):
+                basis = np.eye(m)[rng.permutation(m)] * rng.uniform(0.1, 10.0, (m, 1))
+                for cone in (OrderingCone(normals=basis), OrderingCone(generators=basis.T)):
+                    assert cone.is_orthant and cone._column_test
+                    assert cone.to_dict() == {"orthant": m}
+
+    def test_near_orthant_keeps_its_normals_and_hash(self):
+        # within 1e-13 of the identity, yet a cone of its own: it holds a
+        # vector that the orthant does not
+        near = OrderingCone(normals=[[1.0, 1e-13], [0.0, 1.0]])
+        assert near.contains([-2e-9, 1e4])
+        assert not OrderingCone.orthant(2).contains([-2e-9, 1e4])
+        again = OrderingCone.from_dict(near.to_dict())
+        assert np.array_equal(again.normals, near.normals) and not again.is_orthant
+        spec = load_problem("example5").to_dict()
+        exact = Problem.from_dict(spec)
+        spec["cone"] = near.to_dict()
+        assert Problem.from_dict(spec).content_hash() != exact.content_hash()
 
 
 class TestOrderProperties:

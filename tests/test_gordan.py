@@ -630,7 +630,11 @@ class TestStackedWalk:
         def skip_zero_weights(lam, verts, axes):
             return sum(w * v for w, v in zip(lam, verts) if w)
 
+        def skip_zero_weights_stacked(lams, verts):  # the walk's np.matmul
+            return np.stack([[skip_zero_weights(lam, verts, 1)] for (lam,) in lams])
+
         monkeypatch.setattr(np, "tensordot", skip_zero_weights)
+        monkeypatch.setattr(np, "matmul", skip_zero_weights_stacked)
         for second in (np.inf, np.nan):
             f = _GivenVertices([[[1.0], [1.0]], [[second], [1.0]]])
             got = _canonical(check_vector_critical, f, OrderingCone.orthant(2), np.zeros(1))
@@ -646,8 +650,8 @@ def _stack_per_lambda(lambdas, verts):
 
 
 class TestWalkCost:
-    """Where the walk's SVDs and mixtures come from: one SVD for the first
-    lambda and one stacked SVD for the rest of the grid and its evidence."""
+    """Where the walk's SVDs and mixtures come from: one stacked matmul mixes
+    every lambda, and one stacked SVD decomposes the grid and its evidence."""
 
     @staticmethod
     def _count_calls(monkeypatch, owner, name):
@@ -664,31 +668,37 @@ class TestWalkCost:
     def test_at_most_two_svds_per_decision(self, monkeypatch):
         # the benchmark's kink and max3 problems: one SVD per lambda and one
         # per Gordan evidence made 18 calls for a 9-point kink grid and 61
-        # for a 45-point max3 grid
+        # for a 45-point max3 grid; example5 certifies at its first vertex
         workloads = _perfbench_workloads()
         inputs = workloads.build_inputs("critical-lp", 1)
         svd = self._count_calls(monkeypatch, np.linalg, "svd")
+        tensordot = self._count_calls(monkeypatch, np, "tensordot")
         grids = collections.Counter()
         for pid, problem in inputs.problems.items():
-            if pid == "example5":
-                continue
             svd.clear()
             v = check_vector_critical(problem.f, problem.cone, problem.point("x0"), SamplingPlan())
-            assert len(svd) <= 2, pid
+            assert (len(svd), len(tensordot)) == (1, 0), pid
             grids[v.stats["lambdaGridSize"], v.status] += 1
+            if pid == "example5":
+                assert v.certified and v.certificate["lambda"] == [1.0, 0.0]
         assert grids[9, certify.REFUTED] == 16 and grids[45, certify.REFUTED] == 8, grids
+        assert sum(grids.values()) == 25, grids
 
     def test_a_critical_first_vertex_mixes_and_decomposes_only_itself(self, example5, monkeypatch):
+        # the grid is mixed by one matmul and decomposed by one SVD, but the
+        # walk stops at the critical first vertex: only it is rank-decided
         svd = self._count_calls(monkeypatch, np.linalg, "svd")
         tensordot = self._count_calls(monkeypatch, np, "tensordot")
+        matmul = self._count_calls(monkeypatch, np, "matmul")
         v = check_vector_critical(example5.f, example5.cone, [0.0], SamplingPlan())
         assert v.certified and v.certificate["lambda"] == [1.0, 0.0]
-        assert (len(svd), len(tensordot)) == (1, 1)
+        assert (len(svd), len(tensordot), len(matmul)) == (1, 0, 1)
+        assert v.stats["rankDecided"] == 1 and v.stats["lpSolved"] == 0
 
     def test_one_matmul_would_round_the_grid_differently(self):
-        # the walk mixes each lambda with its own tensordot; one lambdas @ verts
-        # product over the grid rounds some mixtures differently, which the
-        # payload comparison above would report
+        # the walk mixes each lambda with its own vector-matrix product; one
+        # lambdas @ verts product over the grid rounds some mixtures
+        # differently, which the payload comparison above would report
         differ = 0
         for _, verts, _ in GRID_CASES[:-1]:
             lambdas = sampling.simplex_weights(len(verts), certify.SIMPLEX_GRID_DEPTH)
