@@ -105,7 +105,8 @@ class OrderingCone:
             generators = np.atleast_2d(np.asarray(generators, dtype=float))
             m = generators.shape[0]
             generators = _unit_rows(generators.T).T
-        if (normals is None or generators is None) and m > _CONVERT_MAX_DIM:
+        both = normals is not None and generators is not None
+        if not both and m > _CONVERT_MAX_DIM:
             raise ValueError(f"dimension {m} > {_CONVERT_MAX_DIM}: supply both representations")
         if normals is None:
             # facet normals of C = extreme rays of the dual cone {y : G^T y >= 0}
@@ -115,6 +116,9 @@ class OrderingCone:
 
         if normals.shape[1] != m or generators.shape[0] != m:
             raise DimensionMismatchError("normals and generators disagree on dimension")
+        # only the normals decide membership: given generators must lie in their cone
+        if both and np.any(normals @ generators < -CONE_TOL):
+            raise ValueError("generators leave the cone of the normals")
         if np.linalg.matrix_rank(normals, tol=1e-10) < m:
             raise ValueError("cone is not pointed (normal matrix is rank deficient)")
 

@@ -81,9 +81,9 @@ class ProblemFileError(VviCertError):
     @contextmanager
     def reading(cls, key: str):
         """Raise this error, naming `key`, for a missing key or a value the
-        block cannot read. Toolkit errors pass through unchanged."""
+        block cannot read or parse. Other toolkit errors pass through unchanged."""
         try:
             yield
-        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError, ParseError) as exc:
             reason = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
             raise cls(key, reason) from exc

@@ -559,9 +559,9 @@ def parse(text: str, dim: int, context: str = "function") -> Expr:
     return _parse_whole(text, dim, context, "expression", _Parser.parse_expr)
 
 
-def parse_predicate(text: str, dim: int, context: str = "function") -> Predicate:
-    """Parse a region predicate: comparisons joined by and/or, abs permitted."""
-    return _parse_whole(text, dim, context, "predicate", _Parser.parse_predicate)
+def parse_predicate(text: str, dim: int) -> Predicate:
+    """Parse a region over x1..x<dim> only: comparisons joined by and/or, abs permitted."""
+    return _parse_whole(text, dim, "function", "predicate", _Parser.parse_predicate)
 
 
 # ---------------------------------------------------------------------------

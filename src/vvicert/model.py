@@ -227,10 +227,11 @@ class PiecewiseVectorFn:
         )
 
     def _piece_values(self, x: np.ndarray, mask: np.ndarray) -> tuple:
-        """(out, shared, vals): each row's values of the first piece mask marks
+        """(out, shared, dev): each row's values of the first piece mask marks
         active (unset where none is), the rows where several pieces are, and
-        every piece's values there, NaN where inactive. Each piece is
-        evaluated once, on its active rows."""
+        dev[j, k], piece j's largest finite difference from that first piece
+        at the k-th shared row, -inf where j is inactive or none is finite
+        (inf - inf). Each piece is evaluated once, on its active rows."""
         first, shared = mask.argmax(axis=0), mask.sum(axis=0) > 1
         out = np.empty((len(x), self.m))
         vals = np.full((len(self.pieces), shared.sum(), self.m), np.nan)
@@ -245,7 +246,8 @@ class PiecewiseVectorFn:
                 v = el.evaluate_many(comp, sub)
                 out[rows, i] = v.compress(own)
                 vals[j, to, i] = v.compress(at)
-        return out, shared, vals
+        dev = np.fmax.reduce(np.abs(vals - out[shared]), axis=2, initial=-np.inf)
+        return out, shared, dev
 
     def values(self, x: np.ndarray) -> np.ndarray:
         """Vectorized evaluation over rows of x (first active piece wins); the
@@ -256,12 +258,9 @@ class PiecewiseVectorFn:
         if not covered.all():
             bad = x[~covered][0]
             raise NoActivePieceError(f"no region covers point {bad.tolist()}")
-        out, shared, vals = self._piece_values(x, mask)
+        out, shared, dev = self._piece_values(x, mask)
         if shared.any():
-            here = out[shared]
-            # a row without a finite deviation (inf - inf) decides nothing
-            dev = np.fmax.reduce(np.abs(np.where(mask[:, shared, None], vals, here) - here),
-                                 axis=(0, 2), initial=-np.inf)
+            dev = dev.max(axis=0)
             worst = int(np.argmax(dev))
             if dev[worst] > CONTINUITY_TOL:
                 raise InconsistentPiecesError(
@@ -320,36 +319,32 @@ class PiecewiseVectorFn:
     # -- load-time validation ----------------------------------------------------
 
     def validate(self, sample_count: int = 512, seed: int = 0) -> list:
-        """Sampled coverage and continuity checks; returns warning strings.
-
-        Coverage: sampled interior points must activate at least one
-        tolerance-inflated region. Continuity: at region-boundary roots found
-        along axis chords, all exactly active pieces must agree within the
-        continuity tolerance.
+        """Sampled coverage and continuity checks by the rules of values();
+        returns warning strings. Coverage: sampled interior points must
+        activate a region exactly. Continuity: there and at region-boundary
+        roots found along axis chords, active pieces must agree within the
+        continuity tolerance wherever their difference is finite.
         """
         problems = []
         pts = sampling.box_points(self.inner_box(), sample_count, seed)
-        mask = self.active_mask(pts, TOL_ACTIVE)
-        uncovered = ~mask.any(axis=0)
+        uncovered = ~self.active_mask(pts, 0.0).any(axis=0)
         if uncovered.any():
             problems.append(
                 f"coverage: {int(uncovered.sum())}/{sample_count} sampled points "
                 f"activate no region (first: {pts[uncovered][0].tolist()})"
             )
         try:
-            self.values(pts[mask.any(axis=0)])
+            self.values(pts[~uncovered])
         except InconsistentPiecesError as exc:
             problems.append(f"continuity: {exc}")
         center = self.inner_box().mean(axis=1)
         radius = float(np.min(self.inner_box()[:, 1] - self.inner_box()[:, 0]) / 2)
         _, _, roots, first = _chord_roots(self, center, radius)
         roots = roots[first]
-        mask = self.active_mask(roots, 0.0)
-        out, shared, vals = self._piece_values(roots, mask)
+        _, shared, dev = self._piece_values(roots, self.active_mask(roots, 0.0))
         # each root's active pieces against its first one (no root with one
         # active piece has a gap); the first piece that disagrees is reported
-        dev = np.abs(vals - out[shared]).max(axis=2)
-        gap = mask[:, shared] & (dev > CONTINUITY_TOL)
+        gap = dev > CONTINUITY_TOL
         roots = roots[shared]
         problems += [
             f"continuity: pieces disagree by {dev[gap[:, k].argmax(), k]:.3e} "

@@ -21,7 +21,7 @@ from vvicert.certify import (
 )
 from vvicert.cli import load_problem
 from vvicert.cone import OrderingCone
-from vvicert.errors import GenerationFailedError, OutOfDomainError
+from vvicert.errors import GenerationFailedError, OutOfDomainError, VviCertError
 from vvicert.model import Kernel, PiecewiseVectorFn
 from vvicert.problem import Problem
 
@@ -439,6 +439,64 @@ class TestGenerateInstance:
                 audit.RandomInstanceSpec(seed=seed, n=2, m=2, piece_count=3)
             )
             assert p.f.in_domain(p.point("x0"))
+
+
+class TestGenerationRetries:
+    """generate_instance retries an attempt that fails or does not validate,
+    each with the stream of (seed, attempt), and gives up after 20."""
+
+    SPEC = audit.RandomInstanceSpec(seed=7)
+
+    @staticmethod
+    def _jump():
+        # example5 with a jump of 1 at the kink, which validate() reports
+        spec = load_problem("example5").to_dict()
+        spec["pieces"][0]["components"][0] += " + 1"
+        return Problem.from_dict(spec)
+
+    def _attempts(self, monkeypatch, outcomes):
+        """Replace _generate_once by the outcomes in turn: an exception is
+        raised, a problem returned. Returns the first draw of each stream."""
+        draws = []
+
+        def fake(spec, rng):
+            assert spec is self.SPEC
+            draws.append(rng.random())
+            out = outcomes[len(draws) - 1]
+            if isinstance(out, Exception):
+                raise out
+            return out
+
+        monkeypatch.setattr(audit, "_generate_once", fake)
+        return draws
+
+    def _streams(self, count):
+        return [np.random.default_rng(np.random.SeedSequence([7, k])).random()
+                for k in range(count)]
+
+    def test_error_retried(self, monkeypatch):
+        good = load_problem("example5")
+        draws = self._attempts(monkeypatch, [VviCertError("bad attempt")] * 2 + [good])
+        assert audit.generate_instance(self.SPEC) is good
+        assert draws == self._streams(3)
+
+    def test_validation_issue_retried(self, monkeypatch):
+        bad, good = self._jump(), load_problem("example5")
+        assert bad.f.validate(sample_count=256, seed=7)
+        draws = self._attempts(monkeypatch, [bad, good])
+        assert audit.generate_instance(self.SPEC) is good
+        assert draws == self._streams(2)
+
+    def test_gives_up_after_twenty(self, monkeypatch):
+        bad = self._jump()
+        draws = self._attempts(monkeypatch, [VviCertError("bad attempt")] * 19 + [bad])
+        issues = "; ".join(bad.f.validate(sample_count=256, seed=7))
+        with pytest.raises(GenerationFailedError) as info:
+            audit.generate_instance(self.SPEC)
+        assert str(info.value) == (
+            f"instance generation failed after retries (seed 7): {issues}"
+        )
+        assert draws == self._streams(20)
 
 
 class TestRunMatrix:

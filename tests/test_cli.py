@@ -273,6 +273,19 @@ class TestDispatch:
         assert "coverage: 512/512 sampled points activate no region" in err
         assert "error: no region covers point [0.0]" in err
 
+    def test_gap_between_regions_warns(self, tmp_path, capsys):
+        # x1 < 0 and x1 > 0 leave out the sampled point 0.0 only: a warning,
+        # and the Jacobian inside a piece is computed; --strict refuses it
+        path = tmp_path / "gap.json"
+        path.write_text(json.dumps(GAP_FILE))
+        argv = ["jacobian", "--problem", str(path), "--at", "0.5"]
+        warning = "coverage: 1/512 sampled points activate no region (first: [0.0])"
+        code, report = dispatch(argv)
+        assert code == 0 and report["payload"]["vertices"] == [[[1.0], [-1.0]]]
+        assert capsys.readouterr().err.splitlines() == [f"warning: {warning}"]
+        assert dispatch(argv + ["--strict"]) == (2, {})
+        assert capsys.readouterr().err.splitlines() == [f"error: {warning}"]
+
     @pytest.mark.parametrize(
         "argv, code",
         [
@@ -363,6 +376,11 @@ class TestInputErrors:
         assert dispatch(["audit", "--rules", rules, "--problem", "example5", "--at", "0"]) == (2, {})
         assert capsys.readouterr().err.splitlines() == ["error: no rules given"]
 
+    def test_unknown_rule_exit_two(self, capsys):
+        argv = ["audit", "--rules", "T4.6, T9.9", "--problem", "example5", "--at", "0"]
+        assert dispatch(argv) == (2, {})
+        assert capsys.readouterr().err.splitlines() == ["error: unknown rules: T9.9"]
+
     AUDIT_T46 = ["audit", "--rules", "T4.6", "--problem", "example5", "--at", "0",
                  "--samples", "100"]
 
@@ -393,6 +411,14 @@ class TestInputErrors:
         assert [(p.ball_sample_count, p.pair_sample_count) for p in plans] == [
             (10_000, 10_000), (2000, 2000), (300, 300)
         ]
+
+
+# two pieces that agree, on regions that leave out x1 = 0
+GAP_FILE = {
+    "version": "vvicert/1", "n": 1, "m": 2, "domain": [[-1.0, 1.0]],
+    "pieces": [{"region": "x1 < 0", "components": ["x1", "-x1"]},
+               {"region": "x1 > 0", "components": ["x1", "-x1"]}],
+}
 
 
 def _malformed(change):
@@ -511,6 +537,36 @@ class TestMalformedProblemFiles:
         assert main(["check", "critical", "--problem", str(path), "--at", "0"]) == 2
         assert capsys.readouterr().err == (
             "error: problem key 'cone': cone reduces to the origin (not full dimensional)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "cone, reason",
+        [
+            ({"normals": [[1, 0], [0, 1]], "generators": [[-1, 0], [0, -1]]},
+             "generators leave the cone of the normals"),
+            # rank 2, yet inside the line x1 = 0
+            ({"normals": [[1, 0], [-1, 0], [0, 1]]},
+             "cone has empty interior (no strictly interior witness)"),
+            # the orthant's best witness has slack 1/sqrt(2) on each facet
+            ({"orthant": 2, "margin": 0.9}, "cone interior too thin for the strictness margin"),
+        ],
+        ids=["generators outside", "empty interior", "margin too wide"],
+    )
+    def test_cone_error_exit_two(self, tmp_path, capsys, cone, reason):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_malformed(lambda s: s.update(cone=cone))), encoding="utf-8")
+        assert main(["check", "critical", "--problem", str(path), "--at", "0"]) == 2
+        assert capsys.readouterr().err == f"error: problem key 'cone': {reason}\n"
+
+    def test_region_naming_y_exit_two(self, tmp_path, capsys):
+        # regions are tested at x alone: y1 is refused where it is parsed
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_malformed(
+            lambda s: s["pieces"][0].update(region="x1 + y1 >= 0"))), encoding="utf-8")
+        assert main(["check", "critical", "--problem", str(path), "--at", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: problem key 'pieces': 'y' variables are only available in kernel "
+            "context (at offset 5)\n"
         )
 
     def test_top_level_not_an_object(self, tmp_path, capsys):

@@ -313,6 +313,23 @@ class TestConstruction:
         spec["cone"] = near.to_dict()
         assert Problem.from_dict(spec).content_hash() != exact.content_hash()
 
+    @pytest.mark.parametrize("normals", [np.eye(2), [[1.0, 0.0], [1.0, 1.0]]],
+                             ids=["orthant", "wedge"])
+    def test_generators_outside_the_normals_rejected(self, normals):
+        # only the normals decide membership, so generators that leave
+        # their cone would serialize, and enter the hash, unread
+        with pytest.raises(ValueError, match="generators leave the cone of the normals"):
+            OrderingCone(normals=normals, generators=-np.eye(2))
+
+    def test_generators_on_the_boundary_kept(self):
+        # the wedge's own rays as columns, unnormalized: N G is 0 on the
+        # facets up to rounding, and the cone is the derived one
+        derived = OrderingCone(normals=[[1.0, 0.0], [1.0, 1.0]])
+        stated = OrderingCone(normals=[[1.0, 0.0], [1.0, 1.0]],
+                              generators=[[0.0, 3.0], [2.0, -3.0]])
+        assert np.min(stated.normals @ stated.generators) >= -CONE_TOL
+        assert np.allclose(stated.generators, derived.generators)
+
 
 class TestOrderProperties:
     def test_transitivity_random_triples(self, orthant2):

@@ -48,6 +48,14 @@ class TestParse:
         with pytest.raises(ParseError):
             el.parse("x1 - y1", 1, context="function")
 
+    def test_region_over_x_only(self):
+        # regions are tested without y, so a region naming y1 is refused
+        with pytest.raises(ParseError, match="'y' variables") as exc:
+            el.parse_predicate("x1 + y1 >= 0", 1)
+        assert exc.value.position == 5
+        with pytest.raises(TypeError):
+            el.parse_predicate("x1 + y1 >= 0", 1, context="kernel")
+
     def test_bare_x_alias_dim1_only(self):
         assert el.evaluate(el.parse("x^2", 1), [3.0]) == pytest.approx(9.0)
         with pytest.raises(ParseError):

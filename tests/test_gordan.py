@@ -58,6 +58,21 @@ class TestGordanExamples:
                 assert np.max(np.abs(A.T @ cert.y)) <= 1e-7
                 assert np.sum(cert.y) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize(
+        "A, alternative",
+        [
+            (np.eye(2), 1),
+            (np.array([[1.0, 0.0], [0.5, 1.0], [1.0, 2.0]]), 1),
+            (np.array([[1.0], [-1.0]]), 2),
+            (np.array([[5.0, 1.0], [-2.0, 0.0], [1.0, -3.0]]), 2),
+        ],
+    )
+    def test_no_cone_is_the_orthant(self, A, alternative):
+        cert = gordan_alternative(A)
+        assert cert.alternative == alternative
+        want = gordan_alternative(A, OrderingCone.orthant(A.shape[0]))
+        assert json.dumps(cert.to_dict()) == json.dumps(want.to_dict())
+
     def test_general_polyhedral_cone(self):
         cone = OrderingCone(generators=np.array([[1.0, 1.0], [0.0, 1.0]]))
         rng = np.random.default_rng(2)

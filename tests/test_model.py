@@ -100,6 +100,60 @@ class TestEval:
             "coverage: 512/512 sampled points activate no region (first: [0.0])"
         ]
 
+    def test_gap_between_regions_is_a_coverage_warning(self):
+        # 0.0 lies in no region, exactly as values() tests it: a warning,
+        # not the NoActivePieceError that values() raises there
+        f = PiecewiseVectorFn.from_dict({
+            "n": 1, "m": 2, "domain": [[-1.0, 1.0]],
+            "pieces": [{"region": "x1 < 0", "components": ["x1", "-x1"]},
+                       {"region": "x1 > 0", "components": ["x1", "-x1"]}],
+        })
+        assert f.validate() == [
+            "coverage: 1/512 sampled points activate no region (first: [0.0])"
+        ]
+        with pytest.raises(NoActivePieceError):
+            f.values([[0.0]])
+
+
+# the first component overflows to inf on both sides of x1 = 0
+_HUGE = "10^300*10^300*(1 + x2^2)"
+_ROOT_CASES = {
+    "overflow": [("x1 <= 0", [f"x1 + {_HUGE}", "x2 + 1"]), ("x1 >= 0", [f"x1 + {_HUGE}", "x2"])],
+    "no finite difference": [("x1 <= 0", [_HUGE, "x2"]), ("x1 >= 0", [_HUGE, "x2"])],
+    "plain jump": [("x1 <= 0.3", ["x1", "x2"]), ("x1 >= 0.3", ["x1 + 1", "x2"])],
+    "continuous kink": [("x1 <= 0", ["-x1", "x2"]), ("x1 >= 0", ["x1", "x2^2"])],
+}
+
+
+class TestValidateByTheValueRules:
+    """validate() reports a gap at a boundary root exactly when values()
+    raises there."""
+
+    @pytest.mark.parametrize("case", sorted(_ROOT_CASES))
+    def test_root_gap_iff_values_raise(self, case):
+        f = PiecewiseVectorFn.from_dict({
+            "n": 2, "m": 2, "domain": [[-1.0, 1.3], [-1.0, 1.0]],
+            "pieces": [{"region": r, "components": c} for r, c in _ROOT_CASES[case]],
+        })
+        box = f.inner_box()
+        _, _, roots, first = _chord_roots(f, box.mean(axis=1), np.min(box[:, 1] - box[:, 0]) / 2)
+        with np.errstate(invalid="ignore"):
+            messages = f.validate()
+            raised = []
+            for root in roots[first]:
+                try:
+                    f.values(root[None])
+                except InconsistentPiecesError:
+                    raised.append(root.tolist())
+        reported = [root.tolist() for root in roots[first]
+                    if any(m.endswith(f"at boundary point {root.tolist()}") for m in messages)]
+        assert reported == raised
+        assert bool(raised) == (case in ("overflow", "plain jump")), messages
+        if case == "overflow":
+            assert messages == [
+                "continuity: pieces disagree by 1.000e+00 at boundary point [0.0, 0.0]"
+            ]
+
 
 class TestClarkeJacobian:
     def test_example5_kink(self, example5):
