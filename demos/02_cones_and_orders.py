@@ -31,8 +31,9 @@ print("(1,2) <_C  (1,2)    :", orthant.strictly_contains(y - y))
 print("e=(0.5,0.5) valid   :", orthant.validate_e([0.5, 0.5]))
 print("e=(1,0)     valid   :", orthant.validate_e([1.0, 0.0]))
 
-# General polyhedral cones can be built from generators or facet normals;
-# the missing representation is derived for dimensions up to 4.
+# General polyhedral cones can be built from facet normals, in any dimension,
+# or from generators, whose facet normals are derived; the normals alone
+# decide every order test.
 wedge = OrderingCone(generators=np.array([[1.0, 1.0], [0.0, 1.0]]))
 print("\nwedge cone from rays (1,0), (1,1)")
 print("facet normals:\n", np.round(wedge.normals, 6))

@@ -713,7 +713,8 @@ def _decomposed_grid(lambdas: np.ndarray, verts: np.ndarray) -> list:
     # one vector-matrix product per lambda, stacked in one matmul: one 2-D
     # lambdas @ verts product over the grid rounds some mixtures differently
     k, m, n = verts.shape
-    mixes = np.matmul(lambdas[:, None, :], verts.reshape(k, -1)).reshape(-1, m, n)
+    with np.errstate(invalid="ignore"):  # 0 * inf is NaN, which `finite` stops at
+        mixes = np.matmul(lambdas[:, None, :], verts.reshape(k, -1)).reshape(-1, m, n)
     finite = np.all(np.isfinite(mixes), axis=(1, 2))
     reach = len(mixes) if finite.all() else int(np.argmin(finite))
     units = _alt.unit_scale(mixes[: min(reach, _EVIDENCE_LAMBDAS)])

@@ -1,20 +1,21 @@
 """Polyhedral ordering cones and the partial orders they induce.
 
-A cone C here is closed, pointed, convex, with nonempty interior, stored in
-both a generator form (columns are extreme rays) and a halfspace form
-C = {v : N v >= 0} with unit-norm rows. Every order test is a finite set of
-linear inequalities:
+A cone C here is closed, pointed, convex, with nonempty interior, stored as
+its facet normals: C = {v : N v >= 0} with unit-norm rows. Every order test
+is a finite set of linear inequalities:
 
     x <=_C y  iff  y - x in C          (membership up to an absolute tol)
     x <_C  y  iff  y - x in int C      (membership with a relative margin)
 
-For dimensions up to 4 a missing representation is derived by ray/facet
-enumeration; in higher dimension both must be supplied.
+Generators (columns are extreme rays) given alone are enumerated into the
+normals, in any dimension within _MAX_FACET_SUBSETS; given with the normals,
+they are only checked against them.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 from typing import Optional
 
 import numpy as np
@@ -24,7 +25,10 @@ from .errors import DimensionMismatchError
 
 __all__ = ["OrderingCone"]
 
-_CONVERT_MAX_DIM = 4
+# most (m-1)-subsets of k generators that facet enumeration may decompose,
+# one SVD and one product with all k rays each: 30-40 us apiece on a 2-core
+# VM, so at most 0.8 s at the cap (2-D, 20,000 rays)
+_MAX_FACET_SUBSETS = 20_000
 # absolute tolerance of the closed-cone test N v >= -CONE_TOL
 CONE_TOL = 1e-9
 # relative margin of the open-cone test N v > margin * ||v||
@@ -42,31 +46,33 @@ def _unit_rows(a: np.ndarray) -> np.ndarray:
     return a / norms
 
 
-def _dedupe_rays(rays: list, tol: float = 1e-9) -> np.ndarray:
+def _dedupe_rays(rays: list) -> np.ndarray:
     out = []
     for r in rays:
         r = r / np.linalg.norm(r)
-        if not any(np.linalg.norm(r - q) <= tol for q in out):
+        if not any(np.linalg.norm(r - q) <= 1e-9 for q in out):
             out.append(r)
     return np.array(out)
 
 
 def _extreme_rays(B: np.ndarray) -> np.ndarray:
-    """Extreme rays of {v : B v >= 0} for a pointed cone, dimension <= 4.
+    """Extreme rays of {v : B v >= 0} for a pointed cone.
 
     Classic facet-intersection enumeration: every extreme ray of a pointed
     m-dimensional polyhedral cone lies on m-1 linearly independent active
-    constraints.
+    constraints. It decomposes every (m-1)-subset of the rows of B, and
+    refuses before the first when there are more than _MAX_FACET_SUBSETS.
     """
     m = B.shape[1]
+    subsets = comb(B.shape[0], m - 1)
+    if subsets > _MAX_FACET_SUBSETS:
+        raise ValueError(
+            f"{B.shape[0]} generators in dimension {m} leave {subsets} facet candidates, "
+            f"more than {_MAX_FACET_SUBSETS}: give the cone's normals"
+        )
     if m == 1:
-        lo = np.min(B[:, 0])
-        hi = np.max(B[:, 0])
-        rays = []
-        if lo >= 0:
-            rays.append(np.array([1.0]))
-        if hi <= 0:
-            rays.append(np.array([-1.0]))
+        # the half-lines v >= 0 and v <= 0, where every row of B agrees
+        rays = [np.array([s]) for s in (1.0, -1.0) if np.all(s * B[:, 0] >= 0)]
         if not rays:
             raise ValueError("cone reduces to the origin (not full dimensional)")
         return np.array(rays)
@@ -98,38 +104,29 @@ class OrderingCone:
     ):
         if normals is None and generators is None:
             raise ValueError("supply normals (rows) and/or generators (columns)")
-        if normals is not None:
-            normals = _unit_rows(np.atleast_2d(np.asarray(normals, dtype=float)))
-            m = normals.shape[1]
         if generators is not None:
-            generators = np.atleast_2d(np.asarray(generators, dtype=float))
-            m = generators.shape[0]
-            generators = _unit_rows(generators.T).T
-        both = normals is not None and generators is not None
-        if not both and m > _CONVERT_MAX_DIM:
-            raise ValueError(f"dimension {m} > {_CONVERT_MAX_DIM}: supply both representations")
+            rays = _unit_rows(np.atleast_2d(np.asarray(generators, dtype=float)).T)
         if normals is None:
-            # facet normals of C = extreme rays of the dual cone {y : G^T y >= 0}
-            normals = _unit_rows(_extreme_rays(generators.T))
-        if generators is None:
-            generators = _unit_rows(_extreme_rays(normals)).T
-
-        if normals.shape[1] != m or generators.shape[0] != m:
-            raise DimensionMismatchError("normals and generators disagree on dimension")
-        # only the normals decide membership: given generators must lie in their cone
-        if both and np.any(normals @ generators < -CONE_TOL):
-            raise ValueError("generators leave the cone of the normals")
+            # facet normals = extreme rays of the dual {y : G^T y >= 0}, which hold G
+            normals, generators = _extreme_rays(rays), None
+        normals = _unit_rows(np.atleast_2d(np.asarray(normals, dtype=float)))
+        m = normals.shape[1]
+        if generators is not None:
+            if rays.shape[1] != m:
+                raise DimensionMismatchError("normals and generators disagree on dimension")
+            # only the normals decide membership: given generators must lie in their cone
+            if np.any(normals @ rays.T < -CONE_TOL):
+                raise ValueError("generators leave the cone of the normals")
         if np.linalg.matrix_rank(normals, tol=1e-10) < m:
             raise ValueError("cone is not pointed (normal matrix is rank deficient)")
 
         self.dim = m
         self.normals = normals
-        self.generators = generators
         self.margin = float(margin)
         self.tol = CONE_TOL
         self.interior_witness = interior_witness(normals, self.margin)
         # read-only: the cached choices and every memo keyed by the cone rest on it
-        for a in (self.normals, self.generators, self.interior_witness):
+        for a in (self.normals, self.interior_witness):
             a.setflags(write=False)
         # an orthant iff the normals permute the identity exactly (-0.0 is
         # 0.0). Then v @ N.T holds the columns of v, and up to
@@ -149,7 +146,7 @@ class OrderingCone:
     @classmethod
     def orthant(cls, m: int, margin: float = DEFAULT_MARGIN) -> "OrderingCone":
         """The nonnegative orthant of dimension m, the default ordering cone."""
-        return cls(np.eye(m), np.eye(m), margin)
+        return cls(np.eye(m), margin=margin)
 
     @classmethod
     def from_dict(cls, spec: dict) -> "OrderingCone":
@@ -158,11 +155,10 @@ class OrderingCone:
         if "orthant" in spec:
             return cls.orthant(int(spec["orthant"]), margin=spec.get("margin", DEFAULT_MARGIN))
         gens = spec.get("generators")
-        if gens is not None:
-            gens = np.atleast_2d(np.asarray(gens, dtype=float)).T  # rows -> columns
         return cls(
             normals=spec.get("normals"),
-            generators=gens,
+            # rows -> columns
+            generators=None if gens is None else np.atleast_2d(np.asarray(gens, dtype=float)).T,
             margin=spec.get("margin", DEFAULT_MARGIN),
         )
 
@@ -173,11 +169,7 @@ class OrderingCone:
             if self.margin == DEFAULT_MARGIN:
                 return {"orthant": self.dim}
             return {"orthant": self.dim, "margin": self.margin}
-        return {
-            "normals": self.normals.tolist(),
-            "generators": self.generators.T.tolist(),
-            "margin": self.margin,
-        }
+        return {"normals": self.normals.tolist(), "margin": self.margin}
 
     # -- membership ------------------------------------------------------------
 

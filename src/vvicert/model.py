@@ -246,7 +246,8 @@ class PiecewiseVectorFn:
                 v = el.evaluate_many(comp, sub)
                 out[rows, i] = v.compress(own)
                 vals[j, to, i] = v.compress(at)
-        dev = np.fmax.reduce(np.abs(vals - out[shared]), axis=2, initial=-np.inf)
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fmax skips
+            dev = np.fmax.reduce(np.abs(vals - out[shared]), axis=2, initial=-np.inf)
         return out, shared, dev
 
     def values(self, x: np.ndarray) -> np.ndarray:

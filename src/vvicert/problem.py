@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cone import OrderingCone
-from .errors import ProblemFileError, VviCertError
+from .errors import DimensionMismatchError, ProblemFileError, VviCertError
 from .model import Kernel, PiecewiseVectorFn, _memoized
 
 __all__ = ["Problem", "FORMAT_VERSION"]
@@ -48,14 +48,16 @@ class Problem:
         f = PiecewiseVectorFn.from_dict(spec)
         with ProblemFileError.reading("cone"):
             cone = OrderingCone.from_dict(spec.get("cone", {"orthant": f.m}))
-        if cone.dim != f.m:
-            raise VviCertError(
-                f"cone dimension {cone.dim} disagrees with output dimension {f.m}"
-            )
+            if cone.dim != f.m:
+                raise DimensionMismatchError(
+                    f"cone dimension {cone.dim} disagrees with output dimension {f.m}"
+                )
         with ProblemFileError.reading("kernel"):
             kernel = Kernel.from_dict(spec.get("kernel", {"kind": "difference"}), f.n)
         with ProblemFileError.reading("e"):
             e = np.asarray(spec.get("e", [0.5] * f.m), dtype=float)
+            if e.shape != (f.m,):
+                raise DimensionMismatchError(f"e of shape {e.shape}, expected ({f.m},)")
         with ProblemFileError.reading("points"):
             points = {
                 k: np.asarray(v, dtype=float) for k, v in spec.get("points", {}).items()

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,17 @@ def criterion_10_instances(example5, example23) -> list:
     """(problem, point) pairs of the criterion-10 audit: both fixtures and
     the 100 generated instances of `vvicert audit --generated 100 --seed 0`."""
     return [(example5, "xi"), (example23, "x0")] + audit.generated_instances(100, 0)
+
+
+def cross_cone(m) -> tuple:
+    """The cross cone {v : |v_i| <= v_m for i < m}: its 2(m - 1) normals
+    (rows) and its 2^(m - 1) extreme rays (columns), neither normalized."""
+    normals = np.zeros((2 * (m - 1), m))
+    normals[:, -1] = 1.0
+    for i in range(m - 1):
+        normals[2 * i, i], normals[2 * i + 1, i] = 1.0, -1.0
+    rays = np.array([s + (1.0,) for s in itertools.product((1.0, -1.0), repeat=m - 1)]).T
+    return normals, rays
 
 
 # the payload-producing commands of acceptance criterion 11

@@ -1,10 +1,12 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
+from conftest import cross_cone
 from vvicert.cli import dispatch, load_problem, main
-from vvicert.errors import ProblemFileError, VviCertError
+from vvicert.errors import DimensionMismatchError, ProblemFileError, VviCertError
 from vvicert.problem import Problem
 
 
@@ -286,6 +288,35 @@ class TestDispatch:
         assert dispatch(argv + ["--strict"]) == (2, {})
         assert capsys.readouterr().err.splitlines() == [f"error: {warning}"]
 
+    def test_overflowing_pieces_warn_once(self, tmp_path):
+        # both pieces overflow to inf on x1 = 0, where inf - inf is NaN: the
+        # continuity check skips it, and numpy's own warning stays unprinted.
+        # A child process shows the stderr that a user sees.
+        import os
+        import subprocess
+        import sys
+
+        import vvicert
+
+        big = "x1 + 10^300*10^300*(1 + x2^2)"
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({
+            "version": "vvicert/1", "n": 2, "m": 2, "domain": [[-1, 1.3], [-1, 1]],
+            "pieces": [{"region": "x1 <= 0", "components": [big, "x2 + 1"]},
+                       {"region": "x1 >= 0", "components": [big, "x2"]}],
+        }))
+        src = os.path.dirname(os.path.dirname(vvicert.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        res = subprocess.run(
+            [sys.executable, "-m", "vvicert.cli", "jacobian", "--problem", str(path),
+             "--at", "0.5,0.5"], capture_output=True, text=True, env=env,
+        )
+        assert res.returncode == 0
+        assert res.stderr.splitlines() == [
+            "warning: continuity: pieces disagree by 1.000e+00 at boundary point [0.0, 0.0]"
+        ]
+
     @pytest.mark.parametrize(
         "argv, code",
         [
@@ -428,18 +459,18 @@ def _malformed(change):
     return spec
 
 
-def _five_outputs(spec):
-    spec["m"] = 5
-    for piece in spec["pieces"]:
-        piece["components"] = ["x1"] * 5
-    spec["e"] = [0.5] * 5
-    spec["cone"] = {"normals": np.eye(5).tolist()}
-
-
 MALFORMED_FILES = {
     "empty cone": ("cone", lambda s: s.update(cone={})),
     "cone not pointed": ("cone", lambda s: s.update(cone={"normals": [[1, 0], [-1, 0]]})),
-    "normals only at m = 5": ("cone", _five_outputs),
+    "cone of another dimension": ("cone", lambda s: s.update(cone={"orthant": 3})),
+    "normals and generators disagree in m": (
+        "cone", lambda s: s.update(cone={"normals": [[1, 0], [0, 1]], "generators": [[1, 0, 0]]})
+    ),
+    "piece with one component": ("pieces", lambda s: s["pieces"][0].update(components=["x1"])),
+    "custom kernel of two components": (
+        "kernel", lambda s: s.update(kernel={"kind": "custom", "components": ["x1 - y1", "0"]})
+    ),
+    "e of three entries": ("e", lambda s: s.update(e=[0.5, 0.5, 0.5])),
     "unknown kernel kind": ("kernel", lambda s: s.update(kernel={"kind": "bogus"})),
     "empty domain box": ("domain", lambda s: s.update(domain=[[1, 1]])),
     "domain row of three": ("domain", lambda s: s.update(domain=[[-2, 2, 3]])),
@@ -536,7 +567,7 @@ class TestMalformedProblemFiles:
         path.write_text(json.dumps(spec), encoding="utf-8")
         assert main(["check", "critical", "--problem", str(path), "--at", "0"]) == 2
         assert capsys.readouterr().err == (
-            "error: problem key 'cone': cone reduces to the origin (not full dimensional)\n"
+            "error: problem key 'cone': cone has empty interior (no strictly interior witness)\n"
         )
 
     @pytest.mark.parametrize(
@@ -581,7 +612,64 @@ class TestMalformedProblemFiles:
         with pytest.raises(ProblemFileError) as info:
             Problem.from_dict(_malformed(change))
         assert info.value.key == key
-        assert isinstance(info.value.__cause__, (KeyError, TypeError, ValueError))
+        assert isinstance(
+            info.value.__cause__, (KeyError, TypeError, ValueError, DimensionMismatchError)
+        )
+
+
+def _kink_file(m, cone, e):
+    """f: R -> R^m with a kink at 0, under the given cone block."""
+    return {
+        "version": "vvicert/1", "n": 1, "m": m, "domain": [[-1, 1]],
+        "pieces": [
+            {"region": "x1 <= 0", "components": [f"{k + 1}*x1" for k in range(m)]},
+            {"region": "x1 >= 0", "components": [f"x1^2 - {k + 1}*x1" for k in range(m)]},
+        ],
+        "cone": cone, "e": e,
+    }
+
+
+class TestConesByNormalsAlone:
+    """A cone is its normals, in any dimension; generators given alone are
+    enumerated into normals within a bounded work."""
+
+    FILES = {
+        "cross m = 5": _kink_file(5, {"normals": cross_cone(5)[0].tolist()}, [0, 0, 0, 0, 1]),
+        "tilted m = 8": _kink_file(
+            8, {"normals": (np.eye(8) + 0.2 * np.eye(8, k=1)).tolist()}, [0.5] * 8
+        ),
+    }
+
+    @pytest.mark.parametrize("argv", [
+        ["jacobian"],
+        ["check", "efficiency", "--samples", "300"],
+        ["check", "vvi", "--variant", "svvi", "--samples", "300"],
+        ["check", "invex", "--class", "invex", "--samples", "300"],
+        ["check", "critical"],
+        ["audit", "--samples", "300"],
+    ], ids=["jacobian", "efficiency", "vvi", "invex", "critical", "audit"])
+    @pytest.mark.parametrize("case", sorted(FILES))
+    def test_every_command_gives_a_verdict(self, tmp_path, capsys, case, argv):
+        path = tmp_path / "cone.json"
+        path.write_text(json.dumps(self.FILES[case]), encoding="utf-8")
+        assert main([*argv, "--problem", str(path), "--at", "0"]) in (0, 1)
+        err = capsys.readouterr().err  # the audit's table goes to stderr
+        assert "error" not in err and "warning" not in err
+
+    @pytest.mark.parametrize("m, rays", [
+        (6, cross_cone(6)[1].T.tolist()),  # 201,376 subsets of 5 of 32 rays
+        (4, np.random.default_rng(0).uniform(0.1, 1.0, (100, 4)).tolist()),  # 161,700
+    ], ids=["cross m = 6", "100 rays in m = 4"])
+    def test_enumeration_past_its_bound_refused_at_once(self, tmp_path, capsys, m, rays):
+        path = tmp_path / "cone.json"
+        path.write_text(json.dumps(_kink_file(m, {"generators": rays}, [1.0] * m)),
+                        encoding="utf-8")
+        start = time.perf_counter()
+        code = main(["check", "critical", "--problem", str(path), "--at", "0"])
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: problem key 'cone': ")
+        assert "give the cone's normals" in err
 
 
 class TestKernelAliases:

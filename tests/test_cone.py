@@ -5,12 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 
 import vvicert
-from vvicert import _alt
+from conftest import cross_cone
+from vvicert import _alt, cone as cone_module
 from vvicert.cli import load_problem
 from vvicert.cone import (
     _COLUMN_TEST_MAX_DIM,
@@ -173,7 +174,7 @@ class TestConstruction:
 
     def test_normals_to_generators_3d(self):
         c = OrderingCone(normals=np.eye(3))
-        assert c.generators.shape == (3, 3)
+        assert _extreme_rays(c.normals).shape == (3, 3)
         assert c.contains([1.0, 2.0, 3.0])
         assert not c.contains([1.0, -1.0, 0.0])
 
@@ -247,7 +248,6 @@ class TestConstruction:
             assert cone.is_orthant and cone.to_dict() == {"orthant": m, "margin": 1e-8}
             assert OrderingCone.orthant(m).to_dict() == {"orthant": m}
             assert np.array_equal(cone.normals, np.eye(m))
-            assert np.array_equal(cone.generators, np.eye(m))
             assert np.array_equal(
                 cone.interior_witness, _alt.interior_witness(np.eye(m), 1e-8)
             )
@@ -283,11 +283,14 @@ class TestConstruction:
 
     def test_one_dimensional_cones(self):
         up = OrderingCone(normals=[[1.0]])
-        assert up.generators.tolist() == [[1.0]] and up.to_dict() == {"orthant": 1}
+        assert _extreme_rays(up.normals).tolist() == [[1.0]] and up.to_dict() == {"orthant": 1}
         down = OrderingCone(generators=[[-1.0]])
         assert down.normals.tolist() == [[-1.0]] and not down.is_orthant
-        with pytest.raises(ValueError, match="reduces to the origin"):
+        # the cone of the origin: rank 1 by its normals, so its interior decides
+        with pytest.raises(ValueError, match="empty interior"):
             OrderingCone(normals=[[1.0], [-1.0]])
+        with pytest.raises(ValueError, match="reduces to the origin"):
+            OrderingCone(generators=[[1.0, -1.0]])
 
     def test_permuted_scaled_identities_are_orthants(self):
         # given by normals only or by generators only, the derived side is
@@ -324,11 +327,74 @@ class TestConstruction:
     def test_generators_on_the_boundary_kept(self):
         # the wedge's own rays as columns, unnormalized: N G is 0 on the
         # facets up to rounding, and the cone is the derived one
+        gens = np.array([[0.0, 3.0], [2.0, -3.0]])
         derived = OrderingCone(normals=[[1.0, 0.0], [1.0, 1.0]])
-        stated = OrderingCone(normals=[[1.0, 0.0], [1.0, 1.0]],
-                              generators=[[0.0, 3.0], [2.0, -3.0]])
-        assert np.min(stated.normals @ stated.generators) >= -CONE_TOL
-        assert np.allclose(stated.generators, derived.generators)
+        stated = OrderingCone(normals=[[1.0, 0.0], [1.0, 1.0]], generators=gens)
+        rays = gens / np.linalg.norm(gens, axis=0)
+        assert np.min(stated.normals @ rays) >= -CONE_TOL
+        assert np.allclose(rays, _extreme_rays(derived.normals).T)
+        assert np.array_equal(stated.normals, derived.normals)
+
+
+@st.composite
+def _cones_by_both_forms(draw):
+    """(rays, normals, rng) of one cone: a simplicial cone at m = 2-6, or a
+    cross cone at m = 3-5 (h = 2(m - 1) > m facets), mapped by a tame T."""
+    m = draw(st.integers(2, 6), label="m")
+    kind = draw(st.sampled_from(["simplicial", "cross"] if 3 <= m <= 5 else ["simplicial"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    t = np.eye(m) + 0.5 * rng.uniform(-1.0, 1.0, (m, m))
+    assume(np.linalg.cond(t) < 1e2)
+    if kind == "simplicial":
+        return t, np.linalg.inv(t), rng
+    normals, rays = cross_cone(m)
+    # the cone T C has the rays T r and the normals N T^-1
+    return t @ rays, normals @ np.linalg.inv(t), rng
+
+
+class TestConesByGeneratorsAlone:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(_cones_by_both_forms())
+    def test_derived_normals_order_as_the_stated(self, case):
+        rays, normals, rng = case
+        derived = OrderingCone(generators=rays)
+        stated = OrderingCone(normals=normals)
+        assert derived.normals.shape == stated.normals.shape
+        m = stated.dim
+        # vectors inside (positive mixtures of the rays) and anywhere, kept
+        # where they lie at least 1e-6 from every facet
+        v = np.vstack([
+            rng.uniform(0.0, 1.0, (200, rays.shape[1])) @ rays.T,
+            rng.uniform(-1.0, 1.0, (400, m)),
+        ])
+        v = v[np.min(np.abs(v @ stated.normals.T), axis=1) >= 1e-6]
+        inside = stated.contains_many(v)
+        assert inside.any() and not inside.all()
+        assert np.array_equal(derived.contains_many(v), inside)
+        assert np.array_equal(derived.strictly_contains_many(v), stated.strictly_contains_many(v))
+
+    def test_the_normals_are_the_cone(self):
+        normals, rays = cross_cone(4)
+        for cone in (OrderingCone(generators=rays), OrderingCone(normals=normals, generators=rays)):
+            assert not hasattr(cone, "generators")
+            assert set(cone.to_dict()) == {"normals", "margin"}
+        cone = OrderingCone.from_dict({"normals": normals.tolist()})
+        assert cone.to_dict() == {"normals": cone.normals.tolist(), "margin": DEFAULT_MARGIN}
+
+    def test_enumeration_bounded_by_its_subsets(self, monkeypatch):
+        # four rays in R^3 give C(4, 2) = 6 subsets of m - 1 = 2 rays
+        normals, rays = cross_cone(3)
+        monkeypatch.setattr(cone_module, "_MAX_FACET_SUBSETS", 6)
+        assert OrderingCone(generators=rays).normals.shape == (4, 3)
+        monkeypatch.setattr(cone_module, "_MAX_FACET_SUBSETS", 5)
+        # given with the normals, the generators are only checked
+        assert OrderingCone(normals=normals, generators=rays).normals.shape == (4, 3)
+        svds = []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1))
+        with pytest.raises(ValueError, match=r"4 generators in dimension 3 leave 6 facet "
+                                             r"candidates, more than 5: give the cone's normals"):
+            OrderingCone(generators=rays)
+        assert not svds
 
 
 class TestOrderProperties:
@@ -372,11 +438,12 @@ class TestOrderProperties:
         assert np.array_equal(got, want)
 
     def test_representation_consistency_sampled(self):
-        cone = OrderingCone(generators=np.array([[1.0, 0.5], [0.2, 1.0]]))
+        generators = np.array([[1.0, 0.5], [0.2, 1.0]])
+        cone = OrderingCone(generators=generators)
         rng = np.random.default_rng(4)
         # nonnegative generator combinations must pass the halfspace test
         weights = rng.uniform(0, 2, size=(500, 2))
-        pts = weights @ cone.generators.T
+        pts = weights @ generators.T
         assert np.all(cone.contains_many(pts))
         # and points failing the halfspace test must be outside the generator
         # cone: the cone is simplicial, so such a point has a negative
@@ -384,4 +451,4 @@ class TestOrderProperties:
         outside = rng.uniform(-2, 2, size=(500, 2))
         outside = outside[~cone.contains_many(outside)]
         for p in outside[:100]:
-            assert np.min(np.linalg.solve(cone.generators, p)) < 0.0
+            assert np.min(np.linalg.solve(generators, p)) < 0.0

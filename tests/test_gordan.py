@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import criterion_10_instances
+from conftest import criterion_10_instances, cross_cone
 from vvicert import _alt, audit, certify, sampling
 from vvicert.certify import (
     SamplingPlan,
     check_vector_critical,
     gordan_alternative,
 )
-from vvicert.cone import OrderingCone
+from vvicert.cone import OrderingCone, _extreme_rays, _unit_rows
 from vvicert.errors import DegenerateError, DimensionMismatchError, VviCertError
 from vvicert.model import JacobianPolytope
 from vvicert.problem import Problem
@@ -353,17 +353,15 @@ class TestRankAgainstLp:
 # One-column closed forms against the LPs
 # ---------------------------------------------------------------------------
 
+def _cross_rays(m):
+    """The 2^(m - 1) extreme rays of the cross cone, as unit columns."""
+    return _unit_rows(cross_cone(m)[1].T).T
+
+
 @functools.lru_cache(maxsize=None)
 def _cross_cone(m):
     """{v : |v_i| <= v_m for i < m}: 2(m - 1) facets, more than m for m >= 3."""
-    normals = np.zeros((2 * (m - 1), m))
-    normals[:, -1] = 1.0
-    for i in range(m - 1):
-        normals[2 * i, i], normals[2 * i + 1, i] = 1.0, -1.0
-    generators = np.array(
-        [signs + (1.0,) for signs in itertools.product((1.0, -1.0), repeat=m - 1)]
-    ).T
-    return OrderingCone(normals=normals, generators=generators)
+    return OrderingCone(normals=cross_cone(m)[0], generators=_cross_rays(m))
 
 
 def _random_simplicial(m, seed):
@@ -478,7 +476,8 @@ def _per_lambda_critical(f, cone, xi, plan):
     ambiguous = None
     with _alt.counting(stats):
         for lam in lambdas:
-            A = np.tensordot(lam, verts, axes=1)
+            with np.errstate(invalid="ignore"):  # 0 * inf, as in the walk's matmul
+                A = np.tensordot(lam, verts, axes=1)
             mu, s = _alt.strict_mu(A, cone.normals)
             if mu is not None and 1e-12 < s <= threshold and ambiguous is None:
                 ambiguous = (lam, s)
@@ -543,15 +542,15 @@ class _GivenVertices:
         )
 
 
-def _interior_point(cone, rng):
-    """A point mu with N mu > 0, from positive weights on the cone's generators."""
-    return cone.generators @ rng.uniform(0.2, 1.0, size=cone.generators.shape[1])
+def _interior_point(rays, rng):
+    """A point mu with N mu > 0, from positive weights on a cone's rays (columns)."""
+    return rays @ rng.uniform(0.2, 1.0, size=rays.shape[1])
 
 
-def _critical_matrix(cone, n, rng):
-    """An m x n matrix A with A^T mu = 0 for an interior mu."""
-    mu = _interior_point(cone, rng)
-    a = rng.uniform(-1.0, 1.0, size=(cone.dim, n))
+def _critical_matrix(rays, n, rng):
+    """An m x n matrix A with A^T mu = 0 for an interior mu of the cone of rays."""
+    mu = _interior_point(rays, rng)
+    a = rng.uniform(-1.0, 1.0, size=(rays.shape[0], n))
     return a - np.outer(mu, mu @ a) / float(mu @ mu)
 
 
@@ -574,17 +573,21 @@ def _grid_cases():
     rng = np.random.default_rng(22)
     cases = []
     for k, m, n in itertools.product((1, 2, 3), (2, 3, 4), (1, 2, 3)):
-        cones = {"orthant": OrderingCone.orthant(m)}
+        # each cone with its unit rays
+        cones = {"orthant": (OrderingCone.orthant(m), np.eye(m))}
         if m == 3:
-            cones["wedge"] = OrderingCone(normals=WEDGE_NORMALS)
+            wedge = OrderingCone(normals=WEDGE_NORMALS)
+            cones["wedge"] = (wedge, _unit_rows(_extreme_rays(wedge.normals)).T)
         if m >= 3:
-            cones["cross"] = _cross_cone(m)
-        for (name, cone), kind in itertools.product(cones.items(), ("random", "first", "mid", "doubt")):
+            cones["cross"] = (_cross_cone(m), _cross_rays(m))
+        for (name, (cone, rays)), kind in itertools.product(
+            cones.items(), ("random", "first", "mid", "doubt")
+        ):
             verts = rng.uniform(-1.0, 1.0, size=(k, m, n))
             if kind == "first":
-                verts[0] = _critical_matrix(cone, n, rng)
+                verts[0] = _critical_matrix(rays, n, rng)
             elif kind == "mid" and k >= 2:
-                centre, step = _critical_matrix(cone, n, rng), rng.uniform(-2.0, 2.0, size=(m, n))
+                centre, step = _critical_matrix(rays, n, rng), rng.uniform(-2.0, 2.0, size=(m, n))
                 verts[0], verts[1] = centre + step, centre - step
             elif kind == "doubt" and min(m, n) >= 2:
                 verts[-1] = _doubtful_matrix(m, n, rng)

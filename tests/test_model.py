@@ -569,7 +569,6 @@ class TestReadOnly:
         probe_pairs = model.probe_pairs(f, certify._probe_pairs, problem.point(at), 0.25)
         return {
             "cone.normals": cone.normals,
-            "cone.generators": cone.generators,
             "cone.interior_witness": cone.interior_witness,
             "f.domain": f.domain,
             "-f.domain": f.negated().domain,
