@@ -7,12 +7,18 @@ structure; ``abs`` is accepted inside predicates, never inside piece formulas.
 
 Variables are ``x1..xn`` (``x`` is accepted as an alias for ``x1`` when the
 declared dimension is 1). In kernel context ``y1..yn`` are available as well.
+
+The grammar is Python's expression syntax under a whitelist, with ``^`` for
+``**`` and a lone ``=`` for ``==``: Python's parser reads each text.
 """
 
 from __future__ import annotations
 
+import ast
 import functools
 import re
+import string
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -292,7 +298,10 @@ def _pow(base: Expr, k: int) -> Expr:
     if k == 0:
         return _const(1.0)
     if isinstance(base, Const):
-        return _const(base.value ** k)
+        try:
+            return _const(base.value ** k)
+        except ArithmeticError:  # zero to a negative power, or an overflow
+            raise ValueError(f"{base.text()}^{k} is not finite") from None
     return Pow(base, k)
 
 
@@ -355,197 +364,126 @@ class BoolOp(Predicate):
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
-# ---------------------------------------------------------------------------
-
-# Offsets in ParseError refer to the normalized text when unicode operators
-# are used; ASCII input is unaffected.
-_UNICODE_MAP = str.maketrans({"−": "-", "≤": "<=", "≥": ">="})
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<cmp><=|>=|==|<|>|=)"
-    r"|(?P<op>[-+*/^()]))"
-)
-
-
-def _tokenize(text: str):
-    src = text.translate(_UNICODE_MAP)
-    tokens = []
-    pos = 0
-    while pos < len(src):
-        if src[pos:].strip() == "":
-            break
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            stripped = src[pos:].lstrip()
-            at = len(src) - len(stripped)
-            raise ParseError(f"unexpected character {src[at]!r}", at)
-        kind = m.lastgroup
-        value = m.group(kind)
-        start = m.end() - len(value)
-        if kind == "cmp" and value == "==":
-            value = "="
-        tokens.append((kind, value, start))
-        pos = m.end()
-    tokens.append(("end", "", len(src)))
-    return tokens
-
-
-# ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
 
-# binary operator -> (node class, whose prec is its binding; smart constructor)
-_BINARY = {"+": (Add, _add), "-": (Sub, _sub), "*": (Mul, _mul), "/": (Div, _div)}
+# _spell writes a text as a Python expression: unicode operators in ASCII, '^'
+# as '**', a lone '=' as '==', lowercase. It keeps the offset in the text of
+# each character it writes, so that every ParseError indexes the user's text.
+_SPELLING = {"−": "-", "≤": "<=", "≥": ">=", "^": "**"}
+_ALPHABET = frozenset(string.ascii_letters + string.digits + "_.+-*/^()<>=−≤≥")
+_NUMBER = re.compile(r"(\d+\.?\d*|\.\d+)(e[-+]?\d+)?")
+_BINARY = {ast.Add: _add, ast.Sub: _sub, ast.Mult: _mul, ast.Div: _div}
+_COMPARISONS = {ast.Lt: "<", ast.LtE: "<=", ast.Eq: "=", ast.GtE: ">=", ast.Gt: ">"}
+
+# The most nodes on a path from the root of a parsed tree. Evaluation and
+# differentiation recurse once per node within Python's default limit of
+# 1,000 frames; 900 leaves room for the frames of the caller.
+MAX_DEPTH = 900
 
 
-class _Parser:
-    def __init__(self, tokens, dim: int, context: str, allow_abs: bool):
-        self.tokens = tokens
-        self.i = 0
-        self.dim = dim
-        self.context = context
-        self.allow_abs = allow_abs
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, symbol: str):
-        kind, value, pos = self.peek()
-        if kind == "op" and value == symbol:
-            return self.advance()
-        raise ParseError(f"expected '{symbol}'", pos)
-
-    # expression grammar -----------------------------------------------------
-
-    def parse_expr(self, min_prec: int = 1) -> Expr:
-        """Precedence climbing over _BINARY: each operator binds as tightly
-        as its node class's ``prec`` (the printer's binding), left to right."""
-        node = self.parse_unary()
-        while True:
-            kind, value, _ = self.peek()
-            if kind != "op" or value not in _BINARY or _BINARY[value][0].prec < min_prec:
-                return node
-            self.advance()
-            node_class, build = _BINARY[value]
-            node = build(node, self.parse_expr(node_class.prec + 1))
-
-    def parse_unary(self) -> Expr:
-        kind, value, _ = self.peek()
-        if kind == "op" and value in ("-", "+"):
-            self.advance()
-            child = self.parse_unary()
-            return _neg(child) if value == "-" else child
-        return self.parse_power()
-
-    def parse_power(self) -> Expr:
-        node = self.parse_atom()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "^":
-                self.advance()
-                node = _pow(node, self.parse_int_exponent())
-            else:
-                return node
-
-    def parse_int_exponent(self) -> int:
-        sign = 1
-        kind, value, pos = self.peek()
-        if kind == "op" and value in ("-", "+"):
-            self.advance()
-            sign = -1 if value == "-" else 1
-            kind, value, pos = self.peek()
-        if kind != "num" or "." in value:
-            raise ParseError("exponent must be an integer literal", pos)
-        self.advance()
-        return sign * int(value)
-
-    def parse_atom(self) -> Expr:
-        kind, value, pos = self.advance()
-        if kind == "num":
-            return _const(float(value))
-        if kind == "op" and value == "(":
-            node = self.parse_expr()
-            self.expect_op(")")
-            return node
-        if kind == "ident":
-            name = value.lower()
-            if name == "abs":
-                if not self.allow_abs:
-                    raise ParseError("abs is only permitted inside predicates", pos)
-                self.expect_op("(")
-                child = self.parse_expr()
-                self.expect_op(")")
-                return Abs(child)
-            return self.parse_variable(name, pos)
-        raise ParseError("expected a number, variable or '('", pos)
-
-    def parse_variable(self, name: str, pos: int) -> Expr:
-        m = re.fullmatch(r"([xy])(\d*)", name)
-        if m is None:
-            raise ParseError(f"unknown identifier '{name}'", pos)
-        axis, digits = m.group(1), m.group(2)
-        if axis == "y" and self.context != "kernel":
-            raise ParseError("'y' variables are only available in kernel context", pos)
-        if digits == "":
-            if self.dim != 1:
-                raise ParseError(
-                    f"bare '{axis}' is only valid in dimension 1 (declared dim {self.dim})", pos
-                )
-            index = 0
-        else:
-            index = int(digits) - 1
-        if not 0 <= index < self.dim:
-            raise ParseError(
-                f"variable index {index + 1} out of range for dimension {self.dim}", pos
-            )
-        return Var(axis, index)
-
-    # predicate grammar ------------------------------------------------------
-
-    def parse_predicate(self) -> Predicate:
-        return self.parse_joined("or", self.parse_and)
-
-    def parse_and(self) -> Predicate:
-        return self.parse_joined("and", self.parse_comparison)
-
-    def parse_joined(self, keyword: str, parse_part) -> Predicate:
-        """One or more parts separated by the keyword 'and' or 'or'."""
-        parts = [parse_part()]
-        kind, value, _ = self.peek()
-        while kind == "ident" and value.lower() == keyword:
-            self.advance()
-            parts.append(parse_part())
-            kind, value, _ = self.peek()
-        return parts[0] if len(parts) == 1 else BoolOp(keyword, tuple(parts))
-
-    def parse_comparison(self) -> Predicate:
-        left = self.parse_expr()
-        kind, value, pos = self.peek()
-        if kind != "cmp":
-            raise ParseError("expected a comparison operator", pos)
-        self.advance()
-        right = self.parse_expr()
-        return Comparison(left, value, right)
+def _spell(text: str):
+    src, where = "", []
+    for at, ch in enumerate(text):
+        if ch.isspace():
+            ch = " " if src else ""  # Python refuses leading blanks
+        elif ch not in _ALPHABET or ch == "*" == text[at - 1:at]:
+            raise ParseError(f"unexpected character {ch!r}", at)
+        elif ch == "=" and src[-1:] not in ("<", ">", "=") and text[at + 1:at + 2] != "=":
+            ch = "=="
+        src += _SPELLING.get(ch, ch).lower()
+        where += [at] * (len(src) - len(where))
+    return src, where
 
 
-def _parse_whole(text: str, dim: int, context: str, what: str, rule):
-    """Parse all of text with the grammar rule ``rule(parser)`` for ``what``."""
+def _parse_whole(text: str, dim: int, context: str, what: str):
+    """Parse all of text as an expression or a region (``what``): one walk over
+    Python's syntax tree builds each node allowed with the constructors above."""
     if not text or not text.strip():
         raise ParseError(f"empty {what}", 0)
-    parser = _Parser(_tokenize(text), dim, context, allow_abs=what == "predicate")
-    node = rule(parser)
-    kind, _, pos = parser.peek()
-    if kind != "end":
-        raise ParseError("unexpected trailing input", pos)
-    return node
+    src, where = _spell(text)
+
+    def fail(message: str, at: int):
+        raise ParseError(message, where[at] if 0 <= at < len(where) else len(text))
+
+    def after(node) -> int:
+        # the first character past node that is not a blank
+        return len(src) - len(src[node.end_col_offset:].lstrip())
+
+    def expr(node, depth: int) -> Expr:
+        at, kind, op = node.col_offset, type(node), type(getattr(node, "op", None))
+        if depth > MAX_DEPTH:
+            fail(f"expression nested deeper than {MAX_DEPTH}", at)
+        try:
+            if kind is ast.BinOp and op in _BINARY:
+                return _BINARY[op](expr(node.left, depth + 1), expr(node.right, depth + 1))
+            if kind is ast.BinOp and op is ast.Pow:
+                return _pow(expr(node.left, depth + 1), exponent(node.right))
+            if kind is ast.UnaryOp and op in (ast.USub, ast.UAdd):
+                child = expr(node.operand, depth + 1)
+                return _neg(child) if op is ast.USub else child
+            if kind is ast.Constant and _NUMBER.fullmatch(src, at, node.end_col_offset):
+                return _const(float(src[at:node.end_col_offset]))
+        except ValueError as exc:  # a constant power that is not finite
+            fail(str(exc), at)
+        if kind is ast.Name:
+            return variable(node.id, at)
+        if kind in (ast.Compare, ast.BoolOp):  # a region where an expression belongs
+            first = node.left if kind is ast.Compare else node.values[0]
+            expr(first, depth + 1)
+            fail("unexpected trailing input", after(first))
+        if kind is ast.Call and isinstance(node.func, ast.Name) and node.func.id == "abs":
+            if not region:
+                fail("abs is only permitted inside predicates", at)
+            if len(node.args) == 1 and not node.keywords:
+                return Abs(expr(node.args[0], depth + 1))
+        fail("expected an arithmetic expression", at)
+
+    def exponent(node) -> int:
+        k = node.operand if type(node) is ast.UnaryOp else node
+        if type(k) is not ast.Constant or not src[k.col_offset:k.end_col_offset].isdigit():
+            fail("exponent must be an integer literal", k.col_offset)
+        return -k.value if isinstance(getattr(node, "op", None), ast.USub) else k.value
+
+    def variable(name: str, pos: int) -> Var:
+        m = re.fullmatch(r"([xy])(\d*)", name)
+        if m is None:
+            fail(f"unknown identifier '{name}'", pos)
+        axis, digits = m.groups()
+        if axis == "y" and context != "kernel":
+            fail("'y' variables are only available in kernel context", pos)
+        if digits == "" and dim != 1:
+            fail(f"bare '{axis}' is only valid in dimension 1 (declared dim {dim})", pos)
+        index = int(digits or 1) - 1
+        if not 0 <= index < dim:
+            fail(f"variable index {index + 1} out of range for dimension {dim}", pos)
+        return Var(axis, index)
+
+    def predicate(node, depth: int) -> Predicate:
+        if type(node) is ast.BoolOp:
+            parts = tuple(predicate(part, depth + 1) for part in node.values)
+            return BoolOp("and" if type(node.op) is ast.And else "or", parts)
+        if type(node) is not ast.Compare:
+            expr(node, depth)
+            fail("expected a comparison operator", after(node))
+        left = expr(node.left, depth + 1)
+        if type(node.ops[0]) not in _COMPARISONS:
+            fail("expected a comparison operator", after(node.left))
+        right = expr(node.comparators[0], depth + 1)
+        if len(node.ops) > 1:
+            fail("unexpected trailing input", after(node.comparators[0]))
+        return Comparison(left, _COMPARISONS[type(node.ops[0])], right)
+
+    region = what == "predicate"
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a number run into a keyword ('1and') warns
+            body = ast.parse(src, mode="eval").body
+    except SyntaxError as exc:
+        fail(exc.msg, (exc.offset or 0) - 1)  # Python counts columns from 1
+    except (RecursionError, MemoryError):  # Python's parser gives up on deep nesting
+        fail(f"expression nested deeper than {MAX_DEPTH}", 0)
+    return predicate(body, 1) if region else expr(body, 1)
 
 
 def parse(text: str, dim: int, context: str = "function") -> Expr:
@@ -556,12 +494,12 @@ def parse(text: str, dim: int, context: str = "function") -> Expr:
     """
     if context not in ("function", "kernel"):
         raise ValueError(f"context must be 'function' or 'kernel', got {context!r}")
-    return _parse_whole(text, dim, context, "expression", _Parser.parse_expr)
+    return _parse_whole(text, dim, context, "expression")
 
 
 def parse_predicate(text: str, dim: int) -> Predicate:
     """Parse a region over x1..x<dim> only: comparisons joined by and/or, abs permitted."""
-    return _parse_whole(text, dim, "function", "predicate", _Parser.parse_predicate)
+    return _parse_whole(text, dim, "function", "predicate")
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +523,8 @@ def evaluate_many(e: Expr, x: np.ndarray, y: Optional[np.ndarray] = None) -> np.
 def differentiate(e: Expr, var: int) -> Expr:
     """Exact symbolic partial derivative with respect to x<var+1> (0-based var).
 
-    Raises NonSmoothOperatorError if an abs node is reached.
+    Raises NonSmoothOperatorError if an abs node is reached, and ValueError
+    if a constant power in the derivative is not finite.
     """
     return e.derive(var)
 

@@ -59,9 +59,10 @@ class Problem:
             if e.shape != (f.m,):
                 raise DimensionMismatchError(f"e of shape {e.shape}, expected ({f.m},)")
         with ProblemFileError.reading("points"):
-            points = {
-                k: np.asarray(v, dtype=float) for k, v in spec.get("points", {}).items()
-            }
+            points = {k: np.asarray(v, dtype=float) for k, v in spec.get("points", {}).items()}
+            for k, v in points.items():
+                if v.shape != (f.n,):
+                    raise DimensionMismatchError(f"{k!r} of shape {v.shape}, expected ({f.n},)")
         return cls(f, cone, kernel, e, points, name=name or spec.get("name", ""))
 
     def to_dict(self) -> dict:

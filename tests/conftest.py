@@ -2,10 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from vvicert import audit
 from vvicert.certify import SamplingPlan
 from vvicert.cli import load_problem
+
+# every property test replays the same examples, with no time limit and no
+# example database; a test sets only its max_examples
+settings.register_profile("vvicert", derandomize=True, deadline=None, database=None)
+settings.load_profile("vvicert")
 
 
 @pytest.fixture(scope="session")

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import cross_cone
+from vvicert import exprlang as el
 from vvicert.cli import dispatch, load_problem, main
-from vvicert.errors import DimensionMismatchError, ProblemFileError, VviCertError
+from vvicert.errors import DimensionMismatchError, ParseError, ProblemFileError, VviCertError
 from vvicert.problem import Problem
 
 
@@ -452,6 +453,10 @@ GAP_FILE = {
 }
 
 
+def _set_first_component(spec, text):
+    spec["pieces"][0]["components"][0] = text
+
+
 def _malformed(change):
     """The example5 problem file with one change applied."""
     spec = json.loads(json.dumps(load_problem("example5").to_dict()))
@@ -479,6 +484,14 @@ MALFORMED_FILES = {
     "missing n": ("n", lambda s: s.pop("n")),
     "piece without region": ("pieces", lambda s: s["pieces"][0].pop("region")),
     "e not numbers": ("e", lambda s: s.update(e=["a", "b"])),
+    "point of another dimension": ("points", lambda s: s.update(points={"xi": [0, 0, 0]})),
+    # texts that ended in a stray exception (exit 1) instead of a ParseError
+    "zero to a negative power": ("pieces", lambda s: _set_first_component(s, "0^-1*x1")),
+    "constant overflow": ("pieces", lambda s: _set_first_component(s, "10^400*x1")),
+    "300 nested parentheses": (
+        "pieces", lambda s: _set_first_component(s, "(" * 300 + "x1" + ")" * 300)
+    ),
+    "sum of 5000 terms": ("pieces", lambda s: _set_first_component(s, " + ".join(["x1"] * 5000))),
 }
 
 
@@ -613,7 +626,34 @@ class TestMalformedProblemFiles:
             Problem.from_dict(_malformed(change))
         assert info.value.key == key
         assert isinstance(
-            info.value.__cause__, (KeyError, TypeError, ValueError, DimensionMismatchError)
+            info.value.__cause__,
+            (KeyError, TypeError, ValueError, DimensionMismatchError, ParseError),
+        )
+
+
+class TestExpressionDepth:
+    """A tree as deep as exprlang.MAX_DEPTH gets a verdict; one level deeper
+    is refused where it is parsed."""
+
+    @staticmethod
+    def _sum_file(tmp_path, terms):
+        # x1/terms at the leaves: a path of terms + 1 nodes
+        path = tmp_path / "deep.json"
+        text = " + ".join([f"x1/{terms}"] * terms)
+        path.write_text(json.dumps(_malformed(lambda s: _set_first_component(s, text))))
+        return str(path)
+
+    def test_tree_at_the_bound_gets_a_verdict(self, tmp_path, capsys):
+        path = self._sum_file(tmp_path, el.MAX_DEPTH - 1)
+        for argv in (["jacobian"], ["check", "critical"]):
+            assert main([*argv, "--problem", path, "--at", "0"]) in (0, 1)
+            assert capsys.readouterr().err == ""
+
+    def test_one_level_deeper_exit_two(self, tmp_path, capsys):
+        path = self._sum_file(tmp_path, el.MAX_DEPTH)
+        assert main(["jacobian", "--problem", path, "--at", "0"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: problem key 'pieces': expression nested deeper than {el.MAX_DEPTH}"
         )
 
 

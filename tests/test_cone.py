@@ -134,7 +134,7 @@ class TestColumnTest:
     the order tests read the columns of v; they give the booleans of the
     product v @ N.T, with its NaN rows, and of np.linalg.norm."""
 
-    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=400)
     @given(_cones_and_vectors())
     def test_matches_the_matmul_path(self, case):
         cone, off, v = case
@@ -353,7 +353,7 @@ def _cones_by_both_forms(draw):
 
 
 class TestConesByGeneratorsAlone:
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(_cones_by_both_forms())
     def test_derived_normals_order_as_the_stated(self, case):
         rays, normals, rng = case

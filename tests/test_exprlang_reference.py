@@ -1,10 +1,11 @@
 """The expression nodes evaluate, differentiate and print exactly as the
-type-switch functions they replaced, and the precedence-climbing parser
-builds the trees of the two-level parser it replaced. Those functions are
-kept below as private references, and every comparison is exact: same
-values, same dtype, same derivative trees, same text, same exceptions and
-messages."""
+type-switch functions they replaced, and the parser builds the trees that the
+parent commit's hand-written parser built. Those functions are kept below as
+private references, and every comparison is exact: same values, same dtype,
+same derivative trees, same text, same exceptions and messages. The trees are
+pinned by digest."""
 
+import hashlib
 import json
 from importlib import resources
 
@@ -193,40 +194,6 @@ def _predicate_holds_many_reference(p, x, slack=0.0):
     return np.asarray(out, dtype=bool)
 
 
-class _TwoLevelParser(el._Parser):
-    """The parser with one method per precedence level: sums of terms, terms
-    of unary factors, both folded left."""
-
-    def parse_expr(self):
-        node = self.parse_term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in ("+", "-"):
-                self.advance()
-                rhs = self.parse_term()
-                node = el._add(node, rhs) if value == "+" else el._sub(node, rhs)
-            else:
-                return node
-
-    def parse_term(self):
-        node = self.parse_unary()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in ("*", "/"):
-                self.advance()
-                rhs = self.parse_unary()
-                node = el._mul(node, rhs) if value == "*" else el._div(node, rhs)
-            else:
-                return node
-
-
-def _parse_reference(text, dim, context="function", predicate=False):
-    parser = _TwoLevelParser(el._tokenize(text), dim, context, allow_abs=predicate)
-    node = parser.parse_predicate() if predicate else parser.parse_expr()
-    assert parser.peek()[0] == "end"
-    return node
-
-
 # ---------------------------------------------------------------------------
 # Comparisons
 # ---------------------------------------------------------------------------
@@ -392,39 +359,54 @@ class TestHandCases:
         _assert_same_predicate(p, np.zeros((3, 1)), 0.0)
 
 
-def _problem_texts(spec: dict):
-    """(component texts, region texts, dim) of a problem-file dict."""
-    pieces = spec["pieces"]
-    components = [c for piece in pieces for c in piece["components"]]
-    return components, [piece["region"] for piece in pieces], spec["n"]
+def _problem_trees(spec: dict) -> list:
+    """The trees of every component, then of every region, of a problem-file dict."""
+    n, pieces = spec["n"], spec["pieces"]
+    return [el.parse(c, n) for piece in pieces for c in piece["components"]] + [
+        el.parse_predicate(piece["region"], n) for piece in pieces
+    ]
+
+
+def _digest(trees) -> str:
+    return hashlib.sha256("\n".join(map(repr, trees)).encode()).hexdigest()
 
 
 class TestParserTrees:
+    """sha256 of the reprs of the trees of each part of the corpus, one per
+    line, as the recursive-descent parser of the parent commit built them."""
+
+    PINNED = {
+        "example5": "0cafb7a4d0c60695275cf832865aff68b2322e33b11c79679a911ff4c2457c1f",
+        "example23": "e27552f3ab4d94c9d9d480ea078b7a201d39487da0fc7110e5a5c42b8494b566",
+        "generated": "18ade88cf34fb6575d980a79cba4c0e871add928a7ccf979e5a96d3862d1f932",
+        "hand chains": "a677ca2fbc7ae66b2978afd9c328392efb561e5b4df125978226347e40de6070",
+        "kernel": "69126f331148f6d5b337726701f5732dcfede2028d65e585ab738e84b8cf400c",
+    }
     HAND_CHAINS = (
         "x1 - x2 + x3", "x1/x2/x3", "x1 - x2*x3/x4 + 2", "-x1^2", "2 - -x1",
         "x1 - (x2 - x3)", "(x1 + 1)^-2", "x1*x2 - x3/x4*x1 + -x2 - 3/4/x1",
     )
 
-    def _assert_same_trees(self, components, regions, dim):
-        for text in components:
-            assert el.parse(text, dim) == _parse_reference(text, dim), text
-        for text in regions:
-            assert el.parse_predicate(text, dim) == _parse_reference(text, dim, predicate=True)
-
     @pytest.mark.parametrize("name", ["example5", "example23"])
     def test_fixture_texts(self, name):
         text = resources.files("vvicert").joinpath(f"fixtures/{name}.json").read_text()
-        self._assert_same_trees(*_problem_texts(json.loads(text)))
+        assert _digest(_problem_trees(json.loads(text))) == self.PINNED[name]
 
     def test_generated_instance_texts(self):
-        for problem, _ in audit.generated_instances(100, 0):
-            self._assert_same_trees(*_problem_texts(problem.to_dict()))
+        trees = [
+            tree for problem, _ in audit.generated_instances(100, 0)
+            for tree in _problem_trees(problem.to_dict())
+        ]
+        assert _digest(trees) == self.PINNED["generated"]
+
+    def test_hand_chain_trees(self):
+        trees = [el.parse(text, 4) for text in self.HAND_CHAINS]
+        assert _digest(trees) == self.PINNED["hand chains"]
 
     @pytest.mark.parametrize("text", HAND_CHAINS)
     def test_hand_chains(self, text):
-        assert el.parse(text, 4) == _parse_reference(text, 4)
         assert el.parse(el.to_string(el.parse(text, 4)), 4) == el.parse(text, 4)
 
     def test_kernel_context(self):
-        text = "x1 - y1*x2/y2 - (y1 - x1)"
-        assert el.parse(text, 2, "kernel") == _parse_reference(text, 2, "kernel")
+        tree = el.parse("x1 - y1*x2/y2 - (y1 - x1)", 2, "kernel")
+        assert _digest([tree]) == self.PINNED["kernel"]

@@ -405,7 +405,7 @@ def _vertex_mu_optimum(col, normals):
     return float(np.max(x[feasible, -1])) if np.any(feasible) else None
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(data=st.data())
 def test_one_column_closed_forms_match_the_lps(data):
     """Closed forms against the LPs they replace (``null_basis`` off): the
